@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import CurriculumStage, PairedDataset
 from .numerics import stream_rng
-from .optim import AdamW, TrainingDivergedError
+from .optim import AdamW, TrainingDivergedError, warmup_cosine
 from .projector import (
     ADAPTER_KEY,
     ProjectorConfig,
@@ -129,29 +129,6 @@ def combined_loss(
     return loss, grad
 
 
-def lr_schedule(step: int, total_steps: int, cfg: AlignConfig) -> tuple[float, float]:
-    """Resolve (projector lr, adapter lr) at a step.
-
-    Linear ramp to the peak over warmup_steps, then cosine decay to zero at
-    total_steps. The adapter rate is zero while step < freeze_steps.
-    """
-    if total_steps < cfg.warmup_steps:
-        raise ValueError(
-            f"total_steps {total_steps} must be >= warmup_steps {cfg.warmup_steps}"
-        )
-    if not 0 <= step <= total_steps:
-        raise ValueError(f"step {step} outside [0, {total_steps}]")
-    if cfg.warmup_steps > 0 and step <= cfg.warmup_steps:
-        base = step / cfg.warmup_steps
-    else:
-        span = max(total_steps - cfg.warmup_steps, 1)
-        progress = (step - cfg.warmup_steps) / span
-        base = 0.5 * (1.0 + math.cos(math.pi * progress))
-    lr_proj = cfg.lr_projector * base
-    lr_adapter = 0.0 if step < cfg.freeze_steps else cfg.lr_encoder_adapter * base
-    return lr_proj, lr_adapter
-
-
 @dataclass(frozen=True)
 class StepRecord:
     step: int
@@ -202,28 +179,11 @@ def _safe_mean_cos(zv: np.ndarray, zt: np.ndarray) -> float:
     return float(np.mean(cos))
 
 
-def _embed_batch(
-    params: ProjectorParams,
-    proj_cfg: ProjectorConfig,
-    dataset: PairedDataset,
-    indices: np.ndarray,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, list]:
-    outputs = []
-    traces = []
-    for i in indices:
-        z, trace = project(params, proj_cfg, dataset.frames[i], training=training, rng=rng)
-        outputs.append(z)
-        traces.append(trace)
-    return np.stack(outputs), traces
-
-
 def validate(
     params: ProjectorParams, proj_cfg: ProjectorConfig, dataset: PairedDataset,
     indices: np.ndarray,
 ) -> tuple[float, float]:
-    zv, _ = _embed_batch(params, proj_cfg, dataset, indices, training=False)
+    zv, _ = project(params, proj_cfg, dataset.frames[indices])
     zt = dataset.targets[indices]
     mse, _ = mse_align_loss(zv, zt)
     return mse, _safe_mean_cos(zv, zt)
@@ -275,26 +235,20 @@ def train_stage(
             batch = train_idx[order[b0 : b0 + cfg.batch_size]]
             drop_rng = stream_rng(cfg.seed, _STREAM_DROPOUT, rng_namespace, step)
             live = ProjectorParams(tensors)
-            zv, traces = _embed_batch(
-                live, proj_cfg, dataset, batch, training=True, rng=drop_rng
+            zv, trace = project(
+                live, proj_cfg, dataset.frames[batch], training=True, rng=drop_rng
             )
             zt = dataset.targets[batch]
             loss, g_zv = combined_loss(zv, zt, cfg)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(step)
+            grads = project_backward(trace, g_zv)
+            del grads["frames"]
 
-            grads: dict[str, np.ndarray] = {}
-            for row_grad, trace in zip(g_zv, traces):
-                sample_grads = project_backward(trace, row_grad)
-                for key, g in sample_grads.items():
-                    if key == "frames":
-                        continue
-                    if key in grads:
-                        grads[key] += g
-                    else:
-                        grads[key] = g.copy()
-
-            lr_proj, lr_enc = lr_schedule(step, total_steps, cfg)
+            lr_proj = warmup_cosine(step, total_steps, cfg.warmup_steps, cfg.lr_projector)
+            lr_enc = 0.0 if step < cfg.freeze_steps else warmup_cosine(
+                step, total_steps, cfg.warmup_steps, cfg.lr_encoder_adapter
+            )
             frozen = has_adapter and step < cfg.freeze_steps
             lr_map = {key: lr_proj for key in tensors}
             if has_adapter:

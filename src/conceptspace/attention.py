@@ -6,8 +6,8 @@ next-embedding contextualizer. Forward caches every intermediate the backward
 needs; dropout (applied to the attention weights after the row softmax) records
 its mask so backward replays it exactly.
 
-Row convention throughout: inputs are (T, E) with linear maps applied on the
-right, e.g. Q = Xq @ Wq.
+Row convention throughout: inputs are (..., T, E) with linear maps applied on
+the right, e.g. Q = Xq @ Wq; any leading axes are a batch that rides along.
 """
 
 from __future__ import annotations
@@ -26,17 +26,21 @@ class AttentionCache:
     wv: np.ndarray
     wo: np.ndarray
     heads: int
-    q: np.ndarray  # (Tq, H, dk)
-    k: np.ndarray  # (Tk, H, dk)
-    v: np.ndarray  # (Tk, H, dk)
-    probs: np.ndarray  # (H, Tq, Tk) post-softmax, pre-dropout
+    q: np.ndarray  # (..., Tq, H, dk)
+    k: np.ndarray  # (..., Tk, H, dk)
+    v: np.ndarray  # (..., Tk, H, dk)
+    probs: np.ndarray  # (..., H, Tq, Tk) post-softmax, pre-dropout
     kept: np.ndarray | None  # dropout keep mask scaled by 1/(1-p), or None
-    concat: np.ndarray  # (Tq, E) input to the output projection
+    concat: np.ndarray  # (..., Tq, E) input to the output projection
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    t, e = x.shape
-    return x.reshape(t, heads, e // heads)
+    return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads)
+
+
+def fold_rows(x: np.ndarray) -> np.ndarray:
+    """Fold every leading axis into rows so weight gradients sum over them."""
+    return x.reshape(-1, x.shape[-1])
 
 
 def attention_forward(
@@ -54,12 +58,14 @@ def attention_forward(
 ) -> tuple[np.ndarray, AttentionCache]:
     """Attend from the rows of xq over the rows of xkv.
 
-    Returns the (Tq, E) output and a cache sufficient for attention_backward.
+    Inputs are (..., Tq, E) and (..., Tk, E) with the same leading axes.
+    Returns the (..., Tq, E) output and a cache sufficient for
+    attention_backward.
     """
-    e = xq.shape[1]
+    e = xq.shape[-1]
     if e % heads != 0:
         raise ValueError(f"model width {e} not divisible by heads {heads}")
-    if causal and xq.shape[0] != xkv.shape[0]:
+    if causal and xq.shape[-2] != xkv.shape[-2]:
         raise ValueError("causal masking requires matching query/key lengths")
     dk = e // heads
     scale = 1.0 / np.sqrt(dk)
@@ -68,11 +74,11 @@ def attention_forward(
     k = _split_heads(xkv @ wk, heads)
     v = _split_heads(xkv @ wv, heads)
 
-    scores = np.einsum("qhd,khd->hqk", q, k) * scale
+    scores = np.einsum("...qhd,...khd->...hqk", q, k) * scale
     if causal:
-        t = scores.shape[1]
+        t = scores.shape[-1]
         mask = np.triu(np.ones((t, t), dtype=bool), k=1)
-        scores = np.where(mask[None, :, :], -np.inf, scores)
+        scores = np.where(mask, -np.inf, scores)
     shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=-1, keepdims=True)
@@ -82,12 +88,14 @@ def attention_forward(
     if training and dropout_p > 0.0:
         if rng is None:
             raise ValueError("dropout in training mode needs an rng")
+        # One draw over the whole batch consumes the stream in the same order
+        # as one (H, Tq, Tk) draw per sample.
         keep = rng.random(probs.shape) >= dropout_p
         kept = keep / (1.0 - dropout_p)
         weights = probs * kept
 
-    per_head = np.einsum("hqk,khd->qhd", weights, v)
-    concat = per_head.reshape(xq.shape[0], e)
+    per_head = np.einsum("...hqk,...khd->...qhd", weights, v)
+    concat = per_head.reshape(*per_head.shape[:-2], e)
     out = concat @ wo
     cache = AttentionCache(
         xq=xq, xkv=xkv, wq=wq, wk=wk, wv=wv, wo=wo,
@@ -101,21 +109,22 @@ def attention_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through attention_forward.
 
-    Returns (g_xq, g_xkv, g_wq, g_wk, g_wv, g_wo). For self-attention the
-    caller adds g_xq + g_kv itself.
+    Returns (g_xq, g_xkv, g_wq, g_wk, g_wv, g_wo); input gradients keep the
+    input shapes and weight gradients are summed over the leading axes. For
+    self-attention the caller adds g_xq + g_kv itself.
     """
-    tq, e = cache.concat.shape
+    e = cache.concat.shape[-1]
     heads = cache.heads
     dk = e // heads
     scale = 1.0 / np.sqrt(dk)
 
-    g_wo = cache.concat.T @ g_out
+    g_wo = fold_rows(cache.concat).T @ fold_rows(g_out)
     g_concat = g_out @ cache.wo.T
-    g_per_head = g_concat.reshape(tq, heads, dk)
+    g_per_head = _split_heads(g_concat, heads)
 
     weights = cache.probs if cache.kept is None else cache.probs * cache.kept
-    g_weights = np.einsum("qhd,khd->hqk", g_per_head, cache.v)
-    g_v = np.einsum("hqk,qhd->khd", weights, g_per_head)
+    g_weights = np.einsum("...qhd,...khd->...hqk", g_per_head, cache.v)
+    g_v = np.einsum("...hqk,...qhd->...khd", weights, g_per_head)
     if cache.kept is not None:
         g_probs = g_weights * cache.kept
     else:
@@ -125,16 +134,16 @@ def attention_backward(
     inner = (g_probs * cache.probs).sum(axis=-1, keepdims=True)
     g_scores = cache.probs * (g_probs - inner)
 
-    g_q = np.einsum("hqk,khd->qhd", g_scores, cache.k) * scale
-    g_k = np.einsum("hqk,qhd->khd", g_scores, cache.q) * scale
+    g_q = np.einsum("...hqk,...khd->...qhd", g_scores, cache.k) * scale
+    g_k = np.einsum("...hqk,...qhd->...khd", g_scores, cache.q) * scale
 
-    g_q_full = g_q.reshape(tq, e)
-    g_k_full = g_k.reshape(cache.xkv.shape[0], e)
-    g_v_full = g_v.reshape(cache.xkv.shape[0], e)
+    g_q_full = g_q.reshape(*g_q.shape[:-2], e)
+    g_k_full = g_k.reshape(*g_k.shape[:-2], e)
+    g_v_full = g_v.reshape(*g_v.shape[:-2], e)
 
-    g_wq = cache.xq.T @ g_q_full
-    g_wk = cache.xkv.T @ g_k_full
-    g_wv = cache.xkv.T @ g_v_full
+    g_wq = fold_rows(cache.xq).T @ fold_rows(g_q_full)
+    g_wk = fold_rows(cache.xkv).T @ fold_rows(g_k_full)
+    g_wv = fold_rows(cache.xkv).T @ fold_rows(g_v_full)
     g_xq = g_q_full @ cache.wq.T
     g_xkv = g_k_full @ cache.wk.T + g_v_full @ cache.wv.T
     return g_xq, g_xkv, g_wq, g_wk, g_wv, g_wo

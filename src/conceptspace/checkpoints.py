@@ -13,7 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DTYPE_F64, EmbeddingFormatError, read_embeddings, write_embeddings
+from .corpus import (
+    DTYPE_F64,
+    EmbeddingFormatError,
+    malformed_manifest,
+    read_embeddings,
+    write_embeddings,
+)
 from .latentdiff import (
     LcmModelConfig,
     LcmTrainConfig,
@@ -53,14 +59,15 @@ def load_tensors(in_dir: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     doc_path = root / "params.json"
     if not doc_path.exists():
         raise EmbeddingFormatError(f"{root}: missing params.json")
-    doc = json.loads(doc_path.read_text())
-    if doc.get("format") != "tensor-dir-v1":
-        raise EmbeddingFormatError(f"{root}: unexpected checkpoint format {doc.get('format')!r}")
-    tensors = {}
-    for name, entry in doc["tensors"].items():
-        flat = read_embeddings(root / entry["file"])
-        tensors[name] = flat.reshape(tuple(entry["shape"]))
-    return tensors, doc.get("meta", {})
+    with malformed_manifest(doc_path):
+        doc = json.loads(doc_path.read_text())
+        if doc.get("format") != "tensor-dir-v1":
+            raise EmbeddingFormatError(f"{root}: unexpected checkpoint format {doc.get('format')!r}")
+        tensors = {}
+        for name, entry in doc["tensors"].items():
+            flat = read_embeddings(root / entry["file"])
+            tensors[name] = flat.reshape(tuple(entry["shape"]))
+        return tensors, doc.get("meta", {})
 
 
 # ---------------------------------------------------------------------------

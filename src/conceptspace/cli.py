@@ -30,6 +30,10 @@ _STREAM_SAMPLES = 1
 _STREAM_SEQ = 2
 _STREAM_CLI_SAMPLE = 3
 
+# Rows per batched projector call in eval: one call over every row raises peak
+# memory by the size of the attention intermediates of the whole dataset.
+EVAL_BLOCK = 32
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -319,8 +323,10 @@ def cmd_eval(args) -> int:
                 f"projector concept_dim {proj_cfg.concept_dim} does not match "
                 f"dataset concept dim {zt.shape[1]}",
             )
-        rows = [project(params, proj_cfg, dataset.frames[i])[0] for i in range(len(dataset))]
-        zv = np.stack(rows)
+        zv = np.concatenate([
+            project(params, proj_cfg, dataset.frames[i : i + EVAL_BLOCK])[0]
+            for i in range(0, len(dataset), EVAL_BLOCK)
+        ])
         projector_desc = str(args.projector)
 
     echo = {"projector": projector_desc, "data": str(args.data), "n": len(dataset)}
@@ -338,13 +344,10 @@ def cmd_eval(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if args.drift_csv:
-        decoded_ids = np.asarray(
-            [spaceval.nearest_decode(row, world.caption_bank) for row in zv]
-        )
         spaceval.drift_export(
             zv,
             world.caption_bank[dataset.caption_ids],
-            world.caption_bank[decoded_ids],
+            world.caption_bank[roundtrip.decoded_ids],
             args.drift_csv,
         )
     _write_resolved_config(

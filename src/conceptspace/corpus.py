@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +34,8 @@ _HEADER = struct.Struct("<8sIQI")
 BANK_NORM_LOW = 0.5
 BANK_NORM_HIGH = 2.0
 
+SEQUENCE_FORMAT = "sequence-corpus-v2"
+
 _STREAM_BANK = 11
 _STREAM_WORLD_MAP = 12
 _STREAM_DRIFT = 13
@@ -40,6 +43,17 @@ _STREAM_DRIFT = 13
 
 class EmbeddingFormatError(Exception):
     """Raised when an embedding container on disk is malformed."""
+
+
+@contextmanager
+def malformed_manifest(where: str | Path):
+    """Report a manifest with bad JSON, a missing key or a wrong type as a format error."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise EmbeddingFormatError(
+            f"{where}: malformed manifest ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def write_embeddings(path: str | Path, x: np.ndarray, dtype_code: int = DTYPE_F32) -> None:
@@ -252,25 +266,27 @@ class PairedDataset:
         manifest_path = root / "manifest.json"
         if not manifest_path.exists():
             raise EmbeddingFormatError(f"{root}: missing manifest.json")
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("format") != "paired-dataset-v1":
-            raise EmbeddingFormatError(
-                f"{root}: unexpected dataset format {manifest.get('format')!r}"
-            )
-        n = int(manifest["n"])
-        t = int(manifest["frames"])
-        frames_flat = read_embeddings(root / manifest["files"]["frames"])
+        with malformed_manifest(manifest_path):
+            manifest = json.loads(manifest_path.read_text())
+            if manifest.get("format") != "paired-dataset-v1":
+                raise EmbeddingFormatError(
+                    f"{root}: unexpected dataset format {manifest.get('format')!r}"
+                )
+            n = int(manifest["n"])
+            t = int(manifest["frames"])
+            files = {key: root / manifest["files"][key] for key in ("frames", "targets", "ids")}
+            meta = {"world": manifest.get("world"), "sample_seed": manifest.get("sample_seed")}
+        frames_flat = read_embeddings(files["frames"])
         if frames_flat.shape[0] != n * t:
             raise EmbeddingFormatError(
                 f"{root}: frames row count {frames_flat.shape[0]} != n*frames {n * t}"
             )
-        targets = read_embeddings(root / manifest["files"]["targets"])
+        targets = read_embeddings(files["targets"])
         if targets.shape[0] != n:
             raise EmbeddingFormatError(
                 f"{root}: target row count {targets.shape[0]} != n {n}"
             )
-        caption_ids = read_ids(root / manifest["files"]["ids"], n)
-        meta = {"world": manifest.get("world"), "sample_seed": manifest.get("sample_seed")}
+        caption_ids = read_ids(files["ids"], n)
         return cls(
             frames=frames_flat.reshape(n, t, frames_flat.shape[1]),
             targets=targets,
@@ -355,16 +371,13 @@ class CurriculumStage:
 
 @dataclass(frozen=True)
 class EmbeddingSequence:
-    """Ordered embeddings, optionally with a small integer modality tag each."""
+    """Ordered embeddings of one sequence."""
 
     embeddings: np.ndarray  # (length, dim)
-    tags: np.ndarray | None = None  # (length,) uint8
 
     def __post_init__(self):
         if self.embeddings.ndim != 2:
             raise ValueError(f"embeddings must be 2-d, got shape {self.embeddings.shape}")
-        if self.tags is not None and self.tags.shape != (self.embeddings.shape[0],):
-            raise ValueError("tags must have one entry per embedding")
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
@@ -397,12 +410,7 @@ def gen_rule_sequences(
         for _ in range(length):
             indices.append(idx)
             idx = (rule_a * idx + rule_b) % size
-        sequences.append(
-            EmbeddingSequence(
-                embeddings=bank[np.asarray(indices)],
-                tags=np.zeros(length, dtype=np.uint8),
-            )
-        )
+        sequences.append(EmbeddingSequence(embeddings=bank[np.asarray(indices)]))
     return sequences
 
 
@@ -414,17 +422,13 @@ def save_sequences(out_dir: str | Path, sequences: list[EmbeddingSequence], meta
     dim = sequences[0].embeddings.shape[1]
     lengths = [len(s) for s in sequences]
     stacked = np.concatenate([s.embeddings for s in sequences], axis=0)
-    tags = np.concatenate(
-        [np.zeros(len(s), dtype=np.uint8) if s.tags is None else s.tags for s in sequences]
-    )
     write_embeddings(out / "embeddings.bin", stacked)
-    (out / "tags.bin").write_bytes(tags.astype(np.uint8).tobytes())
     manifest = {
-        "format": "sequence-corpus-v1",
+        "format": SEQUENCE_FORMAT,
         "count": len(sequences),
         "dim": int(dim),
         "lengths": lengths,
-        "files": {"embeddings": "embeddings.bin", "tags": "tags.bin"},
+        "files": {"embeddings": "embeddings.bin"},
         "meta": meta or {},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -435,24 +439,22 @@ def load_sequences(in_dir: str | Path) -> tuple[list[EmbeddingSequence], dict]:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise EmbeddingFormatError(f"{root}: missing manifest.json")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != "sequence-corpus-v1":
-        raise EmbeddingFormatError(
-            f"{root}: unexpected corpus format {manifest.get('format')!r}"
-        )
-    stacked = read_embeddings(root / manifest["files"]["embeddings"])
-    tags_raw = np.frombuffer((root / manifest["files"]["tags"]).read_bytes(), dtype=np.uint8)
-    lengths = [int(x) for x in manifest["lengths"]]
-    if sum(lengths) != stacked.shape[0] or sum(lengths) != tags_raw.shape[0]:
+    with malformed_manifest(manifest_path):
+        manifest = json.loads(manifest_path.read_text())
+        if manifest.get("format") != SEQUENCE_FORMAT:
+            raise EmbeddingFormatError(
+                f"{root}: unexpected corpus format {manifest.get('format')!r}, "
+                f"expected {SEQUENCE_FORMAT!r}"
+            )
+        embeddings_path = root / manifest["files"]["embeddings"]
+        lengths = [int(x) for x in manifest["lengths"]]
+        meta = manifest.get("meta", {})
+    stacked = read_embeddings(embeddings_path)
+    if sum(lengths) != stacked.shape[0]:
         raise EmbeddingFormatError(f"{root}: lengths do not match stored rows")
     sequences = []
     pos = 0
     for length in lengths:
-        sequences.append(
-            EmbeddingSequence(
-                embeddings=stacked[pos : pos + length].copy(),
-                tags=tags_raw[pos : pos + length].copy(),
-            )
-        )
+        sequences.append(EmbeddingSequence(embeddings=stacked[pos : pos + length].copy()))
         pos += length
-    return sequences, manifest.get("meta", {})
+    return sequences, meta

@@ -27,7 +27,7 @@ from scipy.special import expit
 
 from .attention import attention_backward, attention_forward
 from .numerics import stream_rng
-from .optim import AdamW, TrainingDivergedError, clip_global_norm
+from .optim import AdamW, TrainingDivergedError, clip_global_norm, warmup_cosine
 from .projector import sinusoidal_pe
 
 _STREAM_INIT = 40
@@ -36,8 +36,6 @@ _STREAM_BATCH = 42
 _STREAM_STEP = 43
 _STREAM_VAL = 44
 _STREAM_SAMPLE = 45
-
-MAX_TAGS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +100,6 @@ class LcmModelConfig:
     den_width: int = 512
     den_depth: int = 3
     lambda_emb_dim: int = 64
-    use_tags: bool = False
 
     def __post_init__(self):
         if self.concept_dim < 1:
@@ -142,8 +139,6 @@ def init_two_tower(cfg: LcmModelConfig, rng: np.random.Generator) -> TwoTowerPar
     tensors: dict[str, np.ndarray] = {}
     tensors["ctx.in_w"] = rng.standard_normal((h, d)) / math.sqrt(d)
     tensors["ctx.in_b"] = np.zeros(h)
-    if cfg.use_tags:
-        tensors["ctx.tags"] = np.zeros((MAX_TAGS, h))
     for layer in range(cfg.ctx_layers):
         p = f"ctx.l{layer}"
         for name in ("wq", "wk", "wv", "wo"):
@@ -177,14 +172,12 @@ def lambda_embed(lam: float, dim: int) -> np.ndarray:
 @dataclass
 class _CtxCache:
     prefix: np.ndarray
-    tags: np.ndarray | None
-    x0: np.ndarray  # after input projection + tags + position codes
+    x0: np.ndarray  # after input projection + position codes
     layer_caches: list  # per layer: (attn_cache, x_after_attn, u, relu_u)
 
 
 def _ctx_forward(
-    params: TwoTowerParams, cfg: LcmModelConfig, prefix: np.ndarray,
-    tags: np.ndarray | None = None,
+    params: TwoTowerParams, cfg: LcmModelConfig, prefix: np.ndarray
 ) -> tuple[np.ndarray, _CtxCache]:
     prefix = np.asarray(prefix, dtype=np.float64)
     if prefix.ndim != 2 or prefix.shape[1] != cfg.concept_dim:
@@ -194,12 +187,8 @@ def _ctx_forward(
     if prefix.shape[0] < 1:
         raise ValueError("prefix must be non-empty")
     x = prefix @ params["ctx.in_w"].T + params["ctx.in_b"]
-    if cfg.use_tags:
-        if tags is None:
-            raise ValueError("model expects modality tags but none were given")
-        x = x + params["ctx.tags"][np.asarray(tags, dtype=np.int64)]
     x = x + sinusoidal_pe(prefix.shape[0], cfg.ctx_width)
-    cache = _CtxCache(prefix=prefix, tags=None if tags is None else np.asarray(tags), x0=x, layer_caches=[])
+    cache = _CtxCache(prefix=prefix, x0=x, layer_caches=[])
     for layer in range(cfg.ctx_layers):
         p = f"ctx.l{layer}"
         attn_out, attn_cache = attention_forward(
@@ -238,22 +227,19 @@ def _ctx_backward(
         grads[f"{p}.wv"] += g_wv
         grads[f"{p}.wo"] += g_wo
         g = g_attn_out + g_xq + g_xkv
-    if cfg.use_tags and cache.tags is not None:
-        np.add.at(grads["ctx.tags"], cache.tags.astype(np.int64), g)
     grads["ctx.in_w"] += g.T @ cache.prefix
     grads["ctx.in_b"] += g.sum(axis=0)
 
 
 def contextualize(
-    params: TwoTowerParams, cfg: LcmModelConfig, prefix: np.ndarray,
-    tags: np.ndarray | None = None,
+    params: TwoTowerParams, cfg: LcmModelConfig, prefix: np.ndarray
 ) -> np.ndarray:
     """Causal context vectors, one per prefix position.
 
     Row i depends only on positions <= i, so appending to the prefix never
     changes earlier rows.
     """
-    out, _ = _ctx_forward(params, cfg, prefix, tags)
+    out, _ = _ctx_forward(params, cfg, prefix)
     return out
 
 
@@ -338,7 +324,6 @@ def denoise(
 class NextEmbeddingItem:
     prefix: np.ndarray  # (L, concept_dim)
     target: np.ndarray  # (concept_dim,)
-    tags: np.ndarray | None = None
 
 
 def items_from_sequences(sequences) -> list[NextEmbeddingItem]:
@@ -347,12 +332,7 @@ def items_from_sequences(sequences) -> list[NextEmbeddingItem]:
     for seq in sequences:
         emb = np.asarray(seq.embeddings, dtype=np.float64)
         for i in range(1, emb.shape[0]):
-            items.append(
-                NextEmbeddingItem(
-                    prefix=emb[:i], target=emb[i],
-                    tags=None if seq.tags is None else seq.tags[:i],
-                )
-            )
+            items.append(NextEmbeddingItem(prefix=emb[:i], target=emb[i]))
     return items
 
 
@@ -388,17 +368,6 @@ class LcmTrainConfig:
             raise ValueError("batch_size, val_every, ckpt_every must be >= 1")
 
 
-def lcm_lr(step: int, cfg: LcmTrainConfig) -> float:
-    """Linear ramp to the peak, then cosine decay to the final rate."""
-    if not 0 <= step <= cfg.max_steps:
-        raise ValueError(f"step {step} outside [0, {cfg.max_steps}]")
-    if cfg.warmup_steps > 0 and step <= cfg.warmup_steps:
-        return cfg.lr * step / cfg.warmup_steps
-    span = max(cfg.max_steps - cfg.warmup_steps, 1)
-    progress = (step - cfg.warmup_steps) / span
-    return cfg.final_lr + 0.5 * (cfg.lr - cfg.final_lr) * (1.0 + math.cos(math.pi * progress))
-
-
 def _zero_grads(params: TwoTowerParams) -> dict[str, np.ndarray]:
     return {k: np.zeros_like(v) for k, v in params.tensors.items()}
 
@@ -431,7 +400,7 @@ def diffusion_loss(
 
         ctx_cache = None
         if conditioned:
-            ctx_out, ctx_cache = _ctx_forward(params, cfg, item.prefix, item.tags)
+            ctx_out, ctx_cache = _ctx_forward(params, cfg, item.prefix)
             c = ctx_out[-1]
         else:
             dropped += 1
@@ -518,7 +487,7 @@ def _val_loss(
     for item in items:
         t = int(rng.integers(0, schedule.steps))
         eps = rng.standard_normal(cfg.concept_dim)
-        c = contextualize(params, cfg, item.prefix, item.tags)[-1]
+        c = contextualize(params, cfg, item.prefix)[-1]
         xt = forward_diffuse(item.target, t, eps, schedule)
         pred, _ = _den_forward(params, cfg, xt, float(schedule.log_snr[t]), c)
         dist = float(np.linalg.norm(item.target - pred))
@@ -608,7 +577,7 @@ def train_lcm(
         if not np.isfinite(loss):
             raise TrainingDivergedError(step)
         clipped, raw_norm, clip_norm = clip_global_norm(grads, cfg.grad_clip)
-        lr = lcm_lr(step, cfg)
+        lr = warmup_cosine(step, cfg.max_steps, cfg.warmup_steps, cfg.lr, cfg.final_lr)
         tensors = optimizer.step(tensors, clipped, lr)
         history.steps.append(
             LcmStepRecord(
@@ -652,7 +621,6 @@ def sample_next(
     guidance_scale: float = 0.0,
     rng: np.random.Generator | None = None,
     eta: float = 0.0,
-    tags: np.ndarray | None = None,
 ) -> np.ndarray:
     """Generate the next embedding for a prefix by iterative denoising.
 
@@ -664,7 +632,7 @@ def sample_next(
     """
     if rng is None:
         rng = stream_rng(0, _STREAM_SAMPLE)
-    c = contextualize(params, cfg, prefix, tags)[-1]
+    c = contextualize(params, cfg, prefix)[-1]
 
     def predict(x: np.ndarray, t: int) -> np.ndarray:
         cond = denoise(params, cfg, x, t, c, True, schedule)

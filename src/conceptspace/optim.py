@@ -1,5 +1,6 @@
-"""AdamW with decoupled weight decay over named tensors, plus global-norm
-gradient clipping and the divergence error both trainers raise.
+"""AdamW with decoupled weight decay over named tensors, plus the
+warmup-cosine learning-rate schedule, global-norm gradient clipping and the
+divergence error both trainers raise.
 
 Updates are functional: step() returns a fresh tensor dict and never mutates
 the inputs, so forward traces taken before an update stay valid. Moment
@@ -21,6 +22,21 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, step: int, message: str | None = None):
         self.step = step
         super().__init__(message or f"training diverged at step {step}")
+
+
+def warmup_cosine(
+    step: int, total: int, warmup: int, peak: float, final: float = 0.0
+) -> float:
+    """Linear ramp to the peak over warmup steps, then cosine decay to final at total."""
+    if not 0 <= warmup <= total:
+        raise ValueError(f"warmup {warmup} outside [0, total {total}]")
+    if not 0 <= step <= total:
+        raise ValueError(f"step {step} outside [0, {total}]")
+    if warmup > 0 and step <= warmup:
+        return peak * step / warmup
+    span = max(total - warmup, 1)
+    progress = (step - warmup) / span
+    return final + 0.5 * (peak - final) * (1.0 + math.cos(math.pi * progress))
 
 
 class AdamW:

@@ -1,6 +1,6 @@
 """Trainable projector from per-frame features to the text concept space.
 
-Pipeline per sample: optional square adapter on the raw frame features,
+Pipeline per frame stack: optional square adapter on the raw frame features,
 additive sinusoidal position codes, one residual block of temporal multi-head
 self-attention (no layer norm), a pooling step (learned-query attention, mean,
 or max) and a final linear map into concept space. Forward returns a trace
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionCache, attention_backward, attention_forward
+from .attention import AttentionCache, attention_backward, attention_forward, fold_rows
 from .numerics import gaussian_sample
 
 POOLING_MODES = ("attention", "mean", "max")
@@ -112,45 +112,12 @@ class ForwardTrace:
     adapted: np.ndarray
     with_pe: np.ndarray
     attn_cache: AttentionCache | None
-    hidden: np.ndarray  # (T, frame_dim) after the temporal block
+    hidden: np.ndarray  # (..., T, frame_dim) after the temporal block
     pool_cache: AttentionCache | None
-    max_indices: np.ndarray | None
-    pooled: np.ndarray
+    max_indices: np.ndarray | None  # (..., 1, frame_dim) argmax over frames
+    pooled: np.ndarray  # (..., frame_dim)
     params: ProjectorParams
-    output: np.ndarray
-
-
-def temporal_attention(
-    params: ProjectorParams,
-    x: np.ndarray,
-    cfg: ProjectorConfig,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Residual multi-head self-attention over the rows of x."""
-    if not cfg.use_temporal_attention:
-        return x.copy()
-    out, _ = attention_forward(
-        x, x,
-        params["attn.wq"], params["attn.wk"], params["attn.wv"], params["attn.wo"],
-        cfg.heads,
-        dropout_p=cfg.dropout_p, rng=rng, training=training,
-    )
-    return x + out
-
-
-def attention_pool(params: ProjectorParams, x: np.ndarray, cfg: ProjectorConfig) -> np.ndarray:
-    """Collapse (T, frame_dim) rows to one frame_dim vector per cfg.pooling."""
-    if cfg.pooling == "mean":
-        return x.mean(axis=0)
-    if cfg.pooling == "max":
-        return x.max(axis=0)
-    out, _ = attention_forward(
-        params["cls"][None, :], x,
-        params["pool.wq"], params["pool.wk"], params["pool.wv"], params["pool.wo"],
-        cfg.heads,
-    )
-    return out[0]
+    output: np.ndarray  # (..., concept_dim)
 
 
 def project(
@@ -160,17 +127,21 @@ def project(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Map a (T, frame_dim) frame stack to a concept_dim embedding."""
+    """Map (..., T, frame_dim) frame stacks to (..., concept_dim) embeddings.
+
+    Leading axes are a batch; a single (T, frame_dim) stack gives one
+    (concept_dim,) embedding.
+    """
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != cfg.frame_dim:
+    if frames.ndim < 2 or frames.shape[-1] != cfg.frame_dim:
         raise ValueError(
-            f"frames must be (T, {cfg.frame_dim}), got shape {frames.shape}"
+            f"frames must be (..., T, {cfg.frame_dim}), got shape {frames.shape}"
         )
-    if frames.shape[0] < 1:
+    if frames.shape[-2] < 1:
         raise ValueError("need at least one frame")
 
     adapted = frames @ params[ADAPTER_KEY] if cfg.use_adapter else frames
-    with_pe = adapted + sinusoidal_pe(frames.shape[0], cfg.frame_dim)
+    with_pe = adapted + sinusoidal_pe(frames.shape[-2], cfg.frame_dim)
 
     attn_cache = None
     if cfg.use_temporal_attention:
@@ -187,19 +158,20 @@ def project(
     pool_cache = None
     max_indices = None
     if cfg.pooling == "attention":
+        cls = np.broadcast_to(params["cls"], (*hidden.shape[:-2], 1, cfg.frame_dim))
         pool_out, pool_cache = attention_forward(
-            params["cls"][None, :], hidden,
+            cls, hidden,
             params["pool.wq"], params["pool.wk"], params["pool.wv"], params["pool.wo"],
             cfg.heads,
         )
-        pooled = pool_out[0]
+        pooled = pool_out[..., 0, :]
     elif cfg.pooling == "mean":
-        pooled = hidden.mean(axis=0)
+        pooled = hidden.mean(axis=-2)
     else:
-        max_indices = hidden.argmax(axis=0)
-        pooled = hidden[max_indices, np.arange(cfg.frame_dim)]
+        max_indices = hidden.argmax(axis=-2)[..., None, :]
+        pooled = np.take_along_axis(hidden, max_indices, axis=-2)[..., 0, :]
 
-    output = params["out.w"] @ pooled + params["out.b"]
+    output = pooled @ params["out.w"].T + params["out.b"]
     trace = ForwardTrace(
         cfg=cfg, frames=frames, adapted=adapted, with_pe=with_pe,
         attn_cache=attn_cache, hidden=hidden, pool_cache=pool_cache,
@@ -211,38 +183,39 @@ def project(
 def project_backward(trace: ForwardTrace, upstream: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss through project().
 
-    `upstream` is dLoss/dOutput (concept_dim,). Returns gradients keyed like
-    the parameter tensors, plus "frames" for the input.
+    `upstream` is dLoss/dOutput, shaped like the output. Returns gradients
+    keyed like the parameter tensors, summed over the batch, plus "frames"
+    for the input in its own shape.
     """
     cfg = trace.cfg
     params = trace.params
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (cfg.concept_dim,):
+    if upstream.shape != trace.output.shape:
         raise ValueError(
-            f"upstream gradient must have shape ({cfg.concept_dim},), got {upstream.shape}"
+            f"upstream gradient must have shape {trace.output.shape}, got {upstream.shape}"
         )
 
     grads: dict[str, np.ndarray] = {}
-    grads["out.w"] = np.outer(upstream, trace.pooled)
-    grads["out.b"] = upstream.copy()
-    g_pooled = params["out.w"].T @ upstream
+    grads["out.w"] = fold_rows(upstream).T @ fold_rows(trace.pooled)
+    grads["out.b"] = fold_rows(upstream).sum(axis=0)
+    g_pooled = upstream @ params["out.w"]
 
-    t = trace.hidden.shape[0]
+    t = trace.hidden.shape[-2]
     if cfg.pooling == "attention":
         g_q_in, g_hidden, g_wq, g_wk, g_wv, g_wo = attention_backward(
-            trace.pool_cache, g_pooled[None, :]
+            trace.pool_cache, g_pooled[..., None, :]
         )
         grads["pool.wq"] = g_wq
         grads["pool.wk"] = g_wk
         grads["pool.wv"] = g_wv
         grads["pool.wo"] = g_wo
-        grads["cls"] = g_q_in[0]
+        grads["cls"] = fold_rows(g_q_in).sum(axis=0)
     elif cfg.pooling == "mean":
-        g_hidden = np.tile(g_pooled / t, (t, 1))
+        g_hidden = np.repeat(g_pooled[..., None, :] / t, t, axis=-2)
         _zero_pool_grads(grads, params)
     else:
         g_hidden = np.zeros_like(trace.hidden)
-        g_hidden[trace.max_indices, np.arange(cfg.frame_dim)] = g_pooled
+        np.put_along_axis(g_hidden, trace.max_indices, g_pooled[..., None, :], axis=-2)
         _zero_pool_grads(grads, params)
 
     if cfg.use_temporal_attention:
@@ -262,7 +235,7 @@ def project_backward(trace: ForwardTrace, upstream: np.ndarray) -> dict[str, np.
 
     # Position codes are constant, so the gradient passes through unchanged.
     if cfg.use_adapter:
-        grads[ADAPTER_KEY] = trace.frames.T @ g_with_pe
+        grads[ADAPTER_KEY] = fold_rows(trace.frames).T @ fold_rows(g_with_pe)
         grads["frames"] = g_with_pe @ params[ADAPTER_KEY].T
     else:
         grads["frames"] = g_with_pe
@@ -273,29 +246,6 @@ def _zero_pool_grads(grads: dict[str, np.ndarray], params: ProjectorParams) -> N
     for name in ("pool.wq", "pool.wk", "pool.wv", "pool.wo", "cls"):
         if name in params.tensors:
             grads[name] = np.zeros_like(params[name])
-
-
-def small_config(
-    frame_dim: int,
-    concept_dim: int,
-    heads: int = 4,
-    pooling: str = "attention",
-    dropout_p: float = 0.1,
-    init_sigma: float = 1e-5,
-    use_adapter: bool = True,
-    use_temporal_attention: bool = True,
-) -> ProjectorConfig:
-    """Convenience constructor for desk-scale runs."""
-    return ProjectorConfig(
-        frame_dim=frame_dim,
-        concept_dim=concept_dim,
-        heads=heads,
-        pooling=pooling,
-        dropout_p=dropout_p,
-        init_sigma=init_sigma,
-        use_adapter=use_adapter,
-        use_temporal_attention=use_temporal_attention,
-    )
 
 
 def config_to_dict(cfg: ProjectorConfig) -> dict:

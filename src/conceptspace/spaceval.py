@@ -197,6 +197,9 @@ class RoundTripReport:
     n: int
     decode_accuracy: float
     groups: dict[str, GroupStats]
+    # Nearest-decoded bank row per embedding; kept for the drift export and
+    # left out of the serialized report.
+    decoded_ids: np.ndarray = field(compare=False, repr=False)
 
 
 def _group_stats(zv: np.ndarray, captions: np.ndarray) -> GroupStats:
@@ -237,7 +240,9 @@ def roundtrip_retrieval(
         "gold": _group_stats(zv, bank[gold_ids]),
         "decoded": _group_stats(zv, bank[decoded_ids]),
     }
-    return RoundTripReport(n=zv.shape[0], decode_accuracy=accuracy, groups=groups)
+    return RoundTripReport(
+        n=zv.shape[0], decode_accuracy=accuracy, groups=groups, decoded_ids=decoded_ids
+    )
 
 
 def drift_export(

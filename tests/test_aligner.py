@@ -11,7 +11,6 @@ from conceptspace.aligner import (
     AlignConfig,
     combined_loss,
     infonce_loss,
-    lr_schedule,
     mse_align_loss,
     run_curriculum,
     train_stage,
@@ -24,7 +23,13 @@ from conceptspace.corpus import (
     make_world,
 )
 from conceptspace.numerics import grad_check, stream_rng
-from conceptspace.optim import AdamW, TrainingDivergedError, clip_global_norm, global_grad_norm
+from conceptspace.optim import (
+    AdamW,
+    TrainingDivergedError,
+    clip_global_norm,
+    global_grad_norm,
+    warmup_cosine,
+)
 from conceptspace.projector import ADAPTER_KEY, ProjectorConfig, init_projector
 
 # -log(e^2 / (e^2 + e^-2)) = log(1 + e^-4), frozen from 50-digit mpmath.
@@ -163,34 +168,47 @@ def test_combined_grad_check_with_contrastive_term():
 
 def test_schedule_starts_at_zero():
     cfg = _align_cfg(warmup_steps=10, freeze_steps=0)
-    assert lr_schedule(0, 100, cfg) == (0.0, 0.0)
+    assert warmup_cosine(0, 100, cfg.warmup_steps, cfg.lr_projector) == 0.0
+    assert warmup_cosine(0, 100, cfg.warmup_steps, cfg.lr_encoder_adapter) == 0.0
 
 
 def test_schedule_peak_at_warmup_end():
     cfg = _align_cfg(warmup_steps=10, freeze_steps=0)
-    lr_p, lr_e = lr_schedule(10, 100, cfg)
+    lr_p = warmup_cosine(10, 100, cfg.warmup_steps, cfg.lr_projector)
+    lr_e = warmup_cosine(10, 100, cfg.warmup_steps, cfg.lr_encoder_adapter)
     assert lr_p == pytest.approx(cfg.lr_projector)
     assert lr_e == pytest.approx(cfg.lr_encoder_adapter)
 
 
 def test_schedule_adapter_zero_while_frozen():
-    cfg = _align_cfg(warmup_steps=10, freeze_steps=50)
-    lr_p, lr_e = lr_schedule(10, 100, cfg)
-    assert lr_p == pytest.approx(cfg.lr_projector)
-    assert lr_e == 0.0
-    _, lr_e_after = lr_schedule(50, 100, cfg)
-    assert lr_e_after > 0.0
+    # The freeze gate lives in train_stage: 86 training rows at batch 16 give
+    # 6 steps per epoch, 18 in all, so steps 0-11 are frozen and 12-17 joint.
+    ds = _easy_dataset(n=96)
+    proj_cfg = _proj_cfg()
+    cfg = _align_cfg(warmup_steps=10, freeze_steps=12, max_epochs=3, patience=3)
+    params = init_projector(proj_cfg, stream_rng(cfg.seed, 1))
+    _, history = train_stage(ds, params, proj_cfg, cfg)
+    total = len(history.steps)
+    assert total == 18
+    for r in history.steps:
+        assert r.lr_proj == warmup_cosine(r.step, total, 10, cfg.lr_projector)
+        if r.step < 12:
+            assert r.lr_enc == 0.0 and r.phase == "frozen"
+        else:
+            assert r.lr_enc > 0.0 and r.phase == "joint"
+    assert history.steps[10].lr_proj == pytest.approx(cfg.lr_projector)
 
 
 def test_schedule_cosine_midpoint_is_half_peak():
     cfg = _align_cfg(warmup_steps=20, freeze_steps=0)
-    lr_p, _ = lr_schedule(60, 100, cfg)  # halfway through the decay span
+    lr_p = warmup_cosine(60, 100, cfg.warmup_steps, cfg.lr_projector)  # halfway through the decay span
     assert lr_p == pytest.approx(0.5 * cfg.lr_projector, abs=1e-15)
 
 
 def test_schedule_ends_at_zero():
     cfg = _align_cfg(warmup_steps=5, freeze_steps=0)
-    lr_p, lr_e = lr_schedule(100, 100, cfg)
+    lr_p = warmup_cosine(100, 100, cfg.warmup_steps, cfg.lr_projector)
+    lr_e = warmup_cosine(100, 100, cfg.warmup_steps, cfg.lr_encoder_adapter)
     assert lr_p == pytest.approx(0.0, abs=1e-12)
     assert lr_e == pytest.approx(0.0, abs=1e-12)
 
@@ -198,7 +216,7 @@ def test_schedule_ends_at_zero():
 def test_schedule_rejects_short_horizon():
     cfg = _align_cfg(warmup_steps=50)
     with pytest.raises(ValueError):
-        lr_schedule(0, 10, cfg)
+        warmup_cosine(0, 10, cfg.warmup_steps, cfg.lr_projector)
 
 
 # ---------------------------------------------------------------------------

@@ -193,3 +193,68 @@ def test_backward_through_recorded_dropout_mask():
 
     err = grad_check(f, g_x.ravel(), x0.ravel(), eps=1e-5)
     assert err < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# batch-first calls: leading axes ride along
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_batched_backward_matches_finite_differences(causal):
+    rng = stream_rng(0, 12 + int(causal))
+    x0 = rng.normal(size=(3, 4, 8))
+    weights0 = list(_weights(8, rng))
+    names = ["x", "wq", "wk", "wv", "wo"]
+    _, grads = _flat_roundtrip_loss(x0, weights0, heads=2, causal=causal)
+    for idx, name in enumerate(names):
+        point = x0 if name == "x" else weights0[idx - 1]
+
+        def f(flat, _idx=idx, _name=name):
+            xs = x0.copy()
+            ws = [w.copy() for w in weights0]
+            if _name == "x":
+                xs = flat.reshape(x0.shape)
+            else:
+                ws[_idx - 1] = flat.reshape(point.shape)
+            loss, _ = _flat_roundtrip_loss(xs, ws, heads=2, causal=causal)
+            return loss
+
+        err = grad_check(f, grads[name].ravel(), point.ravel(), eps=1e-5)
+        assert err < 1e-6, f"{name}: {err}"
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_batched_matches_per_sample_loop(causal):
+    rng = stream_rng(0, 14 + int(causal))
+    x = rng.normal(size=(3, 5, 8))
+    w = _weights(8, rng)
+    g_out = rng.normal(size=x.shape)
+    out, cache = attention_forward(x, x, *w, heads=2, causal=causal)
+    g_xq, g_xkv, *g_w = attention_backward(cache, g_out)
+    sums = [np.zeros_like(wi) for wi in w]
+    for i in range(3):
+        out_i, cache_i = attention_forward(x[i], x[i], *w, heads=2, causal=causal)
+        np.testing.assert_allclose(out[i], out_i, rtol=0, atol=1e-12)
+        g_xq_i, g_xkv_i, *g_w_i = attention_backward(cache_i, g_out[i])
+        np.testing.assert_allclose(g_xq[i], g_xq_i, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g_xkv[i], g_xkv_i, rtol=0, atol=1e-12)
+        sums = [s + g for s, g in zip(sums, g_w_i)]
+    for got, want in zip(g_w, sums):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_batched_dropout_mask_equals_per_sample_masks():
+    rng = stream_rng(0, 16)
+    x = rng.normal(size=(3, 4, 8))
+    w = _weights(8, rng)
+    _, cache = attention_forward(
+        x, x, *w, heads=2, dropout_p=0.3, rng=stream_rng(3, 0), training=True
+    )
+    loop_rng = stream_rng(3, 0)
+    masks = [
+        attention_forward(
+            x[i], x[i], *w, heads=2, dropout_p=0.3, rng=loop_rng, training=True
+        )[1].kept
+        for i in range(3)
+    ]
+    assert np.array_equal(cache.kept, np.stack(masks))

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conceptspace import checkpoints, cli, corpus
+from conceptspace import checkpoints, cli, corpus, spaceval
+from conceptspace.projector import project
 
 
 def _hash_dir(path: Path) -> dict:
@@ -310,10 +311,24 @@ def test_eval_trained_projector_runs(align_setup, tmp_path):
     run = tmp_path / "run"
     assert cli.main(_align_args(run, stage, config)) == 0
     out = tmp_path / "report.json"
+    drift = tmp_path / "drift.csv"
     assert cli.main(["eval", "--projector", str(run / "projector"),
-                     "--data", str(data), "--out", str(out)]) == 0
+                     "--data", str(data), "--drift-csv", str(drift),
+                     "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert 0.0 <= doc["space"]["recall_at"]["1"] <= 1.0
+
+    # The drift rows match a per-row projection and nearest decode.
+    params, proj_cfg, _meta = checkpoints.load_projector(run / "projector")
+    ds = corpus.PairedDataset.load(data)
+    bank = corpus.world_from_config(ds.meta["world"]).caption_bank
+    zv = np.stack([project(params, proj_cfg, f)[0] for f in ds.frames])
+    decoded = [spaceval.nearest_decode(row, bank) for row in zv]
+    expected = tmp_path / "expected.csv"
+    spaceval.drift_export(zv, bank[ds.caption_ids], bank[decoded], expected)
+    got = np.loadtxt(drift, delimiter=",", skiprows=1)
+    want = np.loadtxt(expected, delimiter=",", skiprows=1)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_eval_dim_mismatch_exits_2(align_setup, tmp_path):
@@ -436,6 +451,60 @@ def test_sample_corrupt_prefix_exits_3(trained_lcm, tmp_path):
     prefix.write_bytes(b"garbage!")
     code = cli.main(_sample_args(tmp_path / "n.bin", model, prefix))
     assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# malformed manifests
+
+
+def _dataset_case(root):
+    assert cli.main(_gen_args(root / "d", n=4)) == 0
+    argv = ["eval", "--oracle", "--data", str(root / "d"), "--out", str(root / "r.json")]
+    return root / "d" / "manifest.json", argv
+
+
+def _sequences_case(root):
+    assert cli.main(_gen_seq_args(root / "s")) == 0
+    return root / "s" / "manifest.json", ["train-lcm", "--data", str(root / "s"),
+                                          "--out", str(root / "o")]
+
+
+def _checkpoint_case(root):
+    checkpoints.save_tensors(root / "m", {"w": np.ones((2, 2))}, {"kind": "lcm"})
+    return root / "m" / "params.json", ["sample", "--lcm", str(root / "m"),
+                                        "--prefix", str(root / "p.bin"),
+                                        "--out", str(root / "n.bin")]
+
+
+# Per loader: how to build a valid input, a required key, and a wrong-typed value for it.
+_LOADERS = {
+    "dataset": (_dataset_case, "n", [7]),
+    "sequences": (_sequences_case, "lengths", 7),
+    "checkpoint": (_checkpoint_case, "tensors", 7),
+}
+
+
+_FAULTS = [(loader, fault) for loader in _LOADERS
+           for fault in ("missing-key", "wrong-type", "not-json")]
+
+
+@pytest.mark.parametrize(("loader", "fault"), _FAULTS + [("sequences", "old-format")])
+def test_malformed_manifest_exits_3(loader, fault, tmp_path, capsys):
+    build, key, bad_value = _LOADERS[loader]
+    manifest, argv = build(tmp_path)
+    doc = json.loads(manifest.read_text())
+    if fault == "missing-key":
+        del doc[key]
+    elif fault == "wrong-type":
+        doc[key] = bad_value
+    elif fault == "old-format":
+        doc["format"] = "sequence-corpus-v1"
+    manifest.write_text("{not json" if fault == "not-json" else json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -252,10 +254,16 @@ def test_sequence_corpus_round_trip(tmp_path):
     for orig, loaded in zip(seqs, back):
         f32 = orig.embeddings.astype(np.float32).astype(np.float64)
         assert np.array_equal(loaded.embeddings, f32)
-        assert np.array_equal(loaded.tags, orig.tags if orig.tags is not None
-                              else np.zeros(len(orig), dtype=np.uint8))
+    manifest = json.loads((tmp_path / "sc" / "manifest.json").read_text())
+    assert manifest["format"] == "sequence-corpus-v2"
+    assert sorted(p.name for p in (tmp_path / "sc").iterdir()) == [
+        "embeddings.bin", "manifest.json"
+    ]
 
 
 def test_sequence_without_tags_is_allowed():
+    # Sequences carry embeddings only; modality tags are not part of the format.
     seq = EmbeddingSequence(embeddings=np.zeros((3, 2)))
-    assert seq.tags is None and len(seq) == 3
+    assert len(seq) == 3
+    with pytest.raises(TypeError):
+        EmbeddingSequence(embeddings=np.zeros((3, 2)), tags=np.zeros(3, dtype=np.uint8))

@@ -21,14 +21,13 @@ from conceptspace.latentdiff import (
     forward_diffuse,
     init_two_tower,
     items_from_sequences,
-    lcm_lr,
     model_config_from_dict,
     model_config_to_dict,
     sample_next,
     train_lcm,
 )
 from conceptspace.numerics import grad_check, stream_rng
-from conceptspace.optim import TrainingDivergedError
+from conceptspace.optim import TrainingDivergedError, warmup_cosine
 
 # sqrt(sigmoid(-20)) from 50-digit mpmath: the sigma at log-SNR +20.
 SIGMA_AT_LAMBDA_20 = 4.5399929720290195e-05
@@ -214,7 +213,7 @@ def test_loss_zero_at_fixed_point():
     params = _rand_params(cfg)
     sched = build_schedule(8)
     item = _one_item()
-    item = type(item)(prefix=item.prefix, target=np.zeros(6), tags=None)
+    item = type(item)(prefix=item.prefix, target=np.zeros(6))
     loss, grads, _ = diffusion_loss(params, cfg, [item], sched, 0.0, stream_rng(23, 9))
     assert loss == 0.0
 
@@ -292,16 +291,20 @@ def test_items_from_sequences_prefix_structure():
 # trainer
 
 
+def _lcm_lr(step, cfg):
+    return warmup_cosine(step, cfg.max_steps, cfg.warmup_steps, cfg.lr, cfg.final_lr)
+
+
 def test_lcm_lr_endpoints():
     cfg = LcmTrainConfig(lr=3e-5, final_lr=1e-6, warmup_steps=300, max_steps=1000)
-    assert lcm_lr(0, cfg) == 0.0
-    assert lcm_lr(300, cfg) == pytest.approx(3e-5, abs=1e-20)
-    assert lcm_lr(1000, cfg) == pytest.approx(1e-6, abs=1e-12)
+    assert _lcm_lr(0, cfg) == 0.0
+    assert _lcm_lr(300, cfg) == pytest.approx(3e-5, abs=1e-20)
+    assert _lcm_lr(1000, cfg) == pytest.approx(1e-6, abs=1e-12)
 
 
 def test_lcm_lr_cosine_midpoint():
     cfg = LcmTrainConfig(lr=2e-4, final_lr=0.0, warmup_steps=100, max_steps=300)
-    assert lcm_lr(200, cfg) == pytest.approx(1e-4, abs=1e-18)
+    assert _lcm_lr(200, cfg) == pytest.approx(1e-4, abs=1e-18)
 
 
 def _memorize_setup(d=6):
@@ -441,7 +444,7 @@ def test_sample_eta_injects_seeded_noise():
 
 
 def test_model_config_dict_round_trip():
-    cfg = _model_cfg(use_tags=True)
+    cfg = _model_cfg(ffn_mult=3)
     assert model_config_from_dict(model_config_to_dict(cfg)) == cfg
 
 

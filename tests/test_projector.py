@@ -13,15 +13,12 @@ from conceptspace.projector import (
     ADAPTER_KEY,
     ForwardTrace,
     ProjectorConfig,
-    attention_pool,
     config_from_dict,
     config_to_dict,
     init_projector,
     project,
     project_backward,
     sinusoidal_pe,
-    small_config,
-    temporal_attention,
 )
 
 
@@ -115,58 +112,70 @@ def test_pe_rejects_odd_dim():
 # temporal attention and pooling semantics
 
 
+def _pool_rows(pooling, params_key, x):
+    """Run project so that the pooling step sees the rows of x (up to roundoff).
+
+    Without adapter and temporal block the hidden rows are frames plus the
+    position codes, so subtracting the codes up front hands x to the pool.
+    """
+    cfg = _cfg(pooling=pooling, use_adapter=False, use_temporal_attention=False)
+    params = init_projector(cfg, stream_rng(*params_key))
+    _, trace = project(params, cfg, x - sinusoidal_pe(*x.shape))
+    return params, trace
+
+
 def test_temporal_attention_single_frame():
     cfg = _cfg()
     params = init_projector(cfg, stream_rng(1, 0))
-    x = stream_rng(1, 1).normal(size=(1, 8))
-    out = temporal_attention(params, x, cfg)
+    _, trace = project(params, cfg, stream_rng(1, 1).normal(size=(1, 8)))
+    x = trace.with_pe
     expected = x + x @ params["attn.wv"] @ params["attn.wo"]
-    np.testing.assert_allclose(out, expected, atol=1e-12)
+    np.testing.assert_allclose(trace.hidden, expected, atol=1e-12)
 
 
 def test_temporal_attention_zero_params_is_identity():
     cfg = _cfg(init_sigma=0.0)
     params = init_projector(cfg, stream_rng(1, 2))
-    x = stream_rng(1, 3).normal(size=(4, 8))
-    np.testing.assert_allclose(temporal_attention(params, x, cfg), x, atol=1e-15)
+    _, trace = project(params, cfg, stream_rng(1, 3).normal(size=(4, 8)))
+    np.testing.assert_allclose(trace.hidden, trace.with_pe, atol=1e-15)
 
 
 def test_pool_attention_collapses_on_identical_rows():
-    cfg = _cfg()
-    params = init_projector(cfg, stream_rng(2, 0))
     v = stream_rng(2, 1).normal(size=8)
-    x = np.tile(v, (5, 1))
-    pooled = attention_pool(params, x, cfg)
-    np.testing.assert_allclose(pooled, v @ params["pool.wv"] @ params["pool.wo"], atol=1e-12)
+    params, trace = _pool_rows("attention", (2, 0), np.tile(v, (5, 1)))
+    np.testing.assert_allclose(
+        trace.pooled, v @ params["pool.wv"] @ params["pool.wo"], atol=1e-12
+    )
 
 
 def test_pool_mean_two_rows():
-    cfg = _cfg(pooling="mean")
-    params = init_projector(cfg, stream_rng(2, 2))
     a = stream_rng(2, 3).normal(size=8)
     b = stream_rng(2, 4).normal(size=8)
-    np.testing.assert_allclose(attention_pool(params, np.stack([a, b]), cfg), (a + b) / 2)
+    _, trace = _pool_rows("mean", (2, 2), np.stack([a, b]))
+    np.testing.assert_allclose(trace.pooled, (a + b) / 2)
 
 
 def test_pool_max_matches_loop():
     cfg = _cfg(pooling="max")
     params = init_projector(cfg, stream_rng(2, 5))
-    x = stream_rng(2, 6).normal(size=(6, 8))
+    _, trace = project(params, cfg, stream_rng(2, 6).normal(size=(6, 8)))
+    x = trace.hidden
     expected = np.array([max(x[t, j] for t in range(6)) for j in range(8)])
-    np.testing.assert_allclose(attention_pool(params, x, cfg), expected)
+    np.testing.assert_allclose(trace.pooled, expected)
 
 
 def test_pooling_modes_agree_on_single_frame():
-    row = stream_rng(2, 7).normal(size=8)
-    x = row[None, :]
+    frames = stream_rng(2, 7).normal(size=(1, 8))
     for mode in ("mean", "max"):
         cfg = _cfg(pooling=mode)
         params = init_projector(cfg, stream_rng(2, 8))
-        np.testing.assert_allclose(attention_pool(params, x, cfg), row)
+        _, trace = project(params, cfg, frames)
+        np.testing.assert_allclose(trace.pooled, trace.hidden[0])
     cfg = _cfg(pooling="attention")
     params = init_projector(cfg, stream_rng(2, 8))
+    _, trace = project(params, cfg, frames)
     np.testing.assert_allclose(
-        attention_pool(params, x, cfg), row @ params["pool.wv"] @ params["pool.wo"],
+        trace.pooled, trace.hidden[0] @ params["pool.wv"] @ params["pool.wo"],
         atol=1e-12,
     )
 
@@ -216,9 +225,13 @@ def test_project_near_zero_at_paper_init():
     assert float(np.linalg.norm(out)) < 1e-2 * float(np.linalg.norm(frames))
 
 
-def test_small_config_helper():
-    cfg = small_config(16, 8, heads=2, pooling="mean")
-    assert (cfg.frame_dim, cfg.concept_dim, cfg.heads, cfg.pooling) == (16, 8, 2, "mean")
+def test_project_batch_shapes():
+    cfg = _cfg()
+    params = init_projector(cfg, stream_rng(3, 9))
+    out, trace = project(params, cfg, stream_rng(3, 10).normal(size=(2, 3, 5, 8)))
+    assert out.shape == (2, 3, 4)
+    assert trace.hidden.shape == (2, 3, 5, 8)
+    assert trace.pooled.shape == (2, 3, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +241,15 @@ def test_small_config_helper():
 def _loss_and_grads(params, cfg, frames, rng_key=None):
     rng = None if rng_key is None else stream_rng(*rng_key)
     out, trace = project(params, cfg, frames, training=rng is not None, rng=rng)
-    weights = np.cos(np.arange(out.shape[0], dtype=np.float64))
-    loss = float(out @ weights)
+    weights = np.cos(np.arange(out.size, dtype=np.float64)).reshape(out.shape)
+    loss = float(np.sum(out * weights))
     grads = project_backward(trace, weights)
     return loss, grads
 
 
-@pytest.mark.parametrize("pooling", ["attention", "mean", "max"])
-def test_project_backward_grad_check(pooling):
+def _grad_check_all(pooling, frames):
     cfg = _cfg(pooling=pooling)
     params = init_projector(cfg, stream_rng(4, 0))
-    frames = stream_rng(4, 1).normal(size=(5, 8))
     _, grads = _loss_and_grads(params, cfg, frames)
 
     for key in list(params.keys()) + ["frames"]:
@@ -256,6 +267,42 @@ def test_project_backward_grad_check(pooling):
 
         err = grad_check(f, grads[key].ravel(), base.ravel(), eps=1e-5)
         assert err < 1e-6, f"{pooling}/{key}: {err}"
+
+
+@pytest.mark.parametrize("pooling", ["attention", "mean", "max"])
+def test_project_backward_grad_check(pooling):
+    _grad_check_all(pooling, stream_rng(4, 1).normal(size=(5, 8)))
+
+
+@pytest.mark.parametrize("pooling", ["attention", "mean", "max"])
+def test_project_backward_grad_check_batched(pooling):
+    _grad_check_all(pooling, stream_rng(4, 10).normal(size=(3, 5, 8)))
+
+
+@pytest.mark.parametrize("pooling", ["attention", "mean", "max"])
+def test_project_batch_matches_per_sample_loop(pooling):
+    # Training mode with dropout: the batch must also draw the same masks.
+    cfg = _cfg(pooling=pooling, dropout_p=0.3)
+    params = init_projector(cfg, stream_rng(4, 11))
+    frames = stream_rng(4, 12).normal(size=(3, 5, 8))
+    upstream = stream_rng(4, 13).normal(size=(3, 4))
+
+    out, trace = project(params, cfg, frames, training=True, rng=stream_rng(4, 14))
+    grads = project_backward(trace, upstream)
+
+    loop_rng = stream_rng(4, 14)
+    loop_grads: dict[str, np.ndarray] = {}
+    for i in range(3):
+        out_i, trace_i = project(params, cfg, frames[i], training=True, rng=loop_rng)
+        np.testing.assert_allclose(out[i], out_i, rtol=0, atol=1e-12)
+        assert np.array_equal(trace.attn_cache.kept[i], trace_i.attn_cache.kept)
+        grads_i = project_backward(trace_i, upstream[i])
+        np.testing.assert_allclose(grads["frames"][i], grads_i.pop("frames"), rtol=0, atol=1e-12)
+        for key, g in grads_i.items():
+            loop_grads[key] = loop_grads.get(key, 0.0) + g
+    assert set(loop_grads) == set(grads) - {"frames"}
+    for key, g in loop_grads.items():
+        np.testing.assert_allclose(grads[key], g, rtol=0, atol=1e-12, err_msg=key)
 
 
 def test_project_backward_with_dropout_mask_replayed():
