@@ -88,7 +88,8 @@ def load_projector(in_dir: str | Path) -> tuple[ProjectorParams, ProjectorConfig
     tensors, meta = load_tensors(in_dir)
     if meta.get("kind") != "projector":
         raise EmbeddingFormatError(f"{in_dir}: not a projector checkpoint")
-    cfg = config_from_dict(meta["config"])
+    with malformed_manifest(Path(in_dir) / "params.json"):
+        cfg = config_from_dict(meta["config"])
     return ProjectorParams(tensors), cfg, meta
 
 
@@ -110,7 +111,8 @@ def load_lcm(in_dir: str | Path) -> tuple[TwoTowerParams, LcmModelConfig, dict]:
     tensors, meta = load_tensors(in_dir)
     if meta.get("kind") != "lcm":
         raise EmbeddingFormatError(f"{in_dir}: not a next-embedding model checkpoint")
-    cfg = model_config_from_dict(meta["config"])
+    with malformed_manifest(Path(in_dir) / "params.json"):
+        cfg = model_config_from_dict(meta["config"])
     return TwoTowerParams(tensors), cfg, meta
 
 
@@ -153,10 +155,9 @@ def load_lcm_train_state(
     model = {k[len("model."):]: v for k, v in tensors.items() if k.startswith("model.")}
     opt_state = {k[len("opt."):]: v for k, v in tensors.items() if k.startswith("opt.")}
     best = {k[len("best."):]: v for k, v in tensors.items() if k.startswith("best.")}
-    optimizer.load_state(opt_state, {k: int(v) for k, v in meta["opt_t"].items()})
-    return (
-        TwoTowerParams(model),
-        optimizer,
-        int(meta["step"]),
-        (float(meta["best_val"]), int(meta["best_step"]), best),
-    )
+    with malformed_manifest(Path(in_dir) / "params.json"):
+        opt_t = {k: int(v) for k, v in meta["opt_t"].items()}
+        step = int(meta["step"])
+        best_val, best_step = float(meta["best_val"]), int(meta["best_step"])
+    optimizer.load_state(opt_state, opt_t)
+    return TwoTowerParams(model), optimizer, step, (best_val, best_step, best)

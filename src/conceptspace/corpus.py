@@ -64,7 +64,11 @@ def write_embeddings(path: str | Path, x: np.ndarray, dtype_code: int = DTYPE_F3
     if not np.all(np.isfinite(x)):
         raise ValueError("refusing to write non-finite values")
     if dtype_code == DTYPE_F32:
-        payload = x.astype("<f4").tobytes()
+        with np.errstate(over="ignore"):
+            narrow = x.astype("<f4")
+        if not np.all(np.isfinite(narrow)):
+            raise ValueError("refusing to write values that overflow float32")
+        payload = narrow.tobytes()
     elif dtype_code == DTYPE_F64:
         payload = x.astype("<f8").tobytes()
     else:

@@ -503,14 +503,20 @@ def model_config_to_dict(cfg: LcmModelConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
+def _config_from_dict(cls, d: dict):
+    """Build a config dataclass; a key that names no field is an error, not ignored."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+    return cls(**d)
+
+
 def model_config_from_dict(d: dict) -> LcmModelConfig:
-    kwargs = {f.name: d[f.name] for f in fields(LcmModelConfig) if f.name in d}
-    return LcmModelConfig(**kwargs)
+    return _config_from_dict(LcmModelConfig, d)
 
 
 def train_config_from_dict(d: dict) -> LcmTrainConfig:
-    kwargs = {f.name: d[f.name] for f in fields(LcmTrainConfig) if f.name in d}
-    return LcmTrainConfig(**kwargs)
+    return _config_from_dict(LcmTrainConfig, d)
 
 
 def train_lcm(

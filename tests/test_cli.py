@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conceptspace import checkpoints, cli, corpus, spaceval
-from conceptspace.projector import project
+from conceptspace import checkpoints, cli, corpus, latentdiff, spaceval
+from conceptspace.numerics import stream_rng
+from conceptspace.projector import ProjectorConfig, init_projector, project
 
 
 def _hash_dir(path: Path) -> dict:
@@ -216,9 +217,9 @@ def lcm_setup(tmp_path_factory):
     config = root / "config.json"
     config.write_text(json.dumps({
         "latentdiff": {
-            "model": {"context_width": 24, "context_heads": 2,
-                      "context_layers": 2, "denoiser_width": 24,
-                      "denoiser_layers": 2, "lambda_embed_dim": 8},
+            "model": {"ctx_width": 24, "ctx_heads": 2,
+                      "ctx_layers": 2, "den_width": 24,
+                      "den_depth": 2, "lambda_emb_dim": 8},
             "train": {"lr": 5e-3, "max_steps": 60, "warmup_steps": 10,
                       "val_every": 20, "ckpt_every": 30, "batch_size": 8,
                       "seed": 1},
@@ -274,6 +275,20 @@ def test_train_lcm_bad_config_file_exits_2(lcm_setup, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(_train_args(tmp_path / "run", data, bad)) == 2
+
+
+@pytest.mark.parametrize("block", ["model", "train"])
+def test_train_lcm_misspelt_key_exits_2(lcm_setup, tmp_path, capsys, block):
+    _root, data, config = lcm_setup
+    doc = json.loads(config.read_text())
+    doc["latentdiff"][block]["den_widht"] = 24
+    bad = tmp_path / "misspelt.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(_train_args(tmp_path / "run", data, bad)) == 2
+    err = capsys.readouterr().err
+    assert "den_widht" in err
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -476,27 +491,71 @@ def _checkpoint_case(root):
                                         "--out", str(root / "n.bin")]
 
 
-# Per loader: how to build a valid input, a required key, and a wrong-typed value for it.
+def _projector_config_case(root):
+    assert cli.main(_gen_args(root / "d", n=4)) == 0
+    cfg = ProjectorConfig(frame_dim=12, concept_dim=6, heads=2)
+    checkpoints.save_projector(root / "m", init_projector(cfg, stream_rng(0, 1)), cfg)
+    argv = ["eval", "--projector", str(root / "m"), "--data", str(root / "d"),
+            "--out", str(root / "r.json")]
+    return root / "m" / "params.json", argv
+
+
+def _lcm_config_case(root):
+    cfg = latentdiff.LcmModelConfig(concept_dim=4, ctx_width=8, ctx_heads=2, ctx_layers=1,
+                                    den_width=8, den_depth=1, lambda_emb_dim=4)
+    checkpoints.save_lcm(root / "m", latentdiff.init_two_tower(cfg, stream_rng(0, 2)), cfg)
+    corpus.write_embeddings(root / "p.bin", np.ones((2, 4)))
+    return root / "m" / "params.json", _sample_args(root / "n.bin", root / "m", root / "p.bin")
+
+
+def _train_state_case(root):
+    assert cli.main(_gen_seq_args(root / "s")) == 0
+    config = root / "tiny.json"
+    config.write_text(json.dumps({"latentdiff": {
+        "model": {"ctx_width": 8, "ctx_heads": 2, "ctx_layers": 1, "den_width": 8,
+                  "den_depth": 1, "lambda_emb_dim": 4},
+        "train": {"max_steps": 2, "warmup_steps": 1, "ckpt_every": 1, "batch_size": 2},
+    }, "schedule": {"steps": 3}}))
+    assert cli.main(_train_args(root / "o", root / "s", config)) == 0
+    ckpt = root / "o" / "checkpoints" / "step-000001"
+    return ckpt / "params.json", _train_args(root / "r", root / "s", config,
+                                             extra=["--resume", str(ckpt)])
+
+
+# Per loader: how to build a valid input, the path to a required key, and a
+# wrong-typed value for it.
 _LOADERS = {
-    "dataset": (_dataset_case, "n", [7]),
-    "sequences": (_sequences_case, "lengths", 7),
-    "checkpoint": (_checkpoint_case, "tensors", 7),
+    "dataset": (_dataset_case, ("n",), [7]),
+    "sequences": (_sequences_case, ("lengths",), 7),
+    "checkpoint": (_checkpoint_case, ("tensors",), 7),
+    "projector-config": (_projector_config_case, ("meta", "config"), 7),
+    "lcm-config": (_lcm_config_case, ("meta", "config"), 7),
+    "train-state": (_train_state_case, ("meta", "step"), [7]),
 }
 
 
-_FAULTS = [(loader, fault) for loader in _LOADERS
+_FAULTS = [(loader, fault) for loader in ("dataset", "sequences", "checkpoint")
            for fault in ("missing-key", "wrong-type", "not-json")]
+# Checkpoint fields read after params.json parses; bad JSON is the "checkpoint" case.
+_FAULTS += [(loader, fault) for loader in ("projector-config", "lcm-config", "train-state")
+            for fault in ("missing-key", "wrong-type")]
 
 
-@pytest.mark.parametrize(("loader", "fault"), _FAULTS + [("sequences", "old-format")])
+@pytest.mark.parametrize(("loader", "fault"), _FAULTS + [("sequences", "old-format"),
+                                                         ("lcm-config", "unknown-key")])
 def test_malformed_manifest_exits_3(loader, fault, tmp_path, capsys):
-    build, key, bad_value = _LOADERS[loader]
+    build, (*parents, key), bad_value = _LOADERS[loader]
     manifest, argv = build(tmp_path)
     doc = json.loads(manifest.read_text())
+    node = doc
+    for name in parents:
+        node = node[name]
     if fault == "missing-key":
-        del doc[key]
+        del node[key]
     elif fault == "wrong-type":
-        doc[key] = bad_value
+        node[key] = bad_value
+    elif fault == "unknown-key":
+        node[key]["use_tags"] = True
     elif fault == "old-format":
         doc["format"] = "sequence-corpus-v1"
     manifest.write_text("{not json" if fault == "not-json" else json.dumps(doc))

@@ -92,6 +92,18 @@ def test_embedding_file_rejects_non_finite():
         write_embeddings("/dev/null", np.array([[1.0, float("inf")]]))
 
 
+def test_float32_file_rejects_overflow_before_writing(tmp_path):
+    f32_max = float(np.finfo(np.float32).max)
+    path = tmp_path / "big.bin"
+    with pytest.raises(ValueError, match="overflow float32"):
+        write_embeddings(path, np.array([[1.0, -2.0 * f32_max]]))
+    assert not path.exists()
+    # float64 holds the same values, and float32's own maximum still fits.
+    write_embeddings(path, np.array([[1.0, -2.0 * f32_max]]), dtype_code=DTYPE_F64)
+    write_embeddings(path, np.array([[1.0, f32_max]]))
+    assert read_embeddings(path)[0, 1] == f32_max
+
+
 def test_ids_round_trip(tmp_path):
     ids = np.array([0, 3, 2**40, 17], dtype=np.uint64)
     path = tmp_path / "ids.bin"

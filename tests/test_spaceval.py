@@ -17,14 +17,18 @@ import pytest
 import conceptspace
 from conceptspace.corpus import make_caption_bank
 from conceptspace.numerics import EIGENVALUE_FLOOR, spearman_rank_corr, stream_rng
+from conceptspace import spaceval
 from conceptspace.spaceval import (
+    TILE_ROWS,
     alignment_consistency,
     build_space_report,
     drift_export,
     nearest_decode,
+    nearest_decode_many,
     retrieval_metrics,
     roundtrip_report_to_dict,
     roundtrip_retrieval,
+    SimilarityMatrix,
     similarity_matrix,
     space_report_to_dict,
     space_stats,
@@ -145,8 +149,137 @@ def test_retrieval_matches_brute_force_on_random_instances():
         assert out.mrr >= out.recall_at[1] - 1e-12
 
 
+def test_retrieval_gold_outside_targets_names_the_id():
+    sim = similarity_matrix(np.eye(3), np.eye(3))
+    with pytest.raises(ValueError, match="gold target id 7 not among the targets"):
+        retrieval_metrics(sim, {0: 0, 1: 7, 2: 2})
+
+
+# Row counts around the tile edges: one short of a tile, one tile, one past it,
+# and a ragged third tile.
+TILE_EDGE_NS = (TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS + 3)
+
+
+@pytest.mark.parametrize("n", TILE_EDGE_NS)
+def test_retrieval_matches_brute_force_across_tile_edges(n):
+    rng = stream_rng(41, 1, n)
+    m = n + 7
+    values = np.round(rng.normal(size=(n, m)), 1)  # rounding forces exact ties
+    values[TILE_ROWS // 2 :] = values[: n - TILE_ROWS // 2]  # tied rows in other tiles
+    target_ids = [int(i) for i in rng.permutation(1000)[:m]]
+    gold = {i: target_ids[int(rng.integers(0, m))] for i in range(n)}
+    sim = SimilarityMatrix(values=values, query_ids=tuple(range(n)), target_ids=tuple(target_ids))
+    out = retrieval_metrics(sim, gold)
+    ref_rec, ref_mrr = _brute_force_metrics(values, target_ids, gold)
+    for k in (1, 5, 10):
+        assert out.recall_at[k] == pytest.approx(ref_rec[k], abs=1e-12)
+    assert out.mrr == pytest.approx(ref_mrr, abs=1e-12)
+    order = [sorted(range(m), key=lambda j: (-values[i, j], target_ids[j])) for i in range(n)]
+    assert out.ranks == tuple(1 + order[i].index(target_ids.index(gold[i])) for i in range(n))
+
+
+def test_roundtrip_ties_straddling_a_tile_edge_use_id_order():
+    n = 2 * TILE_ROWS + 3
+    bank = make_caption_bank(stream_rng(41, 2), 3 * n, 6)
+    ids = np.arange(n)
+    ids[TILE_ROWS] = ids[TILE_ROWS - 1]  # items TILE_ROWS-1 and TILE_ROWS are identical
+    zv = bank[ids]
+    report = roundtrip_retrieval(zv, bank, ids)
+    sim = similarity_matrix(bank[ids], zv)
+    items = {i: i for i in range(n)}
+    ranks = retrieval_metrics(sim, items).ranks
+    assert ranks[TILE_ROWS - 1] == 1 and ranks[TILE_ROWS] == 2
+    ref_rec, ref_mrr = _brute_force_metrics(sim.values, list(range(n)), items)
+    for group in ("gold", "decoded"):
+        assert report.groups[group].mrr == pytest.approx(ref_mrr, abs=1e-12)
+        assert report.groups[group].recall_at == pytest.approx(ref_rec, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # alignment consistency
+
+
+def _naive_spearman(a, b):
+    def ranks(x):
+        # average rank of each value: 1 + (# smaller) + (# equal - 1) / 2
+        return [1 + sum(y < v for y in x) + (sum(y == v for y in x) - 1) / 2 for v in x]
+
+    ra, rb = ranks(list(a)), ranks(list(b))
+    ma, mb = sum(ra) / len(ra), sum(rb) / len(rb)
+    cov = sum((p - ma) * (q - mb) for p, q in zip(ra, rb))
+    return cov / math.sqrt(sum((p - ma) ** 2 for p in ra) * sum((q - mb) ** 2 for q in rb))
+
+
+def _naive_ac(zv, zt, mode):
+    """Per-row loop over the profiles; returns (mean correlation, used, skipped)."""
+    uv = zv / np.linalg.norm(zv, axis=1, keepdims=True)
+    ut = zt / np.linalg.norm(zt, axis=1, keepdims=True)
+    left = ut if mode == "cross" else uv
+    vals, skipped = [], 0
+    for i in range(len(zv)):
+        a = [float(uv[i] @ left[j]) for j in range(len(zv)) if j != i]
+        b = [float(ut[i] @ ut[j]) for j in range(len(zv)) if j != i]
+        if max(a) == min(a) or max(b) == min(b):
+            skipped += 1
+            continue
+        vals.append(_naive_spearman(a, b))
+    return sum(vals) / len(vals), len(vals), skipped
+
+
+@pytest.mark.parametrize("n", TILE_EDGE_NS)
+@pytest.mark.parametrize("mode", ["cross", "intra"])
+def test_ac_matches_loop_oracle_across_tile_edges(n, mode):
+    # Rows repeated half a tile apart give every profile exact ties, some in
+    # another tile than the query row. (Rounded coordinates would also tie,
+    # but only up to roundoff that depends on how each dot product is summed.)
+    rng = stream_rng(42, 4, n)
+    zv = rng.normal(size=(n, 3))
+    zt = rng.normal(size=(n, 3))
+    zv[TILE_ROWS // 2 :] = zv[: n - TILE_ROWS // 2]
+    zt[TILE_ROWS - 3 :: 3] = zt[0]
+    out = alignment_consistency(zv, zt, mode=mode)
+    value, used, skipped = _naive_ac(zv, zt, mode)
+    assert out.value == pytest.approx(value, abs=1e-12)
+    assert (out.used, out.skipped) == (used, skipped)
+
+
+def _constant_profile_in_second_tile():
+    """zv of basis rows plus an all-ones row (index TILE_ROWS + 2), whose
+    cosine to every other row is the same."""
+    n = 2 * TILE_ROWS + 3
+    zv = np.eye(n - 1)
+    zv = np.insert(zv, TILE_ROWS + 2, np.ones(n - 1), axis=0)
+    zt = stream_rng(44, 1).normal(size=(n, n - 1))
+    return zv, zt
+
+
+def test_ac_skips_constant_profile_in_second_tile():
+    zv, zt = _constant_profile_in_second_tile()
+    out = alignment_consistency(zv, zt, mode="intra")
+    assert (out.used, out.skipped) == (zv.shape[0] - 1, 1)
+    value, _used, _skipped = _naive_ac(zv, zt, "intra")
+    assert out.value == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["random", "constant-profile"])
+def test_shared_rank_helper_equals_separate_ac_calls(case):
+    if case == "random":
+        n = 2 * TILE_ROWS + 3
+        zt = stream_rng(42, 5).normal(size=(n, 6))
+        zv = zt + stream_rng(42, 6).normal(size=(n, 6)) * 0.3
+    else:
+        zv, zt = _constant_profile_in_second_tile()
+    uv, ut = spaceval._ac_sides(zv, zt)
+    shared = spaceval._consistency(uv, ut, [("vt", "tt"), ("tv", "vv"), ("vv", "tt")])
+    separate = [
+        alignment_consistency(zv, zt, mode="cross"),
+        alignment_consistency(zt, zv, mode="cross"),
+        alignment_consistency(zv, zt, mode="intra"),
+    ]
+    assert shared == separate
+    bank = np.vstack([zt, np.ones((1, zt.shape[1]))])
+    report = build_space_report(zv, zt, bank, np.arange(zt.shape[0]))
+    assert (report.ac, report.ac_reverse, report.ac_intra) == tuple(r.value for r in separate)
 
 
 def test_ac_perfect_when_sets_match():
@@ -264,6 +397,30 @@ def test_decode_matches_loop_oracle():
 def test_decode_rejects_zero_query():
     with pytest.raises(ValueError):
         nearest_decode(np.zeros(3), np.eye(3))
+
+
+def test_decode_many_matches_row_wise_decode():
+    rng = stream_rng(46, 2)
+    bank = rng.normal(size=(30, 5))
+    bank[7] = bank[2]  # duplicate rows: the lower id must win
+    bank[29] = 4.0 * bank[2]  # same direction, larger norm: still a cosine tie
+    queries = np.vstack([rng.normal(size=(2 * TILE_ROWS + 3, 5)), bank[[2, 7, 29]]])
+    got = nearest_decode_many(queries, bank)
+    assert got.tolist() == [nearest_decode(z, bank) for z in queries]
+    assert got[-3:].tolist() == [2, 2, 2]
+
+
+def test_decode_many_rejects_zero_norm_rows():
+    bank = np.eye(3)
+    queries = np.ones((4, 3))
+    queries[2] = 0.0
+    with pytest.raises(ValueError, match="zero-norm embedding"):
+        nearest_decode_many(queries, bank)
+    bank[1] = 0.0
+    with pytest.raises(ValueError, match="zero-norm row"):
+        nearest_decode_many(np.ones((4, 3)), bank)
+    with pytest.raises(ValueError, match="incompatible"):
+        nearest_decode_many(np.ones((4, 2)), np.eye(3))
 
 
 # ---------------------------------------------------------------------------
