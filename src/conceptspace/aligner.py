@@ -14,7 +14,6 @@ patience counter, and the best-validation parameters are what a stage returns.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,6 +31,7 @@ from .projector import (
     project,
     project_backward,
 )
+from .records import write_csv
 
 _STREAM_INIT = 31
 _STREAM_VAL_SPLIT = 32
@@ -153,18 +153,8 @@ class TrainHistory:
     best_val_mse: float = math.inf
 
     def write_csvs(self, out_dir: str | Path) -> None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "history_steps.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "phase", "lr_proj", "lr_enc", "loss"])
-            for r in self.steps:
-                writer.writerow([r.step, r.phase, repr(r.lr_proj), repr(r.lr_enc), repr(r.loss)])
-        with open(out / "history_epochs.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "val_mse", "val_cos"])
-            for r in self.epochs:
-                writer.writerow([r.epoch, repr(r.val_mse), repr(r.val_cos)])
+        write_csv(Path(out_dir) / "history_steps.csv", StepRecord, self.steps)
+        write_csv(Path(out_dir) / "history_epochs.csv", EpochRecord, self.epochs)
 
 
 def _safe_mean_cos(zv: np.ndarray, zt: np.ndarray) -> float:

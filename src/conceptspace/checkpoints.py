@@ -9,6 +9,7 @@ attaches (step counts, best-validation bookkeeping, seeds).
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,21 +21,10 @@ from .corpus import (
     read_embeddings,
     write_embeddings,
 )
-from .latentdiff import (
-    LcmModelConfig,
-    LcmTrainConfig,
-    TwoTowerParams,
-    model_config_from_dict,
-    model_config_to_dict,
-    train_config_to_dict,
-)
+from .latentdiff import LcmModelConfig, LcmTrainConfig, TwoTowerParams
 from .optim import AdamW
-from .projector import (
-    ProjectorConfig,
-    ProjectorParams,
-    config_from_dict,
-    config_to_dict,
-)
+from .projector import ProjectorConfig, ProjectorParams
+from .records import from_dict
 
 
 def _blob_name(tensor_name: str) -> str:
@@ -78,7 +68,7 @@ def save_projector(
     out_dir: str | Path, params: ProjectorParams, cfg: ProjectorConfig,
     extra_meta: dict | None = None,
 ) -> None:
-    meta = {"kind": "projector", "config": config_to_dict(cfg)}
+    meta = {"kind": "projector", "config": asdict(cfg)}
     if extra_meta:
         meta.update(extra_meta)
     save_tensors(out_dir, params.tensors, meta)
@@ -89,7 +79,7 @@ def load_projector(in_dir: str | Path) -> tuple[ProjectorParams, ProjectorConfig
     if meta.get("kind") != "projector":
         raise EmbeddingFormatError(f"{in_dir}: not a projector checkpoint")
     with malformed_manifest(Path(in_dir) / "params.json"):
-        cfg = config_from_dict(meta["config"])
+        cfg = from_dict(ProjectorConfig, meta["config"])
     return ProjectorParams(tensors), cfg, meta
 
 
@@ -101,7 +91,7 @@ def save_lcm(
     out_dir: str | Path, params: TwoTowerParams, cfg: LcmModelConfig,
     extra_meta: dict | None = None,
 ) -> None:
-    meta = {"kind": "lcm", "config": model_config_to_dict(cfg)}
+    meta = {"kind": "lcm", "config": asdict(cfg)}
     if extra_meta:
         meta.update(extra_meta)
     save_tensors(out_dir, params.tensors, meta)
@@ -112,7 +102,7 @@ def load_lcm(in_dir: str | Path) -> tuple[TwoTowerParams, LcmModelConfig, dict]:
     if meta.get("kind") != "lcm":
         raise EmbeddingFormatError(f"{in_dir}: not a next-embedding model checkpoint")
     with malformed_manifest(Path(in_dir) / "params.json"):
-        cfg = model_config_from_dict(meta["config"])
+        cfg = from_dict(LcmModelConfig, meta["config"])
     return TwoTowerParams(tensors), cfg, meta
 
 
@@ -136,8 +126,8 @@ def save_lcm_train_state(
         tensors[f"best.{name}"] = tensor
     meta = {
         "kind": "lcm-train-state",
-        "config": model_config_to_dict(model_cfg),
-        "train_config": train_config_to_dict(train_cfg),
+        "config": asdict(model_cfg),
+        "train_config": asdict(train_cfg),
         "step": step,
         "best_val": best_val,
         "best_step": best_step,
@@ -147,8 +137,9 @@ def save_lcm_train_state(
 
 
 def load_lcm_train_state(
-    in_dir: str | Path, optimizer: AdamW
+    in_dir: str | Path, optimizer: AdamW, model_cfg: LcmModelConfig, train_cfg: LcmTrainConfig
 ) -> tuple[TwoTowerParams, AdamW, int, tuple[float, int, dict[str, np.ndarray]]]:
+    """Restore a training state; ValueError if the resuming run has other configs."""
     tensors, meta = load_tensors(in_dir)
     if meta.get("kind") != "lcm-train-state":
         raise EmbeddingFormatError(f"{in_dir}: not a training-state checkpoint")
@@ -159,5 +150,13 @@ def load_lcm_train_state(
         opt_t = {k: int(v) for k, v in meta["opt_t"].items()}
         step = int(meta["step"])
         best_val, best_step = float(meta["best_val"]), int(meta["best_step"])
+        stored = {"model": dict(meta["config"]), "train": dict(meta["train_config"])}
+    for label, current in (("model", asdict(model_cfg)), ("train", asdict(train_cfg))):
+        saved = stored[label]
+        differ = sorted(k for k in saved.keys() | current.keys() if saved.get(k) != current.get(k))
+        if differ:
+            raise ValueError(
+                f"{in_dir}: cannot resume, {label} config differs in {', '.join(differ)}"
+            )
     optimizer.load_state(opt_state, opt_t)
     return TwoTowerParams(model), optimizer, step, (best_val, best_step, best)

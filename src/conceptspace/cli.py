@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from .aligner import AlignConfig, run_curriculum
 from .corpus import CurriculumStage, EmbeddingFormatError, PairedDataset
 from .numerics import stream_rng
 from .optim import TrainingDivergedError
-from .projector import ProjectorConfig, config_from_dict, config_to_dict, project
+from .projector import ProjectorConfig, project
+from .records import from_dict
 
 _STREAM_SAMPLES = 1
 _STREAM_SEQ = 2
@@ -179,15 +181,15 @@ def cmd_align(args) -> int:
     if args.pooling is not None:
         proj_block["pooling"] = args.pooling
     try:
-        proj_cfg = config_from_dict(proj_block)
-    except ValueError as exc:
+        proj_cfg = from_dict(ProjectorConfig, proj_block)
+    except (TypeError, ValueError) as exc:
         raise CliError(2, f"bad projector config: {exc}") from exc
 
     align_block = dict(blocks.get("aligner", {}))
     if args.seed is not None:
         align_block["seed"] = args.seed
     try:
-        align_cfg = AlignConfig(**align_block)
+        align_cfg = from_dict(AlignConfig, align_block)
     except (TypeError, ValueError) as exc:
         raise CliError(2, f"bad aligner config: {exc}") from exc
 
@@ -200,8 +202,8 @@ def cmd_align(args) -> int:
                                extra_meta={"seed": align_cfg.seed})
     resolved = {
         "command": "align",
-        "projector": config_to_dict(proj_cfg),
-        "aligner": {k: getattr(align_cfg, k) for k in AlignConfig.__dataclass_fields__},
+        "projector": asdict(proj_cfg),
+        "aligner": asdict(align_cfg),
         "stages": [
             {
                 "name": s.name,
@@ -249,8 +251,8 @@ def cmd_train_lcm(args) -> int:
     sched_block.setdefault("steps", 40)
 
     try:
-        model_cfg = latentdiff.model_config_from_dict(model_block)
-        train_cfg = latentdiff.train_config_from_dict(train_block)
+        model_cfg = from_dict(latentdiff.LcmModelConfig, model_block)
+        train_cfg = from_dict(latentdiff.LcmTrainConfig, train_block)
         schedule = latentdiff.build_schedule(
             int(sched_block["steps"]),
             float(sched_block.get("lambda_max", 10.0)),
@@ -278,8 +280,8 @@ def cmd_train_lcm(args) -> int:
         "command": "train-lcm",
         "data": str(args.data),
         "out": str(out),
-        "model": latentdiff.model_config_to_dict(model_cfg),
-        "train": latentdiff.train_config_to_dict(train_cfg),
+        "model": asdict(model_cfg),
+        "train": asdict(train_cfg),
         "schedule": {
             "steps": int(sched_block["steps"]),
             "lambda_max": float(sched_block.get("lambda_max", 10.0)),

@@ -9,26 +9,29 @@ noise level embedding, context). Training drops the context with a fixed
 probability and substitutes a learned null context, which is what makes
 classifier-free guidance possible at sampling time.
 
-The per-item training loss is the plain (unsquared) Euclidean distance between
-the target and the prediction, summed over the batch; a squared variant sits
-behind a config flag. All gradients are hand-derived and verified against
-finite differences in the test suite.
+A training step runs each tower once over the whole batch: the context tower
+over right-padded prefixes, where the causal mask already keeps every real
+position from seeing a pad, and the denoiser over rows. The loss of an item is
+the plain (unsquared) Euclidean distance between the target and the
+prediction, summed over the batch; a squared variant sits behind a config
+flag. All gradients are hand-derived and verified against finite differences
+in the test suite.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
-from .attention import attention_backward, attention_forward
+from .attention import attention_backward, attention_forward, fold_rows
 from .numerics import stream_rng
 from .optim import AdamW, TrainingDivergedError, clip_global_norm, warmup_cosine
 from .projector import sinusoidal_pe
+from .records import write_csv
 
 _STREAM_INIT = 40
 _STREAM_SPLIT = 41
@@ -36,6 +39,10 @@ _STREAM_BATCH = 42
 _STREAM_STEP = 43
 _STREAM_VAL = 44
 _STREAM_SAMPLE = 45
+
+# Validation items per forward call: one call over all 202 validation items of
+# the README shape held their tower intermediates at once, 18 MB more peak RSS.
+VAL_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -74,16 +81,17 @@ def build_schedule(
 
 
 def forward_diffuse(
-    x0: np.ndarray, t: int, eps: np.ndarray, schedule: NoiseSchedule
+    x0: np.ndarray, t: int | np.ndarray, eps: np.ndarray, schedule: NoiseSchedule
 ) -> np.ndarray:
-    """Noise a clean embedding to level t: alpha_t * x0 + sigma_t * eps."""
-    if not 0 <= t < schedule.steps:
+    """Noise clean embeddings to level t (one, or one per row): alpha_t * x0 + sigma_t * eps."""
+    t = np.asarray(t)
+    if np.any((t < 0) | (t >= schedule.steps)):
         raise ValueError(f"t={t} outside schedule with {schedule.steps} levels")
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise ValueError(f"shape mismatch: x0 {x0.shape} vs eps {eps.shape}")
-    return schedule.alpha[t] * x0 + schedule.sigma[t] * eps
+    return schedule.alpha[t][..., None] * x0 + schedule.sigma[t][..., None] * eps
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +167,19 @@ def init_two_tower(cfg: LcmModelConfig, rng: np.random.Generator) -> TwoTowerPar
     return TwoTowerParams(tensors)
 
 
-def lambda_embed(lam: float, dim: int) -> np.ndarray:
-    """Sinusoidal features of a scalar noise level (interleaved sin/cos)."""
+def lambda_embed(lam: float | np.ndarray, dim: int) -> np.ndarray:
+    """Sinusoidal (interleaved sin/cos) features of noise levels: (..., dim) for lam (...)."""
     inv_freq = np.exp(np.arange(0, dim, 2, dtype=np.float64) * -(math.log(10000.0) / dim))
-    angles = lam * inv_freq
-    emb = np.zeros(dim)
-    emb[0::2] = np.sin(angles)
-    emb[1::2] = np.cos(angles)
+    angles = np.asarray(lam, dtype=np.float64)[..., None] * inv_freq
+    emb = np.zeros((*angles.shape[:-1], dim))
+    emb[..., 0::2] = np.sin(angles)
+    emb[..., 1::2] = np.cos(angles)
     return emb
 
 
 @dataclass
 class _CtxCache:
     prefix: np.ndarray
-    x0: np.ndarray  # after input projection + position codes
     layer_caches: list  # per layer: (attn_cache, x_after_attn, u, relu_u)
 
 
@@ -180,15 +187,15 @@ def _ctx_forward(
     params: TwoTowerParams, cfg: LcmModelConfig, prefix: np.ndarray
 ) -> tuple[np.ndarray, _CtxCache]:
     prefix = np.asarray(prefix, dtype=np.float64)
-    if prefix.ndim != 2 or prefix.shape[1] != cfg.concept_dim:
+    if prefix.ndim < 2 or prefix.shape[-1] != cfg.concept_dim:
         raise ValueError(
-            f"prefix must be (L, {cfg.concept_dim}), got shape {prefix.shape}"
+            f"prefix must be (..., L, {cfg.concept_dim}), got shape {prefix.shape}"
         )
-    if prefix.shape[0] < 1:
+    if prefix.shape[-2] < 1:
         raise ValueError("prefix must be non-empty")
     x = prefix @ params["ctx.in_w"].T + params["ctx.in_b"]
-    x = x + sinusoidal_pe(prefix.shape[0], cfg.ctx_width)
-    cache = _CtxCache(prefix=prefix, x0=x, layer_caches=[])
+    x = x + sinusoidal_pe(prefix.shape[-2], cfg.ctx_width)
+    cache = _CtxCache(prefix=prefix, layer_caches=[])
     for layer in range(cfg.ctx_layers):
         p = f"ctx.l{layer}"
         attn_out, attn_cache = attention_forward(
@@ -213,12 +220,12 @@ def _ctx_backward(
         p = f"ctx.l{layer}"
         attn_cache, x_attn, u, relu_u = cache.layer_caches[layer]
         # FFN residual: x = x_attn + relu(x_attn W1^T + b1) W2^T + b2
-        grads[f"{p}.ffn_w2"] += g.T @ relu_u
-        grads[f"{p}.ffn_b2"] += g.sum(axis=0)
+        grads[f"{p}.ffn_w2"] += fold_rows(g).T @ fold_rows(relu_u)
+        grads[f"{p}.ffn_b2"] += fold_rows(g).sum(axis=0)
         g_relu = g @ params[f"{p}.ffn_w2"]
         g_u = g_relu * (u > 0.0)
-        grads[f"{p}.ffn_w1"] += g_u.T @ x_attn
-        grads[f"{p}.ffn_b1"] += g_u.sum(axis=0)
+        grads[f"{p}.ffn_w1"] += fold_rows(g_u).T @ fold_rows(x_attn)
+        grads[f"{p}.ffn_b1"] += fold_rows(g_u).sum(axis=0)
         g_attn_out = g + g_u @ params[f"{p}.ffn_w1"]
         # Attention residual.
         g_xq, g_xkv, g_wq, g_wk, g_wv, g_wo = attention_backward(attn_cache, g_attn_out)
@@ -227,8 +234,8 @@ def _ctx_backward(
         grads[f"{p}.wv"] += g_wv
         grads[f"{p}.wo"] += g_wo
         g = g_attn_out + g_xq + g_xkv
-    grads["ctx.in_w"] += g.T @ cache.prefix
-    grads["ctx.in_b"] += g.sum(axis=0)
+    grads["ctx.in_w"] += fold_rows(g).T @ fold_rows(cache.prefix)
+    grads["ctx.in_b"] += fold_rows(g).sum(axis=0)
 
 
 def contextualize(
@@ -236,8 +243,9 @@ def contextualize(
 ) -> np.ndarray:
     """Causal context vectors, one per prefix position.
 
-    Row i depends only on positions <= i, so appending to the prefix never
-    changes earlier rows.
+    `prefix` is (L, concept_dim); leading axes are a batch of prefixes. Row i
+    depends only on positions <= i, so appending to the prefix, or padding it
+    on the right, never changes earlier rows.
     """
     out, _ = _ctx_forward(params, cfg, prefix)
     return out
@@ -252,42 +260,38 @@ class _DenCache:
 
 
 def _den_forward(
-    params: TwoTowerParams, cfg: LcmModelConfig, xt: np.ndarray, lam: float,
-    c: np.ndarray,
+    params: TwoTowerParams, cfg: LcmModelConfig, xt: np.ndarray, lam: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, _DenCache]:
-    inp = np.concatenate([xt, lambda_embed(lam, cfg.lambda_emb_dim), c])
-    h = params["den.in_w"] @ inp + params["den.in_b"]
+    """Denoiser over rows: xt (..., d), log-SNR lam (...), context c (..., ctx_width)."""
+    inp = np.concatenate([xt, lambda_embed(lam, cfg.lambda_emb_dim), c], axis=-1)
+    h = inp @ params["den.in_w"].T + params["den.in_b"]
     pre_block = []
     us = []
     for k in range(cfg.den_depth):
         pre_block.append(h)
-        u = params[f"den.b{k}.w"] @ h + params[f"den.b{k}.b"]
+        u = h @ params[f"den.b{k}.w"].T + params[f"den.b{k}.b"]
         us.append(u)
         h = h + np.maximum(u, 0.0)
-    out = params["den.out_w"] @ h + params["den.out_b"]
+    out = h @ params["den.out_w"].T + params["den.out_b"]
     return out, _DenCache(inp=inp, pre_block=pre_block, us=us, h_final=h)
 
 
 def _den_backward(
     params: TwoTowerParams, cfg: LcmModelConfig, cache: _DenCache, g_out: np.ndarray,
     grads: dict[str, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate denoiser grads; returns (g_xt, g_c)."""
-    grads["den.out_w"] += np.outer(g_out, cache.h_final)
-    grads["den.out_b"] += g_out
-    g_h = params["den.out_w"].T @ g_out
+) -> np.ndarray:
+    """Accumulate denoiser grads for (N, d) rows; returns the (N, ctx_width) context grads."""
+    grads["den.out_w"] += g_out.T @ cache.h_final
+    grads["den.out_b"] += g_out.sum(axis=0)
+    g_h = g_out @ params["den.out_w"]
     for k in reversed(range(cfg.den_depth)):
         g_u = g_h * (cache.us[k] > 0.0)
-        grads[f"den.b{k}.w"] += np.outer(g_u, cache.pre_block[k])
-        grads[f"den.b{k}.b"] += g_u
-        g_h = g_h + params[f"den.b{k}.w"].T @ g_u
-    grads["den.in_w"] += np.outer(g_h, cache.inp)
-    grads["den.in_b"] += g_h
-    g_inp = params["den.in_w"].T @ g_h
-    d = cfg.concept_dim
-    g_xt = g_inp[:d]
-    g_c = g_inp[d + cfg.lambda_emb_dim :]
-    return g_xt, g_c
+        grads[f"den.b{k}.w"] += g_u.T @ cache.pre_block[k]
+        grads[f"den.b{k}.b"] += g_u.sum(axis=0)
+        g_h = g_h + g_u @ params[f"den.b{k}.w"]
+    grads["den.in_w"] += g_h.T @ cache.inp
+    grads["den.in_b"] += g_h.sum(axis=0)
+    return g_h @ params["den.in_w"][:, cfg.concept_dim + cfg.lambda_emb_dim :]
 
 
 def denoise(
@@ -301,18 +305,21 @@ def denoise(
 ) -> np.ndarray:
     """Predict the clean embedding from a noisy one at level t.
 
-    With conditioned=False the context argument is ignored entirely and the
-    learned null context is substituted.
+    `xt` is (concept_dim,) and `c` is (ctx_width,); leading axes, the same on
+    both, are a batch of rows. With conditioned=False the context argument is
+    ignored entirely and the learned null context is substituted.
     """
     xt = np.asarray(xt, dtype=np.float64)
-    if xt.shape != (cfg.concept_dim,):
-        raise ValueError(f"xt must have shape ({cfg.concept_dim},), got {xt.shape}")
+    if xt.ndim < 1 or xt.shape[-1] != cfg.concept_dim:
+        raise ValueError(f"xt must have shape (..., {cfg.concept_dim}), got {xt.shape}")
     if not 0 <= t < schedule.steps:
         raise ValueError(f"t={t} outside schedule with {schedule.steps} levels")
-    c_eff = params["null_ctx"] if not conditioned else np.asarray(c, dtype=np.float64)
-    if c_eff.shape != (cfg.ctx_width,):
-        raise ValueError(f"context must have shape ({cfg.ctx_width},), got {c_eff.shape}")
-    out, _ = _den_forward(params, cfg, xt, float(schedule.log_snr[t]), c_eff)
+    c_shape = (*xt.shape[:-1], cfg.ctx_width)
+    null = np.broadcast_to(params["null_ctx"], c_shape)
+    c_eff = np.asarray(c, dtype=np.float64) if conditioned else null
+    if c_eff.shape != c_shape:
+        raise ValueError(f"context must have shape {c_shape}, got {c_eff.shape}")
+    out, _ = _den_forward(params, cfg, xt, np.full(xt.shape[:-1], schedule.log_snr[t]), c_eff)
     return out
 
 
@@ -368,8 +375,50 @@ class LcmTrainConfig:
             raise ValueError("batch_size, val_every, ckpt_every must be >= 1")
 
 
-def _zero_grads(params: TwoTowerParams) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.tensors.items()}
+def _loss_forward(
+    params: TwoTowerParams,
+    cfg: LcmModelConfig,
+    items: list[NextEmbeddingItem],
+    schedule: NoiseSchedule,
+    t: np.ndarray,
+    eps: np.ndarray,
+    conditioned: np.ndarray,
+    squared: bool,
+):
+    """Summed loss of items noised to levels t with noise eps.
+
+    Conditioned items take the context row at their last prefix position, from
+    one context-tower call over their right-padded prefixes; the others take
+    the null context. Returns the loss, its (N, d) gradient for the predictions,
+    the context-tower cache with the index of each last row (None when no item
+    is conditioned), and the denoiser cache.
+    """
+    targets = np.stack([item.target for item in items])
+    c = np.tile(params["null_ctx"], (len(items), 1))
+    ctx = None
+    rows = np.flatnonzero(conditioned)
+    if rows.size:
+        lengths = np.array([items[i].prefix.shape[0] for i in rows])
+        if lengths.min() < 1:
+            raise ValueError("prefix must be non-empty")
+        padded = np.zeros((rows.size, lengths.max(), cfg.concept_dim))
+        padded[np.arange(lengths.max()) < lengths[:, None]] = np.concatenate(
+            [items[i].prefix for i in rows]
+        )
+        ctx_out, ctx_cache = _ctx_forward(params, cfg, padded)
+        last = (np.arange(rows.size), lengths - 1)
+        c[rows] = ctx_out[last]
+        ctx = (ctx_cache, last)
+    xt = forward_diffuse(targets, t, eps, schedule)
+    pred, den_cache = _den_forward(params, cfg, xt, schedule.log_snr[t], c)
+    residual = targets - pred
+    dist = np.linalg.norm(residual, axis=1)
+    if squared:
+        return float(np.sum(dist * dist)), -2.0 * residual, ctx, den_cache
+    # Subgradient 0 at an exact hit (residual and distance both 0); otherwise
+    # the unit direction.
+    g_pred = -residual / np.where(dist > 0.0, dist, np.inf)[:, None]
+    return float(np.sum(dist)), g_pred, ctx, den_cache
 
 
 def diffusion_loss(
@@ -390,44 +439,27 @@ def diffusion_loss(
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    grads = _zero_grads(params)
-    total = 0.0
-    dropped = 0
-    for item in batch:
-        t = int(rng.integers(0, schedule.steps))
-        eps = rng.standard_normal(cfg.concept_dim)
-        conditioned = bool(rng.random() >= guidance_p)
+    n = len(batch)
+    t = np.empty(n, dtype=np.int64)
+    eps = np.empty((n, cfg.concept_dim))
+    conditioned = np.empty(n, dtype=bool)
+    for i in range(n):
+        t[i] = rng.integers(0, schedule.steps)
+        eps[i] = rng.standard_normal(cfg.concept_dim)
+        conditioned[i] = rng.random() >= guidance_p
 
-        ctx_cache = None
-        if conditioned:
-            ctx_out, ctx_cache = _ctx_forward(params, cfg, item.prefix)
-            c = ctx_out[-1]
-        else:
-            dropped += 1
-            c = params["null_ctx"]
-
-        xt = forward_diffuse(item.target, t, eps, schedule)
-        pred, den_cache = _den_forward(
-            params, cfg, xt, float(schedule.log_snr[t]), c
-        )
-        residual = item.target - pred
-        dist = float(np.linalg.norm(residual))
-        if squared:
-            total += dist * dist
-            g_pred = -2.0 * residual
-        else:
-            total += dist
-            # Subgradient 0 at an exact hit; otherwise the unit direction.
-            g_pred = -residual / dist if dist > 0.0 else np.zeros_like(residual)
-
-        _, g_c = _den_backward(params, cfg, den_cache, g_pred, grads)
-        if conditioned:
-            g_ctx = np.zeros((item.prefix.shape[0], cfg.ctx_width))
-            g_ctx[-1] = g_c
-            _ctx_backward(params, cfg, ctx_cache, g_ctx, grads)
-        else:
-            grads["null_ctx"] += g_c
-    return total, grads, dropped
+    total, g_pred, ctx, den_cache = _loss_forward(
+        params, cfg, batch, schedule, t, eps, conditioned, squared
+    )
+    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    g_c = _den_backward(params, cfg, den_cache, g_pred, grads)
+    grads["null_ctx"] += g_c[~conditioned].sum(axis=0)
+    if ctx is not None:
+        ctx_cache, last = ctx
+        g_ctx = np.zeros((*ctx_cache.prefix.shape[:-1], cfg.ctx_width))
+        g_ctx[last] = g_c[conditioned]
+        _ctx_backward(params, cfg, ctx_cache, g_ctx, grads)
+    return total, grads, n - int(conditioned.sum())
 
 
 @dataclass(frozen=True)
@@ -453,20 +485,8 @@ class LcmHistory:
     best_val: float = math.inf
 
     def write_csvs(self, out_dir: str | Path) -> None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "history_steps.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "lr", "loss", "grad_norm_raw", "grad_norm"])
-            for r in self.steps:
-                writer.writerow(
-                    [r.step, repr(r.lr), repr(r.loss), repr(r.grad_norm_raw), repr(r.grad_norm)]
-                )
-        with open(out / "history_vals.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "val_loss"])
-            for r in self.vals:
-                writer.writerow([r.step, repr(r.val_loss)])
+        write_csv(Path(out_dir) / "history_steps.csv", LcmStepRecord, self.steps)
+        write_csv(Path(out_dir) / "history_vals.csv", LcmValRecord, self.vals)
 
 
 def _val_loss(
@@ -483,40 +503,20 @@ def _val_loss(
     evaluations are comparable.
     """
     rng = stream_rng(seed, _STREAM_VAL)
+    n = len(items)
+    t = np.empty(n, dtype=np.int64)
+    eps = np.empty((n, cfg.concept_dim))
+    for i in range(n):
+        t[i] = rng.integers(0, schedule.steps)
+        eps[i] = rng.standard_normal(cfg.concept_dim)
+    conditioned = np.ones(n, dtype=bool)
     total = 0.0
-    for item in items:
-        t = int(rng.integers(0, schedule.steps))
-        eps = rng.standard_normal(cfg.concept_dim)
-        c = contextualize(params, cfg, item.prefix)[-1]
-        xt = forward_diffuse(item.target, t, eps, schedule)
-        pred, _ = _den_forward(params, cfg, xt, float(schedule.log_snr[t]), c)
-        dist = float(np.linalg.norm(item.target - pred))
-        total += dist * dist if squared else dist
-    return total / len(items)
-
-
-def train_config_to_dict(cfg: LcmTrainConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-
-
-def model_config_to_dict(cfg: LcmModelConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-
-
-def _config_from_dict(cls, d: dict):
-    """Build a config dataclass; a key that names no field is an error, not ignored."""
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
-    return cls(**d)
-
-
-def model_config_from_dict(d: dict) -> LcmModelConfig:
-    return _config_from_dict(LcmModelConfig, d)
-
-
-def train_config_from_dict(d: dict) -> LcmTrainConfig:
-    return _config_from_dict(LcmTrainConfig, d)
+    for start in range(0, n, VAL_BLOCK):
+        b = slice(start, start + VAL_BLOCK)
+        total += _loss_forward(
+            params, cfg, items[b], schedule, t[b], eps[b], conditioned[b], squared
+        )[0]
+    return total / n
 
 
 def train_lcm(
@@ -556,7 +556,9 @@ def train_lcm(
     history = LcmHistory()
 
     if resume is not None:
-        params, optimizer, start_step, best = load_lcm_train_state(resume, optimizer)
+        params, optimizer, start_step, best = load_lcm_train_state(
+            resume, optimizer, model_cfg, cfg
+        )
         best_val, best_step, best_tensors = best
     else:
         params = init_two_tower(model_cfg, stream_rng(cfg.seed, _STREAM_INIT))
@@ -639,13 +641,16 @@ def sample_next(
     if rng is None:
         rng = stream_rng(0, _STREAM_SAMPLE)
     c = contextualize(params, cfg, prefix)[-1]
+    if guidance_scale != 0.0:
+        # Conditional and unconditional rows go through one denoiser call.
+        c = np.stack([c, params["null_ctx"]])
 
     def predict(x: np.ndarray, t: int) -> np.ndarray:
-        cond = denoise(params, cfg, x, t, c, True, schedule)
+        rows = np.broadcast_to(x, (*c.shape[:-1], cfg.concept_dim))
+        pred = denoise(params, cfg, rows, t, c, True, schedule)
         if guidance_scale == 0.0:
-            return cond
-        uncond = denoise(params, cfg, x, t, c, False, schedule)
-        return (1.0 + guidance_scale) * cond - guidance_scale * uncond
+            return pred
+        return (1.0 + guidance_scale) * pred[0] - guidance_scale * pred[1]
 
     steps = schedule.steps
     x = rng.standard_normal(cfg.concept_dim)

@@ -28,8 +28,8 @@ POOLING_MODES = ("attention", "mean", "max")
 
 @dataclass(frozen=True)
 class ProjectorConfig:
-    frame_dim: int = 1536
-    concept_dim: int = 1024
+    frame_dim: int
+    concept_dim: int
     heads: int = 8
     dropout_p: float = 0.1
     pooling: str = "attention"
@@ -246,27 +246,3 @@ def _zero_pool_grads(grads: dict[str, np.ndarray], params: ProjectorParams) -> N
     for name in ("pool.wq", "pool.wk", "pool.wv", "pool.wo", "cls"):
         if name in params.tensors:
             grads[name] = np.zeros_like(params[name])
-
-
-def config_to_dict(cfg: ProjectorConfig) -> dict:
-    return {
-        "frame_dim": cfg.frame_dim,
-        "concept_dim": cfg.concept_dim,
-        "heads": cfg.heads,
-        "dropout_p": cfg.dropout_p,
-        "pooling": cfg.pooling,
-        "init_sigma": cfg.init_sigma,
-        "use_adapter": cfg.use_adapter,
-        "use_temporal_attention": cfg.use_temporal_attention,
-    }
-
-
-def config_from_dict(d: dict) -> ProjectorConfig:
-    optional = (
-        "heads", "dropout_p", "pooling", "init_sigma",
-        "use_adapter", "use_temporal_attention",
-    )
-    kwargs = {k: d[k] for k in optional if k in d}
-    return ProjectorConfig(
-        frame_dim=int(d["frame_dim"]), concept_dim=int(d["concept_dim"]), **kwargs
-    )

@@ -204,6 +204,18 @@ def test_align_rejects_unknown_pooling(align_setup, tmp_path):
     assert code == 2
 
 
+def test_align_misspelt_projector_key_exits_2(align_setup, tmp_path, capsys):
+    _root, _data, stage, config = align_setup
+    doc = json.loads(config.read_text())
+    doc["projector"]["hedas"] = 2
+    bad = tmp_path / "misspelt.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(_align_args(tmp_path / "run", stage, bad)) == 2
+    assert "hedas" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # train-lcm
 
@@ -289,6 +301,21 @@ def test_train_lcm_misspelt_key_exits_2(lcm_setup, tmp_path, capsys, block):
     err = capsys.readouterr().err
     assert "den_widht" in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(("block", "key", "value"), [("model", "ctx_width", 16),
+                                                   ("train", "max_steps", 3)])
+def test_train_lcm_resume_refuses_other_config(tmp_path, capsys, block, key, value):
+    manifest, argv = _train_state_case(tmp_path)
+    config = Path(argv[argv.index("--config") + 1])
+    doc = json.loads(config.read_text())
+    doc["latentdiff"][block][key] = value
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from conceptspace import latentdiff
 from conceptspace.checkpoints import load_lcm, save_lcm
 from conceptspace.corpus import EmbeddingSequence
 from conceptspace.latentdiff import (
+    _STREAM_VAL,
     LcmModelConfig,
     LcmTrainConfig,
     NoiseSchedule,
     TwoTowerParams,
+    _ctx_backward,
+    _ctx_forward,
+    _val_loss,
     build_schedule,
     contextualize,
     denoise,
@@ -21,13 +27,12 @@ from conceptspace.latentdiff import (
     forward_diffuse,
     init_two_tower,
     items_from_sequences,
-    model_config_from_dict,
-    model_config_to_dict,
     sample_next,
     train_lcm,
 )
 from conceptspace.numerics import grad_check, stream_rng
 from conceptspace.optim import TrainingDivergedError, warmup_cosine
+from conceptspace.records import from_dict
 
 # sqrt(sigmoid(-20)) from 50-digit mpmath: the sigma at log-SNR +20.
 SIGMA_AT_LAMBDA_20 = 4.5399929720290195e-05
@@ -169,6 +174,36 @@ def test_contextualizer_perturbation_localized():
     assert float(np.linalg.norm(after[3] - base[3])) > 1e-8
 
 
+def test_context_tower_right_padding_is_inert():
+    # Pad rows must neither change real rows nor pass gradient: any pad content
+    # gives bit-identical outputs at real rows and bit-identical gradients.
+    cfg = _model_cfg()
+    params = _rand_params(cfg)
+    lengths = np.array([2, 5, 1, 3])
+    rng = stream_rng(21, 3)
+    prefixes = [rng.normal(size=(n, 6)) for n in lengths]
+    last = (np.arange(lengths.size), lengths - 1)
+    g_last = rng.normal(size=(lengths.size, cfg.ctx_width))
+    runs = []
+    for pad in (0.0, 1e3):
+        padded = np.full((lengths.size, lengths.max(), 6), pad)
+        for i, p in enumerate(prefixes):
+            padded[i, : p.shape[0]] = p
+        out, cache = _ctx_forward(params, cfg, padded)
+        g_out = np.zeros_like(out)
+        g_out[last] = g_last
+        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        _ctx_backward(params, cfg, cache, g_out, grads)
+        runs.append((out, grads))
+    (out_a, grads_a), (out_b, grads_b) = runs
+    for i, p in enumerate(prefixes):
+        n = p.shape[0]
+        assert np.array_equal(out_a[i, :n], out_b[i, :n])
+        np.testing.assert_allclose(out_a[i, :n], contextualize(params, cfg, p), rtol=0, atol=1e-12)
+    for key in params.tensors:
+        assert np.array_equal(grads_a[key], grads_b[key]), key
+
+
 # ---------------------------------------------------------------------------
 # denoiser
 
@@ -242,17 +277,54 @@ def test_loss_guidance_extremes_and_counter():
     assert np.all(grads_none_dropped["null_ctx"] == 0.0)
 
 
-@pytest.mark.parametrize("squared", [False, True])
-def test_diffusion_loss_grad_check(squared):
-    cfg = _model_cfg()
+def _mixed_batch(d=6):
+    """Items with prefix lengths 1 to 5, in shuffled order."""
+    rng = stream_rng(23, 20)
+    seqs = [EmbeddingSequence(embeddings=rng.normal(size=(6, d))) for _ in range(2)]
+    items = items_from_sequences(seqs)
+    return [items[int(i)] for i in rng.permutation(len(items))]
+
+
+def _live_params(cfg):
     params = _rand_params(cfg)
     # non-trivial output head so the loss depends on every tower
     params.tensors["den.out_w"] = stream_rng(24, 0).normal(
         size=params.tensors["den.out_w"].shape
     ) * 0.3
+    return params
+
+
+@pytest.mark.parametrize("squared", [False, True])
+def test_diffusion_loss_batch_matches_per_item_calls(squared):
+    cfg = _model_cfg()
+    params = _live_params(cfg)
     sched = build_schedule(6)
-    batch = [_one_item(key=k) for k in range(3)]
-    rng_key = (25, int(squared))
+    batch = _mixed_batch()
+    loss, grads, dropped = diffusion_loss(
+        params, cfg, batch, sched, 0.3, stream_rng(25, 7), squared=squared
+    )
+    assert 0 < dropped < len(batch)
+
+    # One generator shared by consecutive single-item calls draws in the same
+    # order as the batched call.
+    rng = stream_rng(25, 7)
+    ref_loss, ref_dropped = 0.0, 0
+    ref_grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    for item in batch:
+        item_loss, item_grads, item_dropped = diffusion_loss(
+            params, cfg, [item], sched, 0.3, rng, squared=squared
+        )
+        ref_loss += item_loss
+        ref_dropped += item_dropped
+        for key in ref_grads:
+            ref_grads[key] += item_grads[key]
+    assert dropped == ref_dropped
+    assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
+    for key in params.tensors:
+        np.testing.assert_allclose(grads[key], ref_grads[key], rtol=0, atol=1e-12, err_msg=key)
+
+
+def _check_loss_grads(cfg, params, batch, sched, rng_key, squared):
     loss, grads, _ = diffusion_loss(
         params, cfg, batch, sched, 0.3, stream_rng(*rng_key), squared=squared
     )
@@ -274,6 +346,47 @@ def test_diffusion_loss_grad_check(squared):
         worst = max(worst, err)
         assert err < 1e-4, f"{key}: {err}"
     assert worst < 1e-5  # typical values are far tighter
+
+
+@pytest.mark.parametrize("squared", [False, True])
+def test_diffusion_loss_grad_check(squared):
+    cfg = _model_cfg()
+    params = _live_params(cfg)
+    sched = build_schedule(6)
+    batch = [_one_item(key=k) for k in range(3)]
+    _check_loss_grads(cfg, params, batch, sched, (25, int(squared)), squared)
+
+
+def test_diffusion_loss_grad_check_mixed_lengths():
+    # The squared loss differs only in the row-wise upstream gradient, which the
+    # per-item check and the batch-against-items test already cover.
+    cfg = _model_cfg()
+    params = _live_params(cfg)
+    sched = build_schedule(6)
+    batch = _mixed_batch()
+    _, _, dropped = diffusion_loss(params, cfg, batch, sched, 0.3, stream_rng(25, 7))
+    assert 0 < dropped < len(batch)
+    _check_loss_grads(cfg, params, batch, sched, (25, 7), squared=False)
+
+
+@pytest.mark.parametrize("squared", [False, True])
+def test_val_loss_matches_per_item_reference(squared, monkeypatch):
+    monkeypatch.setattr(latentdiff, "VAL_BLOCK", 4)  # 10 items: blocks of 4, 4 and 2
+    cfg = _model_cfg()
+    params = _live_params(cfg)
+    sched = build_schedule(6)
+    items = _mixed_batch()
+    rng = stream_rng(11, _STREAM_VAL)
+    total = 0.0
+    for item in items:
+        t = int(rng.integers(0, sched.steps))
+        eps = rng.standard_normal(cfg.concept_dim)
+        c = contextualize(params, cfg, item.prefix)[-1]
+        xt = forward_diffuse(item.target, t, eps, sched)
+        dist = float(np.linalg.norm(item.target - denoise(params, cfg, xt, t, c, True, sched)))
+        total += dist * dist if squared else dist
+    got = _val_loss(params, cfg, items, sched, 11, squared)
+    assert got == pytest.approx(total / len(items), rel=0, abs=1e-12)
 
 
 def test_items_from_sequences_prefix_structure():
@@ -401,6 +514,30 @@ def test_sample_zero_guidance_matches_conditional_loop():
     np.testing.assert_allclose(out, x_hat, atol=1e-12)
 
 
+def test_sample_guided_matches_two_call_loop():
+    cfg = _model_cfg()
+    params = _rand_params(cfg)
+    params.tensors["den.out_w"] = stream_rng(28, 5).normal(
+        size=params.tensors["den.out_w"].shape
+    ) * 0.2
+    params.tensors["null_ctx"] = stream_rng(28, 6).normal(size=cfg.ctx_width)
+    sched = build_schedule(6)
+    prefix = stream_rng(28, 7).normal(size=(4, 6))
+    out = sample_next(params, cfg, prefix, sched, guidance_scale=1.5,
+                      rng=stream_rng(28, 8))
+
+    c = contextualize(params, cfg, prefix)[-1]
+    x = stream_rng(28, 8).standard_normal(6)
+    x_hat = None
+    for t in range(sched.steps - 1, 0, -1):
+        cond = denoise(params, cfg, x, t, c, True, sched)
+        uncond = denoise(params, cfg, x, t, c, False, sched)
+        x_hat = 2.5 * cond - 1.5 * uncond
+        eps_hat = (x - sched.alpha[t] * x_hat) / sched.sigma[t]
+        x = sched.alpha[t - 1] * x_hat + sched.sigma[t - 1] * eps_hat
+    np.testing.assert_allclose(out, x_hat, rtol=0, atol=1e-12)
+
+
 def test_sample_deterministic_given_seed():
     cfg = _model_cfg()
     params = _rand_params(cfg)
@@ -445,7 +582,7 @@ def test_sample_eta_injects_seeded_noise():
 
 def test_model_config_dict_round_trip():
     cfg = _model_cfg(ffn_mult=3)
-    assert model_config_from_dict(model_config_to_dict(cfg)) == cfg
+    assert from_dict(LcmModelConfig, asdict(cfg)) == cfg
 
 
 def test_lcm_checkpoint_round_trip(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,13 +14,12 @@ from conceptspace.projector import (
     ADAPTER_KEY,
     ForwardTrace,
     ProjectorConfig,
-    config_from_dict,
-    config_to_dict,
     init_projector,
     project,
     project_backward,
     sinusoidal_pe,
 )
+from conceptspace.records import from_dict
 
 
 def _cfg(**kw):
@@ -52,7 +52,7 @@ def test_config_rejects_unknown_pooling():
 
 def test_config_dict_round_trip():
     cfg = _cfg(pooling="max", heads=4, use_temporal_attention=False)
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert from_dict(ProjectorConfig, asdict(cfg)) == cfg
 
 
 def test_init_sigma_zero_is_all_zero_except_adapter():
