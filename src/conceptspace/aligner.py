@@ -26,7 +26,6 @@ from .optim import AdamW, TrainingDivergedError, warmup_cosine
 from .projector import (
     ADAPTER_KEY,
     ProjectorConfig,
-    ProjectorParams,
     init_projector,
     project,
     project_backward,
@@ -170,7 +169,7 @@ def _safe_mean_cos(zv: np.ndarray, zt: np.ndarray) -> float:
 
 
 def validate(
-    params: ProjectorParams, proj_cfg: ProjectorConfig, dataset: PairedDataset,
+    params: dict[str, np.ndarray], proj_cfg: ProjectorConfig, dataset: PairedDataset,
     indices: np.ndarray,
 ) -> tuple[float, float]:
     zv, _ = project(params, proj_cfg, dataset.frames[indices])
@@ -181,11 +180,11 @@ def validate(
 
 def train_stage(
     dataset: PairedDataset,
-    params: ProjectorParams,
+    params: dict[str, np.ndarray],
     proj_cfg: ProjectorConfig,
     cfg: AlignConfig,
     rng_namespace: int = 0,
-) -> tuple[ProjectorParams, TrainHistory]:
+) -> tuple[dict[str, np.ndarray], TrainHistory]:
     """Train one stage on one dataset; returns best-validation parameters.
 
     The epoch-0 history row records validation of the incoming parameters
@@ -204,11 +203,12 @@ def train_stage(
     total_steps = steps_per_epoch * cfg.max_epochs
 
     optimizer = AdamW(eps=1e-8, weight_decay=cfg.weight_decay)
-    tensors = {k: v.copy() for k, v in params.tensors.items()}
+    # The optimizer updates in place; the caller's tensors must stay as given.
+    tensors = {k: v.copy() for k, v in params.items()}
     has_adapter = ADAPTER_KEY in tensors
 
     history = TrainHistory()
-    val_mse, val_cos = validate(ProjectorParams(tensors), proj_cfg, dataset, val_idx)
+    val_mse, val_cos = validate(tensors, proj_cfg, dataset, val_idx)
     history.epochs.append(EpochRecord(epoch=0, val_mse=val_mse, val_cos=val_cos))
 
     best_tensors = {k: v.copy() for k, v in tensors.items()}
@@ -224,9 +224,8 @@ def train_stage(
         for b0 in range(0, len(train_idx), cfg.batch_size):
             batch = train_idx[order[b0 : b0 + cfg.batch_size]]
             drop_rng = stream_rng(cfg.seed, _STREAM_DROPOUT, rng_namespace, step)
-            live = ProjectorParams(tensors)
             zv, trace = project(
-                live, proj_cfg, dataset.frames[batch], training=True, rng=drop_rng
+                tensors, proj_cfg, dataset.frames[batch], training=True, rng=drop_rng
             )
             zt = dataset.targets[batch]
             loss, g_zv = combined_loss(zv, zt, cfg)
@@ -244,7 +243,7 @@ def train_stage(
             if has_adapter:
                 lr_map[ADAPTER_KEY] = lr_enc
             skip = {ADAPTER_KEY} if frozen else set()
-            tensors = optimizer.step(tensors, grads, lr_map, skip=skip)
+            optimizer.step(tensors, grads, lr_map, skip=skip)
             history.steps.append(
                 StepRecord(
                     step=step,
@@ -256,7 +255,7 @@ def train_stage(
             )
             step += 1
 
-        val_mse, val_cos = validate(ProjectorParams(tensors), proj_cfg, dataset, val_idx)
+        val_mse, val_cos = validate(tensors, proj_cfg, dataset, val_idx)
         history.epochs.append(EpochRecord(epoch=epoch, val_mse=val_mse, val_cos=val_cos))
         if val_mse < best_val:
             best_val = val_mse
@@ -270,7 +269,7 @@ def train_stage(
 
     history.best_epoch = best_epoch
     history.best_val_mse = best_val
-    return ProjectorParams(best_tensors), history
+    return best_tensors, history
 
 
 def apply_stage_overrides(cfg: AlignConfig, stage: CurriculumStage) -> AlignConfig:
@@ -290,8 +289,8 @@ def run_curriculum(
     stages: list[CurriculumStage],
     proj_cfg: ProjectorConfig,
     cfg: AlignConfig,
-    initial: ProjectorParams | None = None,
-) -> tuple[ProjectorParams, list[TrainHistory]]:
+    initial: dict[str, np.ndarray] | None = None,
+) -> tuple[dict[str, np.ndarray], list[TrainHistory]]:
     """Train stages in order; parameters flow, optimizer state does not."""
     if not stages:
         raise ValueError("need at least one curriculum stage")

@@ -3,12 +3,15 @@
 Model weights and optimizer moments are stored as float64 blobs so that a
 resumed run continues bit-identically to an uninterrupted one. params.json
 records tensor shapes, the model config, and whatever metadata the caller
-attaches (step counts, best-validation bookkeeping, seeds).
+attaches (step counts, best-validation bookkeeping, seeds); a training state
+also records a fingerprint of its corpus, so a resume on other data is refused.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 from dataclasses import asdict
 from pathlib import Path
 
@@ -21,9 +24,9 @@ from .corpus import (
     read_embeddings,
     write_embeddings,
 )
-from .latentdiff import LcmModelConfig, LcmTrainConfig, TwoTowerParams
+from .latentdiff import LcmModelConfig, LcmTrainConfig
 from .optim import AdamW
-from .projector import ProjectorConfig, ProjectorParams
+from .projector import ProjectorConfig
 from .records import from_dict
 
 
@@ -32,16 +35,37 @@ def _blob_name(tensor_name: str) -> str:
 
 
 def save_tensors(out_dir: str | Path, tensors: dict[str, np.ndarray], meta: dict) -> None:
+    """Write a checkpoint directory atomically: a failed save leaves any old one as it was.
+
+    The files go into a sibling temporary directory that is renamed into place
+    once complete; the old directory is removed only after that.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    index = {}
-    for name, tensor in tensors.items():
-        tensor = np.asarray(tensor, dtype=np.float64)
-        as_matrix = tensor.reshape(tensor.shape[0], -1) if tensor.ndim >= 2 else tensor.reshape(1, -1)
-        write_embeddings(out / _blob_name(name), as_matrix, dtype_code=DTYPE_F64)
-        index[name] = {"shape": list(tensor.shape), "file": _blob_name(name)}
-    doc = {"format": "tensor-dir-v1", "meta": meta, "tensors": index}
-    (out / "params.json").write_text(json.dumps(doc, indent=2) + "\n")
+    tmp = out.with_name(f".{out.name}.partial")
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    tmp.mkdir(parents=True)
+    try:
+        index = {}
+        for name, tensor in tensors.items():
+            tensor = np.asarray(tensor, dtype=np.float64)
+            as_matrix = tensor.reshape(tensor.shape[0], -1) if tensor.ndim >= 2 else tensor.reshape(1, -1)
+            write_embeddings(tmp / _blob_name(name), as_matrix, dtype_code=DTYPE_F64)
+            index[name] = {"shape": list(tensor.shape), "file": _blob_name(name)}
+        doc = {"format": "tensor-dir-v1", "meta": meta, "tensors": index}
+        (tmp / "params.json").write_text(json.dumps(doc, indent=2) + "\n")
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if out.exists():
+        old = out.with_name(f".{out.name}.old")
+        if old.exists():
+            shutil.rmtree(old)
+        out.rename(old)
+        tmp.rename(out)
+        shutil.rmtree(old)
+    else:
+        tmp.rename(out)
 
 
 def load_tensors(in_dir: str | Path) -> tuple[dict[str, np.ndarray], dict]:
@@ -53,62 +77,71 @@ def load_tensors(in_dir: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         doc = json.loads(doc_path.read_text())
         if doc.get("format") != "tensor-dir-v1":
             raise EmbeddingFormatError(f"{root}: unexpected checkpoint format {doc.get('format')!r}")
+        meta = doc.get("meta", {})
+        if not isinstance(meta, dict):
+            raise TypeError(f"meta must be an object, got {type(meta).__name__}")
         tensors = {}
         for name, entry in doc["tensors"].items():
             flat = read_embeddings(root / entry["file"])
             tensors[name] = flat.reshape(tuple(entry["shape"]))
-        return tensors, doc.get("meta", {})
+        return tensors, meta
 
 
 # ---------------------------------------------------------------------------
-# Projector
+# Models: a projector or a next-embedding model, each with its config.
+
+
+def _save_model(out_dir, kind: str, tensors: dict[str, np.ndarray], cfg, extra_meta) -> None:
+    save_tensors(out_dir, tensors, {"kind": kind, "config": asdict(cfg), **(extra_meta or {})})
+
+
+def _load_model(in_dir, kind: str, cfg_cls, label: str):
+    tensors, meta = load_tensors(in_dir)
+    if meta.get("kind") != kind:
+        raise EmbeddingFormatError(f"{in_dir}: not a {label} checkpoint")
+    with malformed_manifest(Path(in_dir) / "params.json"):
+        cfg = from_dict(cfg_cls, meta["config"])
+    return tensors, cfg, meta
 
 
 def save_projector(
-    out_dir: str | Path, params: ProjectorParams, cfg: ProjectorConfig,
+    out_dir: str | Path, params: dict[str, np.ndarray], cfg: ProjectorConfig,
     extra_meta: dict | None = None,
 ) -> None:
-    meta = {"kind": "projector", "config": asdict(cfg)}
-    if extra_meta:
-        meta.update(extra_meta)
-    save_tensors(out_dir, params.tensors, meta)
+    _save_model(out_dir, "projector", params, cfg, extra_meta)
 
 
-def load_projector(in_dir: str | Path) -> tuple[ProjectorParams, ProjectorConfig, dict]:
-    tensors, meta = load_tensors(in_dir)
-    if meta.get("kind") != "projector":
-        raise EmbeddingFormatError(f"{in_dir}: not a projector checkpoint")
-    with malformed_manifest(Path(in_dir) / "params.json"):
-        cfg = from_dict(ProjectorConfig, meta["config"])
-    return ProjectorParams(tensors), cfg, meta
-
-
-# ---------------------------------------------------------------------------
-# Next-embedding model
+def load_projector(in_dir: str | Path) -> tuple[dict[str, np.ndarray], ProjectorConfig, dict]:
+    return _load_model(in_dir, "projector", ProjectorConfig, "projector")
 
 
 def save_lcm(
-    out_dir: str | Path, params: TwoTowerParams, cfg: LcmModelConfig,
+    out_dir: str | Path, params: dict[str, np.ndarray], cfg: LcmModelConfig,
     extra_meta: dict | None = None,
 ) -> None:
-    meta = {"kind": "lcm", "config": asdict(cfg)}
-    if extra_meta:
-        meta.update(extra_meta)
-    save_tensors(out_dir, params.tensors, meta)
+    _save_model(out_dir, "lcm", params, cfg, extra_meta)
 
 
-def load_lcm(in_dir: str | Path) -> tuple[TwoTowerParams, LcmModelConfig, dict]:
-    tensors, meta = load_tensors(in_dir)
-    if meta.get("kind") != "lcm":
-        raise EmbeddingFormatError(f"{in_dir}: not a next-embedding model checkpoint")
-    with malformed_manifest(Path(in_dir) / "params.json"):
-        cfg = from_dict(LcmModelConfig, meta["config"])
-    return TwoTowerParams(tensors), cfg, meta
+def load_lcm(in_dir: str | Path) -> tuple[dict[str, np.ndarray], LcmModelConfig, dict]:
+    return _load_model(in_dir, "lcm", LcmModelConfig, "next-embedding model")
+
+
+# ---------------------------------------------------------------------------
+# Training state of the next-embedding model
+
+
+def corpus_sha256(sequences) -> str:
+    """Fingerprint of a sequence corpus: the sequence lengths, then their float64 values."""
+    embeddings = [np.asarray(seq.embeddings, dtype="<f8") for seq in sequences]
+    digest = hashlib.sha256(np.array([e.shape[0] for e in embeddings], dtype="<i8").tobytes())
+    for e in embeddings:
+        digest.update(e.tobytes())
+    return digest.hexdigest()
 
 
 def save_lcm_train_state(
     out_dir: str | Path,
-    params: TwoTowerParams,
+    params: dict[str, np.ndarray],
     model_cfg: LcmModelConfig,
     train_cfg: LcmTrainConfig,
     optimizer: AdamW,
@@ -116,9 +149,10 @@ def save_lcm_train_state(
     best_val: float,
     best_step: int,
     best_tensors: dict[str, np.ndarray],
+    corpus_digest: str,
 ) -> None:
     tensors: dict[str, np.ndarray] = {}
-    for name, tensor in params.tensors.items():
+    for name, tensor in params.items():
         tensors[f"model.{name}"] = tensor
     for name, tensor in optimizer.state_tensors().items():
         tensors[f"opt.{name}"] = tensor
@@ -132,14 +166,16 @@ def save_lcm_train_state(
         "best_val": best_val,
         "best_step": best_step,
         "opt_t": optimizer.t,
+        "corpus_sha256": corpus_digest,
     }
     save_tensors(out_dir, tensors, meta)
 
 
 def load_lcm_train_state(
-    in_dir: str | Path, optimizer: AdamW, model_cfg: LcmModelConfig, train_cfg: LcmTrainConfig
-) -> tuple[TwoTowerParams, AdamW, int, tuple[float, int, dict[str, np.ndarray]]]:
-    """Restore a training state; ValueError if the resuming run has other configs."""
+    in_dir: str | Path, optimizer: AdamW, model_cfg: LcmModelConfig, train_cfg: LcmTrainConfig,
+    corpus_digest: str,
+) -> tuple[dict[str, np.ndarray], AdamW, int, tuple[float, int, dict[str, np.ndarray]]]:
+    """Restore a training state; ValueError if the resuming run has other configs or data."""
     tensors, meta = load_tensors(in_dir)
     if meta.get("kind") != "lcm-train-state":
         raise EmbeddingFormatError(f"{in_dir}: not a training-state checkpoint")
@@ -151,6 +187,7 @@ def load_lcm_train_state(
         step = int(meta["step"])
         best_val, best_step = float(meta["best_val"]), int(meta["best_step"])
         stored = {"model": dict(meta["config"]), "train": dict(meta["train_config"])}
+        stored_digest = str(meta["corpus_sha256"])
     for label, current in (("model", asdict(model_cfg)), ("train", asdict(train_cfg))):
         saved = stored[label]
         differ = sorted(k for k in saved.keys() | current.keys() if saved.get(k) != current.get(k))
@@ -158,5 +195,7 @@ def load_lcm_train_state(
             raise ValueError(
                 f"{in_dir}: cannot resume, {label} config differs in {', '.join(differ)}"
             )
+    if stored_digest != corpus_digest:
+        raise ValueError(f"{in_dir}: cannot resume, the training corpus differs from the checkpoint's")
     optimizer.load_state(opt_state, opt_t)
-    return TwoTowerParams(model), optimizer, step, (best_val, best_step, best)
+    return model, optimizer, step, (best_val, best_step, best)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -245,26 +245,20 @@ def cmd_train_lcm(args) -> int:
         train_block["ckpt_every"] = args.ckpt_every
     if args.lr is not None:
         train_block["lr"] = args.lr
-    sched_block = dict(blocks.get("schedule", {}))
-    if args.steps is not None:
-        sched_block["steps"] = args.steps
-    sched_block.setdefault("steps", 40)
 
     try:
         model_cfg = from_dict(latentdiff.LcmModelConfig, model_block)
         train_cfg = from_dict(latentdiff.LcmTrainConfig, train_block)
-        schedule = latentdiff.build_schedule(
-            int(sched_block["steps"]),
-            float(sched_block.get("lambda_max", 10.0)),
-            float(sched_block.get("lambda_min", -10.0)),
-        )
+        sched_cfg = from_dict(latentdiff.ScheduleConfig, blocks.get("schedule", {}))
+        if args.steps is not None:
+            sched_cfg = replace(sched_cfg, steps=args.steps)
     except (TypeError, ValueError) as exc:
         raise CliError(2, f"bad config: {exc}") from exc
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params, history = latentdiff.train_lcm(
-        sequences, model_cfg, train_cfg, schedule,
+        sequences, model_cfg, train_cfg, latentdiff.build_schedule(**asdict(sched_cfg)),
         out_dir=out, resume=args.resume,
     )
     history.write_csvs(out)
@@ -273,7 +267,7 @@ def cmd_train_lcm(args) -> int:
         extra_meta={
             "best_step": history.best_step,
             "best_val": history.best_val,
-            "schedule": sched_block,
+            "schedule": asdict(sched_cfg),
         },
     )
     resolved = {
@@ -282,11 +276,7 @@ def cmd_train_lcm(args) -> int:
         "out": str(out),
         "model": asdict(model_cfg),
         "train": asdict(train_cfg),
-        "schedule": {
-            "steps": int(sched_block["steps"]),
-            "lambda_max": float(sched_block.get("lambda_max", 10.0)),
-            "lambda_min": float(sched_block.get("lambda_min", -10.0)),
-        },
+        "schedule": asdict(sched_cfg),
         "resume": str(args.resume) if args.resume else None,
     }
     _write_resolved_config(out, resolved)
@@ -394,18 +384,15 @@ def cmd_sample(args) -> int:
         )
     if prefix.shape[0] < 1:
         raise CliError(2, "prefix file holds no rows")
-    sched_meta = meta.get("schedule", {})
-    steps = args.steps if args.steps is not None else int(sched_meta.get("steps", 40))
-    lam_max = args.lambda_max if args.lambda_max is not None else float(
-        sched_meta.get("lambda_max", 10.0)
-    )
-    lam_min = args.lambda_min if args.lambda_min is not None else float(
-        sched_meta.get("lambda_min", -10.0)
-    )
+    with corpus.malformed_manifest(Path(args.lcm) / "params.json"):
+        sched_cfg = from_dict(latentdiff.ScheduleConfig, meta.get("schedule", {}))
+    overrides = {"steps": args.steps, "lambda_max": args.lambda_max,
+                 "lambda_min": args.lambda_min}
     try:
-        schedule = latentdiff.build_schedule(steps, lam_max, lam_min)
-    except ValueError as exc:
+        sched_cfg = replace(sched_cfg, **{k: v for k, v in overrides.items() if v is not None})
+    except (TypeError, ValueError) as exc:
         raise CliError(2, str(exc)) from exc
+    schedule = latentdiff.build_schedule(**asdict(sched_cfg))
     z = latentdiff.sample_next(
         params, model_cfg, prefix, schedule,
         guidance_scale=args.guidance,
@@ -426,9 +413,7 @@ def cmd_sample(args) -> int:
             "command": "sample",
             "lcm": str(args.lcm),
             "prefix": str(args.prefix),
-            "steps": steps,
-            "lambda_max": lam_max,
-            "lambda_min": lam_min,
+            **asdict(sched_cfg),
             "guidance": args.guidance,
             "eta": args.eta,
             "seed": args.seed,

@@ -21,7 +21,7 @@ in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +80,25 @@ def build_schedule(
     return NoiseSchedule(alpha=alpha, sigma=sigma, log_snr=log_snr)
 
 
+@dataclass(frozen=True)
+class ScheduleConfig:
+    """The `schedule` block of a train-lcm config, stored with the model it trains."""
+
+    steps: int = 40
+    lambda_max: float = 10.0
+    lambda_min: float = -10.0
+
+    def __post_init__(self):
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int):
+            raise TypeError(f"schedule steps must be an integer, got {self.steps!r}")
+        for name in ("lambda_max", "lambda_min"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"schedule {name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        build_schedule(**asdict(self))  # raises on too few levels or an empty range
+
+
 def forward_diffuse(
     x0: np.ndarray, t: int | np.ndarray, eps: np.ndarray, schedule: NoiseSchedule
 ) -> np.ndarray:
@@ -126,21 +145,7 @@ class LcmModelConfig:
         return self.concept_dim + self.lambda_emb_dim + self.ctx_width
 
 
-@dataclass
-class TwoTowerParams:
-    tensors: dict[str, np.ndarray]
-
-    def copy(self) -> "TwoTowerParams":
-        return TwoTowerParams({k: v.copy() for k, v in self.tensors.items()})
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self.tensors[key]
-
-    def keys(self) -> list[str]:
-        return list(self.tensors.keys())
-
-
-def init_two_tower(cfg: LcmModelConfig, rng: np.random.Generator) -> TwoTowerParams:
+def init_two_tower(cfg: LcmModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Fan-in scaled Gaussian init; denoiser output head starts at zero."""
     d, h, f = cfg.concept_dim, cfg.ctx_width, cfg.ffn_mult * cfg.ctx_width
     w = cfg.den_width
@@ -164,7 +169,7 @@ def init_two_tower(cfg: LcmModelConfig, rng: np.random.Generator) -> TwoTowerPar
         tensors[f"den.b{k}.b"] = np.zeros(w)
     tensors["den.out_w"] = np.zeros((d, w))
     tensors["den.out_b"] = np.zeros(d)
-    return TwoTowerParams(tensors)
+    return tensors
 
 
 def lambda_embed(lam: float | np.ndarray, dim: int) -> np.ndarray:
@@ -184,7 +189,7 @@ class _CtxCache:
 
 
 def _ctx_forward(
-    params: TwoTowerParams, cfg: LcmModelConfig, prefix: np.ndarray
+    params: dict[str, np.ndarray], cfg: LcmModelConfig, prefix: np.ndarray
 ) -> tuple[np.ndarray, _CtxCache]:
     prefix = np.asarray(prefix, dtype=np.float64)
     if prefix.ndim < 2 or prefix.shape[-1] != cfg.concept_dim:
@@ -212,7 +217,7 @@ def _ctx_forward(
 
 
 def _ctx_backward(
-    params: TwoTowerParams, cfg: LcmModelConfig, cache: _CtxCache, g_out: np.ndarray,
+    params: dict[str, np.ndarray], cfg: LcmModelConfig, cache: _CtxCache, g_out: np.ndarray,
     grads: dict[str, np.ndarray],
 ) -> None:
     g = g_out
@@ -239,7 +244,7 @@ def _ctx_backward(
 
 
 def contextualize(
-    params: TwoTowerParams, cfg: LcmModelConfig, prefix: np.ndarray
+    params: dict[str, np.ndarray], cfg: LcmModelConfig, prefix: np.ndarray
 ) -> np.ndarray:
     """Causal context vectors, one per prefix position.
 
@@ -260,7 +265,7 @@ class _DenCache:
 
 
 def _den_forward(
-    params: TwoTowerParams, cfg: LcmModelConfig, xt: np.ndarray, lam: np.ndarray, c: np.ndarray
+    params: dict[str, np.ndarray], cfg: LcmModelConfig, xt: np.ndarray, lam: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, _DenCache]:
     """Denoiser over rows: xt (..., d), log-SNR lam (...), context c (..., ctx_width)."""
     inp = np.concatenate([xt, lambda_embed(lam, cfg.lambda_emb_dim), c], axis=-1)
@@ -277,7 +282,7 @@ def _den_forward(
 
 
 def _den_backward(
-    params: TwoTowerParams, cfg: LcmModelConfig, cache: _DenCache, g_out: np.ndarray,
+    params: dict[str, np.ndarray], cfg: LcmModelConfig, cache: _DenCache, g_out: np.ndarray,
     grads: dict[str, np.ndarray],
 ) -> np.ndarray:
     """Accumulate denoiser grads for (N, d) rows; returns the (N, ctx_width) context grads."""
@@ -295,7 +300,7 @@ def _den_backward(
 
 
 def denoise(
-    params: TwoTowerParams,
+    params: dict[str, np.ndarray],
     cfg: LcmModelConfig,
     xt: np.ndarray,
     t: int,
@@ -376,7 +381,7 @@ class LcmTrainConfig:
 
 
 def _loss_forward(
-    params: TwoTowerParams,
+    params: dict[str, np.ndarray],
     cfg: LcmModelConfig,
     items: list[NextEmbeddingItem],
     schedule: NoiseSchedule,
@@ -422,7 +427,7 @@ def _loss_forward(
 
 
 def diffusion_loss(
-    params: TwoTowerParams,
+    params: dict[str, np.ndarray],
     cfg: LcmModelConfig,
     batch: list[NextEmbeddingItem],
     schedule: NoiseSchedule,
@@ -451,7 +456,7 @@ def diffusion_loss(
     total, g_pred, ctx, den_cache = _loss_forward(
         params, cfg, batch, schedule, t, eps, conditioned, squared
     )
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
     g_c = _den_backward(params, cfg, den_cache, g_pred, grads)
     grads["null_ctx"] += g_c[~conditioned].sum(axis=0)
     if ctx is not None:
@@ -490,7 +495,7 @@ class LcmHistory:
 
 
 def _val_loss(
-    params: TwoTowerParams,
+    params: dict[str, np.ndarray],
     cfg: LcmModelConfig,
     items: list[NextEmbeddingItem],
     schedule: NoiseSchedule,
@@ -526,14 +531,14 @@ def train_lcm(
     schedule: NoiseSchedule,
     out_dir: str | Path | None = None,
     resume: str | Path | None = None,
-) -> tuple[TwoTowerParams, LcmHistory]:
+) -> tuple[dict[str, np.ndarray], LcmHistory]:
     """Train the two-tower model on next-embedding items from `sequences`.
 
     Batches are sampled uniformly with replacement using a stream keyed by the
     step index, so a run resumed from a step-k checkpoint replays steps k..end
     bit-identically. Returns the best-validation parameters.
     """
-    from .checkpoints import load_lcm_train_state, save_lcm_train_state
+    from .checkpoints import corpus_sha256, load_lcm_train_state, save_lcm_train_state
 
     sequences = list(sequences)
     if not sequences:
@@ -554,10 +559,11 @@ def train_lcm(
 
     optimizer = AdamW(eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
     history = LcmHistory()
+    corpus_digest = corpus_sha256(sequences)
 
     if resume is not None:
         params, optimizer, start_step, best = load_lcm_train_state(
-            resume, optimizer, model_cfg, cfg
+            resume, optimizer, model_cfg, cfg, corpus_digest
         )
         best_val, best_step, best_tensors = best
     else:
@@ -567,26 +573,24 @@ def train_lcm(
             params, model_cfg, val_items, schedule, cfg.seed, cfg.squared_loss
         )
         best_step = 0
-        best_tensors = {k: v.copy() for k, v in params.tensors.items()}
+        best_tensors = {k: v.copy() for k, v in params.items()}
         history.vals.append(LcmValRecord(step=0, val_loss=best_val))
 
-    tensors = params.tensors
     for step in range(start_step, cfg.max_steps):
         picks = stream_rng(cfg.seed, _STREAM_BATCH, step).integers(
             0, len(train_items), cfg.batch_size
         )
         batch = [train_items[int(i)] for i in picks]
         step_rng = stream_rng(cfg.seed, _STREAM_STEP, step)
-        live = TwoTowerParams(tensors)
         loss, grads, _ = diffusion_loss(
-            live, model_cfg, batch, schedule, cfg.guidance_p, step_rng,
+            params, model_cfg, batch, schedule, cfg.guidance_p, step_rng,
             squared=cfg.squared_loss,
         )
         if not np.isfinite(loss):
             raise TrainingDivergedError(step)
         clipped, raw_norm, clip_norm = clip_global_norm(grads, cfg.grad_clip)
         lr = warmup_cosine(step, cfg.max_steps, cfg.warmup_steps, cfg.lr, cfg.final_lr)
-        tensors = optimizer.step(tensors, clipped, lr)
+        optimizer.step(params, clipped, lr)
         history.steps.append(
             LcmStepRecord(
                 step=step, lr=lr, loss=loss,
@@ -597,24 +601,23 @@ def train_lcm(
         done = step + 1
         if done % cfg.val_every == 0 or done == cfg.max_steps:
             val = _val_loss(
-                TwoTowerParams(tensors), model_cfg, val_items, schedule,
-                cfg.seed, cfg.squared_loss,
+                params, model_cfg, val_items, schedule, cfg.seed, cfg.squared_loss
             )
             history.vals.append(LcmValRecord(step=done, val_loss=val))
             if val < best_val:
                 best_val = val
                 best_step = done
-                best_tensors = {k: v.copy() for k, v in tensors.items()}
+                best_tensors = {k: v.copy() for k, v in params.items()}
         if out_dir is not None and done % cfg.ckpt_every == 0:
             ckpt_dir = Path(out_dir) / "checkpoints" / f"step-{done:06d}"
             save_lcm_train_state(
-                ckpt_dir, TwoTowerParams(tensors), model_cfg, cfg, optimizer,
-                done, best_val, best_step, best_tensors,
+                ckpt_dir, params, model_cfg, cfg, optimizer,
+                done, best_val, best_step, best_tensors, corpus_digest,
             )
 
     history.best_step = best_step
     history.best_val = best_val
-    return TwoTowerParams(best_tensors), history
+    return best_tensors, history
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +625,7 @@ def train_lcm(
 
 
 def sample_next(
-    params: TwoTowerParams,
+    params: dict[str, np.ndarray],
     cfg: LcmModelConfig,
     prefix: np.ndarray,
     schedule: NoiseSchedule,

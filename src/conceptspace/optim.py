@@ -2,10 +2,10 @@
 warmup-cosine learning-rate schedule, global-norm gradient clipping and the
 divergence error both trainers raise.
 
-Updates are functional: step() returns a fresh tensor dict and never mutates
-the inputs, so forward traces taken before an update stay valid. Moment
-buffers and per-tensor step counts live in the optimizer; skipping a tensor
-(e.g. a frozen adapter) leaves its moments untouched, exactly as if no
+Updates are in place: step() overwrites the passed tensors and the moment
+buffers it owns (state_tensors() returns them live), so run the backward pass
+before the step and copy whatever must outlive it. Skipping a tensor (e.g. a
+frozen adapter) leaves it and its moments untouched, exactly as if no
 gradient had ever been produced for it.
 """
 
@@ -65,12 +65,10 @@ class AdamW:
         grads: dict[str, np.ndarray],
         lr_for: dict[str, float] | float,
         skip: frozenset[str] | set[str] = frozenset(),
-    ) -> dict[str, np.ndarray]:
-        """Apply one update and return new tensors; skipped keys are copied."""
-        out: dict[str, np.ndarray] = {}
+    ) -> None:
+        """Apply one update to `params` in place; skipped keys stay untouched."""
         for key, p in params.items():
             if key in skip or key not in grads:
-                out[key] = p.copy()
                 continue
             g = grads[key]
             lr = lr_for[key] if isinstance(lr_for, dict) else lr_for
@@ -80,15 +78,16 @@ class AdamW:
                 self.t[key] = 0
             self.t[key] += 1
             t = self.t[key]
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[key] / (1.0 - self.beta1**t)
-            v_hat = self.v[key] / (1.0 - self.beta2**t)
-            new = p - lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay != 0.0:
-                new = new - lr * self.weight_decay * p
-            out[key] = new
-        return out
+            m, v = self.m[key], self.v[key]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            # Decoupled decay scales the weights from before this step.
+            decay = lr * self.weight_decay * p if self.weight_decay != 0.0 else None
+            p -= lr * (m / (1.0 - self.beta1**t)) / (np.sqrt(v / (1.0 - self.beta2**t)) + self.eps)
+            if decay is not None:
+                p -= decay
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Moment buffers as named tensors (for checkpointing)."""

@@ -56,24 +56,8 @@ class ProjectorConfig:
 ADAPTER_KEY = "adapter"
 
 
-@dataclass
-class ProjectorParams:
-    """Named tensors of the projector; insertion order is the canonical order."""
-
-    tensors: dict[str, np.ndarray]
-
-    def copy(self) -> "ProjectorParams":
-        return ProjectorParams({k: v.copy() for k, v in self.tensors.items()})
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self.tensors[key]
-
-    def keys(self) -> list[str]:
-        return list(self.tensors.keys())
-
-
-def init_projector(cfg: ProjectorConfig, rng: np.random.Generator) -> ProjectorParams:
-    """Gaussian near-zero init for the connector, identity for the adapter."""
+def init_projector(cfg: ProjectorConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Projector tensors in canonical order: Gaussian near-zero connector, identity adapter."""
     d_f, d_c, s = cfg.frame_dim, cfg.concept_dim, cfg.init_sigma
     tensors: dict[str, np.ndarray] = {}
     if cfg.use_adapter:
@@ -85,7 +69,7 @@ def init_projector(cfg: ProjectorConfig, rng: np.random.Generator) -> ProjectorP
         tensors[name] = gaussian_sample(rng, (d_f, d_f), 0.0, s)
     tensors["out.w"] = gaussian_sample(rng, (d_c, d_f), 0.0, s)
     tensors["out.b"] = np.zeros(d_c)
-    return ProjectorParams(tensors)
+    return tensors
 
 
 def sinusoidal_pe(length: int, dim: int) -> np.ndarray:
@@ -116,12 +100,12 @@ class ForwardTrace:
     pool_cache: AttentionCache | None
     max_indices: np.ndarray | None  # (..., 1, frame_dim) argmax over frames
     pooled: np.ndarray  # (..., frame_dim)
-    params: ProjectorParams
+    params: dict[str, np.ndarray]
     output: np.ndarray  # (..., concept_dim)
 
 
 def project(
-    params: ProjectorParams,
+    params: dict[str, np.ndarray],
     cfg: ProjectorConfig,
     frames: np.ndarray,
     training: bool = False,
@@ -229,7 +213,7 @@ def project_backward(trace: ForwardTrace, upstream: np.ndarray) -> dict[str, np.
         g_with_pe = g_hidden + g_xq + g_xkv
     else:
         for name in ("attn.wq", "attn.wk", "attn.wv", "attn.wo"):
-            if name in params.tensors:
+            if name in params:
                 grads[name] = np.zeros_like(params[name])
         g_with_pe = g_hidden
 
@@ -242,7 +226,7 @@ def project_backward(trace: ForwardTrace, upstream: np.ndarray) -> dict[str, np.
     return grads
 
 
-def _zero_pool_grads(grads: dict[str, np.ndarray], params: ProjectorParams) -> None:
+def _zero_pool_grads(grads: dict[str, np.ndarray], params: dict[str, np.ndarray]) -> None:
     for name in ("pool.wq", "pool.wk", "pool.wv", "pool.wo", "cls"):
-        if name in params.tensors:
+        if name in params:
             grads[name] = np.zeros_like(params[name])

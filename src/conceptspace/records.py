@@ -9,6 +9,8 @@ from pathlib import Path
 
 def from_dict(cls, d: dict):
     """Build dataclass `cls` from `d`; a key that names no field is an error, not ignored."""
+    if not isinstance(d, dict):
+        raise TypeError(f"{cls.__name__} block must be an object, got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")

@@ -40,7 +40,6 @@ from conceptspace.corpus import (
 from conceptspace.latentdiff import (
     LcmModelConfig,
     LcmTrainConfig,
-    TwoTowerParams,
     build_schedule,
     diffusion_loss,
     forward_diffuse,
@@ -59,7 +58,6 @@ from conceptspace.numerics import (
 )
 from conceptspace.projector import (
     ProjectorConfig,
-    ProjectorParams,
     init_projector,
     project,
     project_backward,
@@ -91,16 +89,16 @@ def _projector_grad_err(seed: int) -> float:
     params = init_projector(cfg, rng)
     frames = rng.standard_normal((3, 6))
     w = rng.standard_normal(4)
-    order = sorted(params.tensors)
-    shapes = {k: params.tensors[k].shape for k in order}
+    order = sorted(params)
+    shapes = {k: params[k].shape for k in order}
 
     def f(vec):
-        p = ProjectorParams(unflatten_tensors(vec, shapes, order))
+        p = unflatten_tensors(vec, shapes, order)
         return float(project(p, cfg, frames)[0] @ w)
 
     _, trace = project(params, cfg, frames)
     grads = project_backward(trace, w)
-    point = flatten_tensors(params.tensors, order)
+    point = flatten_tensors(params, order)
     return grad_check(f, flatten_tensors(grads, order), point, eps=1e-5)
 
 
@@ -131,18 +129,18 @@ def _latentdiff_grad_err(seed: int) -> float:
         [EmbeddingSequence(stream_rng(seed, 4).standard_normal((3, 4)))]
     )
     sched = build_schedule(6)
-    order = sorted(params.tensors)
-    shapes = {k: params.tensors[k].shape for k in order}
+    order = sorted(params)
+    shapes = {k: params[k].shape for k in order}
 
     # fresh keyed generator per call -> identical level/noise/dropout draws
     def run(p):
         return diffusion_loss(p, cfg, items, sched, 0.5, stream_rng(seed, 5))
 
     _, grads, _ = run(params)
-    point = flatten_tensors(params.tensors, order)
+    point = flatten_tensors(params, order)
 
     def f(vec):
-        return run(TwoTowerParams(unflatten_tensors(vec, shapes, order)))[0]
+        return run(unflatten_tensors(vec, shapes, order))[0]
 
     return grad_check(f, flatten_tensors(grads, order), point, eps=1e-5)
 
@@ -356,8 +354,8 @@ def test_criterion_04_curriculum_convergence(curriculum_run):
     init = init_projector(_CURR_PROJ, stream_rng(0, 999))
     _, mse_init = _heldout_eval(init, _CURR_PROJ, c["world"], c["held"])
     ratio = mse_trained / mse_init
-    same_params = all(np.array_equal(c["params"].tensors[k], c["params_b"].tensors[k])
-                      for k in c["params"].tensors)
+    same_params = all(np.array_equal(c["params"][k], c["params_b"][k])
+                      for k in c["params"])
     same_history = all(ha.epochs == hb.epochs and ha.steps == hb.steps
                        for ha, hb in zip(c["hists"], c["hists_b"]))
     ok = (r1 >= 0.90 and ratio <= 0.1 and c["elapsed"] < 300.0
@@ -570,8 +568,8 @@ def test_criterion_10_formats_and_determinism(tmp_path):
         seqs, mcfg, tcfg, sched,
         resume=full_dir / "checkpoints" / "step-000020")
     resume_ok = (hist_res.steps == hist_full.steps[20:]
-                 and all(np.array_equal(params_res.tensors[k], params_full.tensors[k])
-                         for k in params_full.tensors))
+                 and all(np.array_equal(params_res[k], params_full[k])
+                         for k in params_full))
 
     ok = lossless and gen_ok and seq_ok and eval_ok and resume_ok
     _criterion(10, ok, f"lossless {lossless}, gen {gen_ok}, gen-seq {seq_ok}, "

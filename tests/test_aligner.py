@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conceptspace import aligner
 from conceptspace.aligner import (
     AlignConfig,
     combined_loss,
@@ -227,37 +228,37 @@ def test_adamw_first_step_magnitude():
     # bias-corrected first step moves by almost exactly lr
     opt = AdamW()
     params = {"p": np.array([1.0])}
-    new = opt.step(params, {"p": np.array([1.0])}, 0.01)
-    assert new["p"][0] == pytest.approx(1.0 - 0.01, abs=1e-9)
+    opt.step(params, {"p": np.array([1.0])}, 0.01)
+    assert params["p"][0] == pytest.approx(1.0 - 0.01, abs=1e-9)
 
 
 def test_adamw_decoupled_weight_decay():
     opt = AdamW(weight_decay=0.1)
     params = {"p": np.array([2.0])}
-    new = opt.step(params, {"p": np.array([0.0])}, 0.5)
+    opt.step(params, {"p": np.array([0.0])}, 0.5)
     # zero gradient: only the decay term -lr*wd*p fires
-    assert new["p"][0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0)
+    assert params["p"][0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0)
 
 
 def test_adamw_skip_leaves_tensor_and_moments_alone():
     opt = AdamW()
     params = {"a": np.array([1.0]), "b": np.array([1.0])}
     grads = {"a": np.array([1.0]), "b": np.array([1.0])}
-    new = opt.step(params, grads, 0.1, skip={"b"})
-    assert new["b"][0] == 1.0
-    assert new["a"][0] != 1.0
-    new2 = opt.step(new, grads, 0.1, skip=set())
+    opt.step(params, grads, 0.1, skip={"b"})
+    assert params["b"][0] == 1.0
+    assert params["a"][0] != 1.0
+    opt.step(params, grads, 0.1, skip=set())
     # b's first real update must look like a fresh first step, not a third one
-    assert new2["b"][0] == pytest.approx(1.0 - 0.1, abs=1e-8)
+    assert params["b"][0] == pytest.approx(1.0 - 0.1, abs=1e-8)
 
 
 def test_adamw_per_key_learning_rates():
     opt = AdamW()
     params = {"a": np.array([0.0]), "b": np.array([0.0])}
     grads = {"a": np.array([1.0]), "b": np.array([1.0])}
-    new = opt.step(params, grads, {"a": 0.1, "b": 0.2})
-    assert new["a"][0] == pytest.approx(-0.1, abs=1e-8)
-    assert new["b"][0] == pytest.approx(-0.2, abs=1e-8)
+    opt.step(params, grads, {"a": 0.1, "b": 0.2})
+    assert params["a"][0] == pytest.approx(-0.1, abs=1e-8)
+    assert params["b"][0] == pytest.approx(-0.2, abs=1e-8)
 
 
 def test_adamw_state_round_trip():
@@ -265,16 +266,67 @@ def test_adamw_state_round_trip():
     params = {"w": rng.normal(size=(3,))}
     opt = AdamW()
     for k in range(4):
-        params = opt.step(params, {"w": rng.normal(size=(3,))}, 0.05)
+        opt.step(params, {"w": rng.normal(size=(3,))}, 0.05)
     saved_state = {k: v.copy() for k, v in opt.state_tensors().items()}
     saved_t = dict(opt.t)
     next_grad = rng.normal(size=(3,))
-    expected = opt.step({k: v.copy() for k, v in params.items()}, {"w": next_grad}, 0.05)
+    expected = {k: v.copy() for k, v in params.items()}
+    opt.step(expected, {"w": next_grad}, 0.05)
 
     fresh = AdamW()
     fresh.load_state(saved_state, saved_t)
-    resumed = fresh.step(params, {"w": next_grad}, 0.05)
-    assert np.array_equal(resumed["w"], expected["w"])
+    fresh.step(params, {"w": next_grad}, 0.05)
+    assert np.array_equal(params["w"], expected["w"])
+
+
+def _functional_adamw_step(state, params, grads, lr_for, skip, b1=0.9, b2=0.999,
+                           eps=1e-8, wd=0.0):
+    """Reference: the out-of-place AdamW update, returning fresh tensors."""
+    m, v, steps = state
+    out = {}
+    for key, p in params.items():
+        if key in skip or key not in grads:
+            out[key] = p.copy()
+            continue
+        g = grads[key]
+        lr = lr_for[key] if isinstance(lr_for, dict) else lr_for
+        if key not in m:
+            m[key], v[key], steps[key] = np.zeros_like(p), np.zeros_like(p), 0
+        steps[key] += 1
+        t = steps[key]
+        m[key] = b1 * m[key] + (1.0 - b1) * g
+        v[key] = b2 * v[key] + (1.0 - b2) * g * g
+        m_hat = m[key] / (1.0 - b1**t)
+        v_hat = v[key] / (1.0 - b2**t)
+        new = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        if wd != 0.0:
+            new = new - lr * wd * p
+        out[key] = new
+    return out
+
+
+def test_adamw_updates_in_place_bit_for_bit_with_functional_reference():
+    rng = stream_rng(7, 0)
+    shapes = {"w": (4, 3), "b": (3,), "frozen": (2, 2)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    ref_state = ({}, {}, {})
+    opt = AdamW(weight_decay=0.05)
+    held = dict(params)
+    for step in range(300):
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        lr_for = {"w": 1e-2, "b": 3e-3, "frozen": 1e-2}
+        skip = {"frozen"} if step < 150 else set()
+        assert opt.step(params, grads, lr_for, skip=skip) is None
+        ref = _functional_adamw_step(ref_state, ref, grads, lr_for, skip, wd=0.05)
+        for key in shapes:
+            assert np.shares_memory(params[key], held[key])
+            assert np.array_equal(params[key], ref[key]), (step, key)
+    for key in shapes:
+        assert np.array_equal(opt.m[key], ref_state[0][key])
+        assert np.array_equal(opt.v[key], ref_state[1][key])
+        assert np.shares_memory(opt.state_tensors()[f"m.{key}"], opt.m[key])
+    assert opt.t == ref_state[2] == {"w": 300, "b": 300, "frozen": 150}
 
 
 def test_global_norm_and_clip():
@@ -357,6 +409,36 @@ def test_train_stage_freeze_keeps_adapter_bits():
     trained, history = train_stage(ds, params, proj_cfg, cfg)
     assert np.array_equal(trained[ADAPTER_KEY], before)
     assert all(r.phase == "frozen" for r in history.steps)
+
+
+def test_train_stage_and_curriculum_leave_initial_tensors_alone(monkeypatch):
+    made = []
+
+    class RecordingAdamW(AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+        def step(self, params, grads, lr_for, skip=frozenset()):
+            self.live = params
+            super().step(params, grads, lr_for, skip=skip)
+
+    monkeypatch.setattr(aligner, "AdamW", RecordingAdamW)
+    _, s1, s2 = _world_and_stages()
+    proj_cfg = _proj_cfg(dim=16, concept_dim=8)
+    cfg = _align_cfg(max_epochs=3, weight_decay=0.01, freeze_steps=4)
+    initial = init_projector(proj_cfg, stream_rng(cfg.seed, 1))
+    before = {k: v.copy() for k, v in initial.items()}
+    best, _ = train_stage(s1.dataset, initial, proj_cfg, cfg)
+    best_curriculum, _ = run_curriculum([s1, s2], proj_cfg, cfg, initial=initial)
+    for key in before:
+        assert initial[key].tobytes() == before[key].tobytes(), key
+    assert len(made) == 3
+    assert any(not np.array_equal(best[k], before[k]) for k in before)
+    # What a trainer returns is a copy, never the optimizer's live weights or moments.
+    for result, opt in ((best, made[0]), (best_curriculum, made[2])):
+        live = [*opt.live.values(), *opt.state_tensors().values()]
+        assert not any(np.shares_memory(r, a) for r in result.values() for a in live)
 
 
 def test_train_stage_never_touches_targets():

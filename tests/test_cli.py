@@ -318,6 +318,40 @@ def test_train_lcm_resume_refuses_other_config(tmp_path, capsys, block, key, val
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(("schedule", "needle"), [({"steps": 6, "lamda_max": 3.0}, "lamda_max"),
+                                                ([1], "must be an object")])
+def test_train_lcm_bad_schedule_block_exits_2(lcm_setup, tmp_path, capsys, schedule, needle):
+    _root, data, config = lcm_setup
+    doc = json.loads(config.read_text())
+    doc["schedule"] = schedule
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(_train_args(tmp_path / "run", data, bad, extra=["--steps", "6"])) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_lcm_stores_the_full_schedule(trained_lcm):
+    model, _data = trained_lcm
+    _params, _cfg, meta = checkpoints.load_lcm(model)
+    assert meta["schedule"] == {"steps": 6, "lambda_max": 10.0, "lambda_min": -10.0}
+    resolved = json.loads((model.parent / "resolved-config.json").read_text())
+    assert resolved["schedule"] == meta["schedule"]
+
+
+def test_train_lcm_resume_refuses_other_corpus(tmp_path, capsys):
+    _manifest, argv = _train_state_case(tmp_path)
+    assert cli.main(_gen_seq_args(tmp_path / "other", seed=3)) == 0
+    argv[argv.index("--data") + 1] = str(tmp_path / "other")
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "corpus" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -535,6 +569,14 @@ def _lcm_config_case(root):
     return root / "m" / "params.json", _sample_args(root / "n.bin", root / "m", root / "p.bin")
 
 
+def _lcm_schedule_case(root):
+    manifest, argv = _lcm_config_case(root)
+    doc = json.loads(manifest.read_text())
+    doc["meta"]["schedule"] = {"steps": 6, "lambda_max": 10.0, "lambda_min": -10.0}
+    manifest.write_text(json.dumps(doc))
+    return manifest, argv
+
+
 def _train_state_case(root):
     assert cli.main(_gen_seq_args(root / "s")) == 0
     config = root / "tiny.json"
@@ -557,6 +599,8 @@ _LOADERS = {
     "checkpoint": (_checkpoint_case, ("tensors",), 7),
     "projector-config": (_projector_config_case, ("meta", "config"), 7),
     "lcm-config": (_lcm_config_case, ("meta", "config"), 7),
+    "checkpoint-meta": (_lcm_config_case, ("meta",), [1]),
+    "lcm-schedule": (_lcm_schedule_case, ("meta", "schedule"), "abc"),
     "train-state": (_train_state_case, ("meta", "step"), [7]),
 }
 
@@ -566,6 +610,10 @@ _FAULTS = [(loader, fault) for loader in ("dataset", "sequences", "checkpoint")
 # Checkpoint fields read after params.json parses; bad JSON is the "checkpoint" case.
 _FAULTS += [(loader, fault) for loader in ("projector-config", "lcm-config", "train-state")
             for fault in ("missing-key", "wrong-type")]
+
+
+_FAULTS += [("checkpoint-meta", "wrong-type"), ("lcm-schedule", "wrong-type"),
+            ("lcm-schedule", "unknown-key")]
 
 
 @pytest.mark.parametrize(("loader", "fault"), _FAULTS + [("sequences", "old-format"),
@@ -591,6 +639,28 @@ def test_malformed_manifest_exits_3(loader, fault, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stored", [[1], {"steps": "x"}, {"steps": 1}])
+def test_sample_malformed_stored_schedule_exits_3(stored, tmp_path, capsys):
+    manifest, argv = _lcm_schedule_case(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["meta"]["schedule"] = stored
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_sample_schedule_flags_override_the_stored_schedule(tmp_path, capsys):
+    manifest, argv = _lcm_schedule_case(tmp_path)
+    assert cli.main([*argv, "--lambda-max", "4", "--lambda-min", "-3"]) == 0
+    resolved = json.loads((tmp_path / "resolved-config.json").read_text())
+    assert (resolved["steps"], resolved["lambda_max"], resolved["lambda_min"]) == (6, 4.0, -3.0)
+    capsys.readouterr()
+    assert cli.main([*argv, "--lambda-max", "-5", "--lambda-min", "-3"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conceptspace import latentdiff
+from conceptspace import checkpoints, latentdiff
 from conceptspace.checkpoints import load_lcm, save_lcm
 from conceptspace.corpus import EmbeddingSequence
 from conceptspace.latentdiff import (
@@ -16,7 +16,7 @@ from conceptspace.latentdiff import (
     LcmModelConfig,
     LcmTrainConfig,
     NoiseSchedule,
-    TwoTowerParams,
+    ScheduleConfig,
     _ctx_backward,
     _ctx_forward,
     _val_loss,
@@ -31,7 +31,7 @@ from conceptspace.latentdiff import (
     train_lcm,
 )
 from conceptspace.numerics import grad_check, stream_rng
-from conceptspace.optim import TrainingDivergedError, warmup_cosine
+from conceptspace.optim import AdamW, TrainingDivergedError, warmup_cosine
 from conceptspace.records import from_dict
 
 # sqrt(sigmoid(-20)) from 50-digit mpmath: the sigma at log-SNR +20.
@@ -192,7 +192,7 @@ def test_context_tower_right_padding_is_inert():
         out, cache = _ctx_forward(params, cfg, padded)
         g_out = np.zeros_like(out)
         g_out[last] = g_last
-        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
         _ctx_backward(params, cfg, cache, g_out, grads)
         runs.append((out, grads))
     (out_a, grads_a), (out_b, grads_b) = runs
@@ -200,7 +200,7 @@ def test_context_tower_right_padding_is_inert():
         n = p.shape[0]
         assert np.array_equal(out_a[i, :n], out_b[i, :n])
         np.testing.assert_allclose(out_a[i, :n], contextualize(params, cfg, p), rtol=0, atol=1e-12)
-    for key in params.tensors:
+    for key in params:
         assert np.array_equal(grads_a[key], grads_b[key]), key
 
 
@@ -222,7 +222,7 @@ def test_unconditional_branch_ignores_context():
     cfg = _model_cfg()
     params = _rand_params(cfg)
     # give the output head real weights so the branch actually computes
-    params.tensors["den.out_w"] = stream_rng(22, 2).normal(size=params.tensors["den.out_w"].shape)
+    params["den.out_w"] = stream_rng(22, 2).normal(size=params["den.out_w"].shape)
     sched = build_schedule(8)
     xt = stream_rng(22, 3).normal(size=6)
     c1 = stream_rng(22, 4).normal(size=cfg.ctx_width)
@@ -256,8 +256,8 @@ def test_loss_zero_at_fixed_point():
 def test_loss_guidance_extremes_and_counter():
     cfg = _model_cfg()
     params = _rand_params(cfg)
-    params.tensors["den.out_w"] = stream_rng(23, 1).normal(
-        size=params.tensors["den.out_w"].shape
+    params["den.out_w"] = stream_rng(23, 1).normal(
+        size=params["den.out_w"].shape
     ) * 0.1
     sched = build_schedule(8)
     batch = [_one_item(key=k) for k in range(8)]
@@ -288,8 +288,8 @@ def _mixed_batch(d=6):
 def _live_params(cfg):
     params = _rand_params(cfg)
     # non-trivial output head so the loss depends on every tower
-    params.tensors["den.out_w"] = stream_rng(24, 0).normal(
-        size=params.tensors["den.out_w"].shape
+    params["den.out_w"] = stream_rng(24, 0).normal(
+        size=params["den.out_w"].shape
     ) * 0.3
     return params
 
@@ -309,7 +309,7 @@ def test_diffusion_loss_batch_matches_per_item_calls(squared):
     # order as the batched call.
     rng = stream_rng(25, 7)
     ref_loss, ref_dropped = 0.0, 0
-    ref_grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    ref_grads = {k: np.zeros_like(v) for k, v in params.items()}
     for item in batch:
         item_loss, item_grads, item_dropped = diffusion_loss(
             params, cfg, [item], sched, 0.3, rng, squared=squared
@@ -320,7 +320,7 @@ def test_diffusion_loss_batch_matches_per_item_calls(squared):
             ref_grads[key] += item_grads[key]
     assert dropped == ref_dropped
     assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
-    for key in params.tensors:
+    for key in params:
         np.testing.assert_allclose(grads[key], ref_grads[key], rtol=0, atol=1e-12, err_msg=key)
 
 
@@ -331,12 +331,12 @@ def _check_loss_grads(cfg, params, batch, sched, rng_key, squared):
     assert loss > 0.0
 
     worst = 0.0
-    for key in params.tensors:
-        base = params.tensors[key]
+    for key in params:
+        base = params[key]
 
         def f(flat, _key=key):
-            p2 = params.copy()
-            p2.tensors[_key] = flat.reshape(base.shape)
+            p2 = dict(params)
+            p2[_key] = flat.reshape(base.shape)
             val, _, _ = diffusion_loss(
                 p2, cfg, batch, sched, 0.3, stream_rng(*rng_key), squared=squared
             )
@@ -447,8 +447,8 @@ def test_train_lcm_deterministic():
     params_b, hist_b = train_lcm([seq], mcfg, tcfg, sched)
     assert hist_a.steps == hist_b.steps
     assert hist_a.vals == hist_b.vals
-    for key in params_a.tensors:
-        assert np.array_equal(params_a.tensors[key], params_b.tensors[key])
+    for key in params_a:
+        assert np.array_equal(params_a[key], params_b[key])
 
 
 def test_train_lcm_checkpoint_resume_matches(tmp_path):
@@ -461,8 +461,27 @@ def test_train_lcm_checkpoint_resume_matches(tmp_path):
     params_res, hist_res = train_lcm([seq], mcfg, tcfg, sched, resume=ckpt)
     assert hist_res.steps == hist_full.steps[40:]
     assert hist_res.best_val == hist_full.best_val
-    for key in params_full.tensors:
-        assert np.array_equal(params_res.tensors[key], params_full.tensors[key])
+    for key in params_full:
+        assert np.array_equal(params_res[key], params_full[key])
+
+
+def test_train_lcm_best_tensors_are_not_the_live_weights(tmp_path, monkeypatch):
+    live = []
+
+    class RecordingAdamW(AdamW):
+        def step(self, params, grads, lr_for, skip=frozenset()):
+            live[:] = [*params.values(), *self.state_tensors().values()]
+            super().step(params, grads, lr_for, skip=skip)
+
+    monkeypatch.setattr(latentdiff, "AdamW", RecordingAdamW)
+    seq, mcfg, sched = _memorize_setup()
+    tcfg = LcmTrainConfig(lr=1e-3, final_lr=1e-5, warmup_steps=5, max_steps=40,
+                          batch_size=4, seed=6, val_every=10, ckpt_every=20)
+    for resume in (None, tmp_path / "full" / "checkpoints" / "step-000020"):
+        best, history = train_lcm([seq], mcfg, tcfg, sched, out_dir=tmp_path / "full",
+                                  resume=resume)
+        assert history.best_step > 0
+        assert not any(np.shares_memory(b, a) for b in best.values() for a in live)
 
 
 def test_train_lcm_divergence_aborts_with_step():
@@ -496,8 +515,8 @@ def test_sample_single_level_collapse():
 def test_sample_zero_guidance_matches_conditional_loop():
     cfg = _model_cfg()
     params = _rand_params(cfg)
-    params.tensors["den.out_w"] = stream_rng(28, 2).normal(
-        size=params.tensors["den.out_w"].shape
+    params["den.out_w"] = stream_rng(28, 2).normal(
+        size=params["den.out_w"].shape
     ) * 0.2
     sched = build_schedule(6)
     prefix = stream_rng(28, 3).normal(size=(3, 6))
@@ -517,10 +536,10 @@ def test_sample_zero_guidance_matches_conditional_loop():
 def test_sample_guided_matches_two_call_loop():
     cfg = _model_cfg()
     params = _rand_params(cfg)
-    params.tensors["den.out_w"] = stream_rng(28, 5).normal(
-        size=params.tensors["den.out_w"].shape
+    params["den.out_w"] = stream_rng(28, 5).normal(
+        size=params["den.out_w"].shape
     ) * 0.2
-    params.tensors["null_ctx"] = stream_rng(28, 6).normal(size=cfg.ctx_width)
+    params["null_ctx"] = stream_rng(28, 6).normal(size=cfg.ctx_width)
     sched = build_schedule(6)
     prefix = stream_rng(28, 7).normal(size=(4, 6))
     out = sample_next(params, cfg, prefix, sched, guidance_scale=1.5,
@@ -551,8 +570,8 @@ def test_sample_deterministic_given_seed():
 def test_sample_guidance_changes_output():
     cfg = _model_cfg()
     params = _rand_params(cfg)
-    params.tensors["den.out_w"] = stream_rng(29, 1).normal(
-        size=params.tensors["den.out_w"].shape
+    params["den.out_w"] = stream_rng(29, 1).normal(
+        size=params["den.out_w"].shape
     ) * 0.2
     sched = build_schedule(8)
     prefix = stream_rng(29, 2).normal(size=(2, 6))
@@ -564,8 +583,8 @@ def test_sample_guidance_changes_output():
 def test_sample_eta_injects_seeded_noise():
     cfg = _model_cfg()
     params = _rand_params(cfg)
-    params.tensors["den.out_w"] = stream_rng(29, 3).normal(
-        size=params.tensors["den.out_w"].shape
+    params["den.out_w"] = stream_rng(29, 3).normal(
+        size=params["den.out_w"].shape
     ) * 0.2
     sched = build_schedule(8)
     prefix = stream_rng(29, 4).normal(size=(2, 6))
@@ -585,6 +604,20 @@ def test_model_config_dict_round_trip():
     assert from_dict(LcmModelConfig, asdict(cfg)) == cfg
 
 
+def test_schedule_config_defaults_types_and_range():
+    assert asdict(ScheduleConfig()) == {"steps": 40, "lambda_max": 10.0, "lambda_min": -10.0}
+    cfg = from_dict(ScheduleConfig, {"steps": 6, "lambda_max": 3})
+    assert cfg.lambda_max == 3.0 and isinstance(cfg.lambda_max, float)
+    for bad in ({"steps": "x"}, {"steps": 6.0}, {"steps": True}, {"lambda_min": "-1"}):
+        with pytest.raises(TypeError):
+            from_dict(ScheduleConfig, bad)
+    for bad in ({"steps": 1}, {"lambda_max": -20.0}):
+        with pytest.raises(ValueError):
+            from_dict(ScheduleConfig, bad)
+    with pytest.raises(ValueError, match="lamda_max"):
+        from_dict(ScheduleConfig, {"lamda_max": 3.0})
+
+
 def test_lcm_checkpoint_round_trip(tmp_path):
     cfg = _model_cfg()
     params = _rand_params(cfg, key=3)
@@ -592,5 +625,59 @@ def test_lcm_checkpoint_round_trip(tmp_path):
     loaded, loaded_cfg, meta = load_lcm(tmp_path / "ck")
     assert loaded_cfg == cfg
     assert meta["seed"] == 17
-    for key in params.tensors:
-        assert np.array_equal(loaded.tensors[key], params.tensors[key])
+    for key in params:
+        assert np.array_equal(loaded[key], params[key])
+
+
+@pytest.mark.parametrize("fail_at", [1, 4, 7])
+def test_failed_save_keeps_old_checkpoint(tmp_path, monkeypatch, fail_at):
+    cfg = _model_cfg()
+    old = _rand_params(cfg, key=3)
+    save_lcm(tmp_path / "ck", old, cfg, extra_meta={"seed": 1})
+    before = {p.name: p.read_bytes() for p in (tmp_path / "ck").iterdir()}
+    calls = []
+    real_write = checkpoints.write_embeddings
+
+    def failing_write(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise OSError("disk full")
+        real_write(*args, **kwargs)
+
+    monkeypatch.setattr(checkpoints, "write_embeddings", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_lcm(tmp_path / "ck", _rand_params(cfg, key=4), cfg, extra_meta={"seed": 2})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+    assert {p.name: p.read_bytes() for p in (tmp_path / "ck").iterdir()} == before
+    loaded, _, meta = load_lcm(tmp_path / "ck")
+    assert meta["seed"] == 1
+    for key in old:
+        assert loaded[key].tobytes() == old[key].tobytes()
+
+
+def test_save_replaces_old_checkpoint_completely(tmp_path):
+    cfg = _model_cfg()
+    save_lcm(tmp_path / "ck", _rand_params(cfg, key=3), cfg, extra_meta={"seed": 1})
+    (tmp_path / "ck" / "stale.bin").write_bytes(b"old")
+    new = _rand_params(cfg, key=4)
+    save_lcm(tmp_path / "ck", new, cfg, extra_meta={"seed": 2})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+    assert not (tmp_path / "ck" / "stale.bin").exists()
+    loaded, _, meta = load_lcm(tmp_path / "ck")
+    assert meta["seed"] == 2
+    for key in new:
+        assert np.array_equal(loaded[key], new[key])
+
+
+def test_resume_refuses_other_corpus(tmp_path):
+    seq, mcfg, sched = _memorize_setup()
+    tcfg = LcmTrainConfig(lr=1e-3, final_lr=1e-5, warmup_steps=5, max_steps=20,
+                          batch_size=4, seed=6, val_every=10, ckpt_every=10)
+    train_lcm([seq], mcfg, tcfg, sched, out_dir=tmp_path / "full")
+    ckpt = tmp_path / "full" / "checkpoints" / "step-000010"
+    other = EmbeddingSequence(embeddings=seq.embeddings + 1e-12)
+    for corpus in ([other], [seq, seq]):
+        with pytest.raises(ValueError, match="corpus"):
+            train_lcm(corpus, mcfg, tcfg, sched, resume=ckpt)
+    _, history = train_lcm([seq], mcfg, tcfg, sched, resume=ckpt)
+    assert len(history.steps) == 10

@@ -256,12 +256,12 @@ def _grad_check_all(pooling, frames):
         base = frames if key == "frames" else params[key]
 
         def f(flat, _key=key):
-            p2 = params.copy()
+            p2 = dict(params)
             fr = frames
             if _key == "frames":
                 fr = flat.reshape(frames.shape)
             else:
-                p2.tensors[_key] = flat.reshape(base.shape)
+                p2[_key] = flat.reshape(base.shape)
             loss, _ = _loss_and_grads(p2, cfg, fr)
             return loss
 
@@ -312,8 +312,8 @@ def test_project_backward_with_dropout_mask_replayed():
     _, grads = _loss_and_grads(params, cfg, frames, rng_key=(11, 0))
 
     def f(flat):
-        p2 = params.copy()
-        p2.tensors["attn.wv"] = flat.reshape((8, 8))
+        p2 = dict(params)
+        p2["attn.wv"] = flat.reshape((8, 8))
         loss, _ = _loss_and_grads(p2, cfg, frames, rng_key=(11, 0))
         return loss
 
