@@ -15,13 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoints, corpus, latentdiff, spaceval
-from .aligner import AlignConfig, run_curriculum
+from .aligner import AlignConfig, apply_stage_overrides, run_curriculum
 from .corpus import CurriculumStage, EmbeddingFormatError, PairedDataset
 from .numerics import stream_rng
 from .optim import TrainingDivergedError
@@ -54,9 +54,26 @@ def _load_json(path: str | Path, purpose: str) -> dict:
     if not p.exists():
         raise CliError(2, f"{purpose} file not found: {p}")
     try:
-        return json.loads(p.read_text())
+        doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise CliError(2, f"could not parse {purpose} file {p}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CliError(2, f"{purpose} file {p} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _blocks(doc: dict, allowed: tuple[str, ...], where: str) -> dict[str, dict]:
+    """Each allowed block of `doc` ({} when absent); other names and non-objects exit 2."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise CliError(2, f"unknown {where} block(s): {', '.join(unknown)} "
+                          f"(allowed: {', '.join(allowed)})")
+    blocks = {name: doc.get(name, {}) for name in allowed}
+    for name, block in blocks.items():
+        if not isinstance(block, dict):
+            raise CliError(2, f"{where} block {name!r} must be an object, "
+                              f"got {type(block).__name__}")
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -139,22 +156,38 @@ def cmd_gen_seq(args) -> int:
 # align
 
 
+@dataclass(frozen=True)
+class StageFile:
+    """The keys of a stage JSON file; a relative `dataset` is read from the file's folder."""
+
+    dataset: str
+    name: str | None = None  # defaults to the file's stem
+    epochs: int | None = None
+    batch_size: int | None = None
+    lr_overrides: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not isinstance(self.dataset, str):
+            raise TypeError(f"dataset must be a path string, got {type(self.dataset).__name__}")
+        if not isinstance(self.lr_overrides, dict):
+            raise TypeError("lr_overrides must be an object")
+
+
 def _parse_stages(stage_arg: str) -> list[CurriculumStage]:
     stages = []
     for part in stage_arg.split(","):
-        doc = _load_json(part.strip(), "stage")
-        if "dataset" not in doc:
-            raise CliError(2, f"stage file {part} is missing its 'dataset' path")
-        dataset_path = Path(doc["dataset"])
-        if not dataset_path.is_absolute():
-            dataset_path = Path(part).parent / dataset_path
+        path = Path(part.strip())
+        try:
+            doc = from_dict(StageFile, _load_json(path, "stage"))
+        except (TypeError, ValueError) as exc:
+            raise CliError(2, f"bad stage file {path}: {exc}") from exc
         stages.append(
             CurriculumStage(
-                name=doc.get("name", Path(part).stem),
-                dataset_path=dataset_path,
-                epochs=doc.get("epochs"),
-                batch_size=doc.get("batch_size"),
-                lr_overrides=doc.get("lr_overrides", {}),
+                name=path.stem if doc.name is None else doc.name,
+                dataset_path=path.parent / doc.dataset,
+                epochs=doc.epochs,
+                batch_size=doc.batch_size,
+                lr_overrides=doc.lr_overrides,
             )
         )
     return stages
@@ -162,18 +195,15 @@ def _parse_stages(stage_arg: str) -> list[CurriculumStage]:
 
 def cmd_align(args) -> int:
     stages = _parse_stages(args.stages)
-    blocks = _load_json(args.config, "config") if args.config else {}
+    blocks = _blocks(_load_json(args.config, "config") if args.config else {},
+                     ("projector", "aligner"), "align config")
 
     first = PairedDataset.load(stages[0].dataset_path)
-    stages[0] = CurriculumStage(
-        name=stages[0].name, dataset_path=stages[0].dataset_path,
-        epochs=stages[0].epochs, batch_size=stages[0].batch_size,
-        lr_overrides=stages[0].lr_overrides, dataset=first,
-    )
+    stages[0] = replace(stages[0], dataset=first)
     frame_dim = first.frames.shape[2]
     concept_dim = first.targets.shape[1]
 
-    proj_block = dict(blocks.get("projector", {}))
+    proj_block = dict(blocks["projector"])
     proj_block["frame_dim"] = frame_dim
     proj_block["concept_dim"] = concept_dim
     if args.heads is not None:
@@ -185,13 +215,19 @@ def cmd_align(args) -> int:
     except (TypeError, ValueError) as exc:
         raise CliError(2, f"bad projector config: {exc}") from exc
 
-    align_block = dict(blocks.get("aligner", {}))
+    align_block = dict(blocks["aligner"])
     if args.seed is not None:
         align_block["seed"] = args.seed
     try:
         align_cfg = from_dict(AlignConfig, align_block)
     except (TypeError, ValueError) as exc:
         raise CliError(2, f"bad aligner config: {exc}") from exc
+    # Every stage's overrides are checked before the first stage trains.
+    for stage in stages:
+        try:
+            apply_stage_overrides(align_cfg, stage)
+        except (TypeError, ValueError) as exc:
+            raise CliError(2, f"bad overrides in stage {stage.name!r}: {exc}") from exc
 
     params, histories = run_curriculum(stages, proj_cfg, align_cfg)
 
@@ -230,13 +266,15 @@ def cmd_align(args) -> int:
 
 
 def cmd_train_lcm(args) -> int:
-    blocks = _load_json(args.config, "config") if args.config else {}
+    blocks = _blocks(_load_json(args.config, "config") if args.config else {},
+                     ("latentdiff", "schedule"), "train-lcm config")
+    lcm_blocks = _blocks(blocks["latentdiff"], ("model", "train"), "latentdiff")
     sequences, _meta = corpus.load_sequences(args.data)
     concept_dim = sequences[0].embeddings.shape[1]
 
-    model_block = dict(blocks.get("latentdiff", {}).get("model", {}))
+    model_block = dict(lcm_blocks["model"])
     model_block["concept_dim"] = concept_dim
-    train_block = dict(blocks.get("latentdiff", {}).get("train", {}))
+    train_block = dict(lcm_blocks["train"])
     if args.seed is not None:
         train_block["seed"] = args.seed
     if args.max_steps is not None:
@@ -249,7 +287,7 @@ def cmd_train_lcm(args) -> int:
     try:
         model_cfg = from_dict(latentdiff.LcmModelConfig, model_block)
         train_cfg = from_dict(latentdiff.LcmTrainConfig, train_block)
-        sched_cfg = from_dict(latentdiff.ScheduleConfig, blocks.get("schedule", {}))
+        sched_cfg = from_dict(latentdiff.ScheduleConfig, blocks["schedule"])
         if args.steps is not None:
             sched_cfg = replace(sched_cfg, steps=args.steps)
     except (TypeError, ValueError) as exc:

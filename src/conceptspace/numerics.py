@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.stats import rankdata
 
 # Eigenvalues below this floor are clamped before taking logs so that
 # rank-deficient covariance matrices still produce a finite log-determinant.
@@ -110,10 +109,41 @@ def logdet_psd(cov: np.ndarray, floor: float = EIGENVALUE_FLOOR) -> float:
     return float(np.sum(np.log(np.maximum(eigvals, floor))))
 
 
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks along the last axis; each run of equal values gets its mean rank.
+
+    The ranks are multiples of 1/2, so they are exact: they do not depend on the
+    order the (unstable) sort leaves equal values in, and they match scipy's
+    "average" tie method bit for bit. -0.0 and 0.0 tie. Non-finite input is an
+    error.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("average_ranks needs finite input")
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    m = rows.shape[0]
+    # Flat positions: row r, sorted slot j holds element dest[r * n + j].
+    dest = (np.argsort(rows, axis=1) + np.arange(0, m * n, n)[:, None]).ravel()
+    s = rows.ravel().take(dest).reshape(m, n)
+    step = s[:, 1:] != s[:, :-1]
+    out = np.empty(m * n)
+    if step.all():
+        out[dest] = np.tile(np.arange(1.0, n + 1.0), m)
+        return out.reshape(x.shape)
+    # Each row's first slot starts a run, so no run crosses a row boundary.
+    starts = np.ones((m, n), dtype=bool)
+    starts[:, 1:] = step
+    first = np.flatnonzero(starts)
+    length = np.diff(first, append=m * n)
+    out[dest] = np.repeat(first % n + (length - 1) * 0.5 + 1.0, length)
+    return out.reshape(x.shape)
+
+
 def rank_corr_rows(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     """Row-wise Pearson correlation of two (rows, n) matrices of ranks.
 
-    Fed with average ranks (``rankdata(x, axis=1)``) this is the Spearman
+    Fed with average ranks (``average_ranks(x)``) this is the Spearman
     correlation of each row pair. Average ranks are multiples of 1/2, so the
     centred ranks and their dot products are exact in float64 and the result
     does not depend on the summation order.
@@ -134,7 +164,8 @@ def spearman_rank_corr(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("need at least 2 observations")
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         raise ValueError("rank correlation undefined for a constant input")
-    return float(rank_corr_rows(rankdata(a)[None, :], rankdata(b)[None, :])[0])
+    ranks = average_ranks(np.stack([a, b]))
+    return float(rank_corr_rows(ranks[:1], ranks[1:])[0])
 
 
 def grad_check(

@@ -4,8 +4,10 @@ All metrics are defined over cosine similarity. Ranking ties are broken by
 ascending target id so every metric is deterministic. Alignment consistency
 correlates, per query, two similarity profiles over the target bank and
 averages the rank correlations; three variants are exported (see
-alignment_consistency). Spread statistics summarize a set by the trace and
-log-determinant of its unbiased covariance plus the mean row norm.
+alignment_consistency). Profiles are ranked with numerics.average_ranks, whose
+average ranks for ties are exact, so the correlations do not depend on sort
+order. Spread statistics summarize a set by the trace and log-determinant of
+its unbiased covariance plus the mean row norm.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .numerics import covariance_matrix, logdet_psd, rank_corr_rows
+from .numerics import average_ranks, covariance_matrix, logdet_psd, rank_corr_rows
 
 AC_MODES = ("cross", "intra")
 RECALL_KS = (1, 5, 10)
@@ -167,7 +168,7 @@ def _consistency(
             rows = sides[name[0]][start : start + TILE_ROWS]
             profile = _off_diagonal(rows @ columns[name[1]], start)
             flat[name] = np.ptp(profile, axis=1) == 0.0
-            ranks[name] = rankdata(profile, axis=1)
+            ranks[name] = average_ranks(profile)
         for k, (a, b) in enumerate(pairs):
             ok = ~(flat[a] | flat[b])
             for value in rank_corr_rows(ranks[a][ok], ranks[b][ok]).tolist():

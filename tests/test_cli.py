@@ -216,6 +216,68 @@ def test_align_misspelt_projector_key_exits_2(align_setup, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def _assert_one_line_usage_error(capsys, code, needle):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err and "Traceback" not in err
+
+
+# Each case replaces the fixture's stage or config file with `doc`; every one is
+# rejected before a dataset is read.
+_ALIGN_REJECTS = {
+    "stage-not-object": ("stage", ["dataset"], "must hold a JSON object, got list"),
+    "config-not-object": ("config", [1], "must hold a JSON object, got list"),
+    "stage-unknown-keys": ("stage", {"dataset": "data", "epoch": 1, "batchsize": 4},
+                           "unknown StageFile key(s): batchsize, epoch"),
+    "stage-no-dataset": ("stage", {}, "missing 1 required positional argument: 'dataset'"),
+    "stage-dataset-type": ("stage", {"dataset": 3}, "dataset must be a path string"),
+    "stage-overrides-type": ("stage", {"dataset": "data", "lr_overrides": [1]},
+                             "lr_overrides must be an object"),
+    "config-unknown-block": ("config", {"projecter": {"heads": 2}},
+                             "unknown align config block(s): projecter"),
+    "config-block-type": ("config", {"aligner": [1]},
+                          "block 'aligner' must be an object, got list"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ALIGN_REJECTS))
+def test_align_malformed_input_exits_2(align_setup, tmp_path, capsys, case):
+    _root, _data, stage, config = align_setup
+    kind, doc, needle = _ALIGN_REJECTS[case]
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(json.dumps(doc))
+    files = {"stage": stage, "config": config, kind: bad}
+    capsys.readouterr()
+    code = cli.main(_align_args(tmp_path / "run", files["stage"], files["config"]))
+    _assert_one_line_usage_error(capsys, code, needle)
+    assert not (tmp_path / "run").exists()
+
+
+def test_align_bad_override_in_a_later_stage_exits_2_before_training(align_setup, tmp_path,
+                                                                    capsys):
+    _root, data, stage, config = align_setup
+    later = tmp_path / "later.json"
+    later.write_text(json.dumps({"dataset": str(data), "epochs": "3"}))
+    capsys.readouterr()
+    code = cli.main(_align_args(tmp_path / "run", f"{stage},{later}", config))
+    _assert_one_line_usage_error(capsys, code, "bad overrides in stage 'later'")
+    assert not (tmp_path / "run").exists()
+
+
+def test_align_stage_file_name_and_relative_dataset(align_setup, tmp_path):
+    root, _data, _stage, config = align_setup
+    stage = root / "named-stage.json"
+    stage.write_text(json.dumps({"dataset": "data", "name": "coarse", "epochs": 2,
+                                 "batch_size": 16, "lr_overrides": {"lr_projector": 5e-3}}))
+    out = tmp_path / "run"
+    assert cli.main(_align_args(out, stage, config)) == 0
+    resolved = json.loads((out / "resolved-config.json").read_text())
+    assert resolved["stages"] == [{"name": "coarse", "dataset": str(root / "data"), "epochs": 2,
+                                   "batch_size": 16, "lr_overrides": {"lr_projector": 5e-3}}]
+    assert len(_read_csv_rows(out / "stage-00-coarse" / "history_epochs.csv")) == 3
+
+
 # ---------------------------------------------------------------------------
 # train-lcm
 
@@ -300,6 +362,26 @@ def test_train_lcm_misspelt_key_exits_2(lcm_setup, tmp_path, capsys, block):
     assert cli.main(_train_args(tmp_path / "run", data, bad)) == 2
     err = capsys.readouterr().err
     assert "den_widht" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(("edit", "needle"), [
+    (lambda doc: doc.update(latentdiff=[1]), "block 'latentdiff' must be an object, got list"),
+    (lambda doc: doc["latentdiff"].update(model=[1]), "block 'model' must be an object, got list"),
+    (lambda doc: doc.update(latentdif=doc.pop("latentdiff")),
+     "unknown train-lcm config block(s): latentdif"),
+    (lambda doc: doc["latentdiff"].update(modle=doc["latentdiff"].pop("model")),
+     "unknown latentdiff block(s): modle"),
+], ids=["latentdiff-list", "model-list", "unknown-top", "unknown-latentdiff"])
+def test_train_lcm_bad_config_block_exits_2(lcm_setup, tmp_path, capsys, edit, needle):
+    _root, data, config = lcm_setup
+    doc = json.loads(config.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main(_train_args(tmp_path / "run", data, bad))
+    _assert_one_line_usage_error(capsys, code, needle)
     assert not (tmp_path / "run").exists()
 
 

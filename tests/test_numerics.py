@@ -12,10 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.stats import rankdata
 
+from conceptspace import numerics
 from conceptspace.numerics import (
     EIGENVALUE_FLOOR,
     CovarianceSummary,
+    average_ranks,
     cosine_similarity,
     covariance_matrix,
     flatten_tensors,
@@ -190,6 +194,83 @@ def test_logdet_rank_deficient_uses_floor():
 def test_logdet_rejects_asymmetric():
     with pytest.raises(ValueError):
         logdet_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# average_ranks: scipy's rankdata is the oracle. Average ranks are multiples
+# of 1/2, so the two must agree bit for bit, not within a tolerance.
+
+
+def _assert_same_ranks(x):
+    expected = rankdata(x, axis=-1)
+    got = average_ranks(x)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_average_ranks_continuous_rows():
+    _assert_same_ranks(make_rng(0).normal(size=(16, 999)))
+
+
+def test_average_ranks_integer_rows_with_many_ties():
+    _assert_same_ranks(make_rng(1).integers(-3, 4, size=(16, 999)).astype(np.float64))
+
+
+def test_average_ranks_all_equal_rows():
+    _assert_same_ranks(np.full((3, 7), 0.25))
+    assert np.all(average_ranks(np.full((3, 7), 0.25)) == 4.0)
+
+
+def test_average_ranks_signed_zeros_tie():
+    x = np.array([[0.0, -0.0, 1.0, -0.0, -1.0, 0.0], [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0]])
+    _assert_same_ranks(x)
+    assert average_ranks(x)[0].tolist() == [3.5, 3.5, 6.0, 3.5, 1.0, 3.5]
+
+
+@pytest.mark.parametrize("rows", [[[5.0]], [[2.0, 1.0]], [[1.0, 1.0]], [[-0.0, 0.0]]])
+def test_average_ranks_length_one_and_two_rows(rows):
+    _assert_same_ranks(np.array(rows))
+
+
+def test_average_ranks_one_and_three_dimensional_input():
+    rng = make_rng(2)
+    _assert_same_ranks(rng.normal(size=11))
+    _assert_same_ranks(np.round(rng.normal(size=(2, 3, 40)), 1))
+
+
+def test_average_ranks_takes_both_paths(monkeypatch):
+    # Only the tie path spreads run averages with np.repeat.
+    calls = []
+    real_repeat = np.repeat
+    monkeypatch.setattr(numerics.np, "repeat", lambda *a, **k: calls.append(1) or real_repeat(*a, **k))
+    distinct = make_rng(3).normal(size=(4, 50))
+    _assert_same_ranks(distinct)
+    assert calls == []
+    one_tie = distinct.copy()
+    one_tie[2, 7] = one_tie[2, 31]
+    _assert_same_ranks(one_tie)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_average_ranks_rejects_non_finite(bad):
+    x = np.arange(6.0).reshape(2, 3)
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        average_ranks(x)
+
+
+@given(hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=12),
+    elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+    ),
+))
+@settings(max_examples=200, deadline=None)
+def test_average_ranks_matches_rankdata_property(x):
+    _assert_same_ranks(x)
 
 
 # ---------------------------------------------------------------------------
