@@ -282,7 +282,10 @@ def apply_stage_overrides(cfg: AlignConfig, stage: CurriculumStage) -> AlignConf
         if key not in AlignConfig.__dataclass_fields__:
             raise ValueError(f"unknown aligner override {key!r} in stage {stage.name!r}")
         updates[key] = value
-    return replace(cfg, **updates) if updates else cfg
+    try:
+        return replace(cfg, **updates) if updates else cfg
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad overrides in stage {stage.name!r}: {exc}") from exc
 
 
 def run_curriculum(
@@ -297,9 +300,10 @@ def run_curriculum(
     params = initial if initial is not None else init_projector(
         proj_cfg, stream_rng(cfg.seed, _STREAM_INIT)
     )
+    # Every stage's overrides are checked before the first stage trains.
+    stage_cfgs = [apply_stage_overrides(cfg, stage) for stage in stages]
     histories = []
-    for idx, stage in enumerate(stages):
-        stage_cfg = apply_stage_overrides(cfg, stage)
+    for idx, (stage, stage_cfg) in enumerate(zip(stages, stage_cfgs)):
         dataset = stage.load_dataset()
         params, history = train_stage(
             dataset, params, proj_cfg, stage_cfg, rng_namespace=idx

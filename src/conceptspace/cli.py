@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoints, corpus, latentdiff, spaceval
-from .aligner import AlignConfig, apply_stage_overrides, run_curriculum
+from .aligner import AlignConfig, run_curriculum
 from .corpus import CurriculumStage, EmbeddingFormatError, PairedDataset
 from .numerics import stream_rng
 from .optim import TrainingDivergedError
@@ -222,12 +222,6 @@ def cmd_align(args) -> int:
         align_cfg = from_dict(AlignConfig, align_block)
     except (TypeError, ValueError) as exc:
         raise CliError(2, f"bad aligner config: {exc}") from exc
-    # Every stage's overrides are checked before the first stage trains.
-    for stage in stages:
-        try:
-            apply_stage_overrides(align_cfg, stage)
-        except (TypeError, ValueError) as exc:
-            raise CliError(2, f"bad overrides in stage {stage.name!r}: {exc}") from exc
 
     params, histories = run_curriculum(stages, proj_cfg, align_cfg)
 

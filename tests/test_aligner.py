@@ -537,6 +537,16 @@ def test_stage_overrides_apply_and_reject_unknown_keys():
         apply_stage_overrides(cfg, bad)
 
 
+def test_curriculum_checks_every_stage_before_training(tmp_path):
+    # The first stage's dataset path does not exist: if it were loaded first,
+    # the error would be an OSError, not the later stage's bad override.
+    proj_cfg = _proj_cfg(dim=16, concept_dim=8)
+    first = CurriculumStage(name="first", dataset_path=tmp_path / "missing")
+    later = CurriculumStage(name="later", dataset_path=tmp_path / "missing", epochs="3")
+    with pytest.raises(ValueError, match="bad overrides in stage 'later'"):
+        run_curriculum([first, later], proj_cfg, _align_cfg())
+
+
 def test_empty_curriculum_rejected():
     proj_cfg = _proj_cfg(dim=16, concept_dim=8)
     with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
-from conceptspace import numerics
 from conceptspace.numerics import (
     EIGENVALUE_FLOOR,
     CovarianceSummary,
@@ -239,17 +238,21 @@ def test_average_ranks_one_and_three_dimensional_input():
 
 
 def test_average_ranks_takes_both_paths(monkeypatch):
-    # Only the tie path spreads run averages with np.repeat.
-    calls = []
-    real_repeat = np.repeat
-    monkeypatch.setattr(numerics.np, "repeat", lambda *a, **k: calls.append(1) or real_repeat(*a, **k))
+    # Only the tie path spreads run averages with np.repeat. The patch is live
+    # only around average_ranks, so the rankdata oracle never runs under it.
     distinct = make_rng(3).normal(size=(4, 50))
-    _assert_same_ranks(distinct)
-    assert calls == []
     one_tie = distinct.copy()
     one_tie[2, 7] = one_tie[2, 31]
-    _assert_same_ranks(one_tie)
-    assert calls == [1]
+    calls = []
+    real_repeat = np.repeat
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "repeat", lambda *a, **k: calls.append(1) or real_repeat(*a, **k))
+        tie_free = average_ranks(distinct)
+        assert calls == []
+        tied = average_ranks(one_tie)
+        assert calls == [1]
+    assert tie_free.tobytes() == rankdata(distinct, axis=-1).tobytes()
+    assert tied.tobytes() == rankdata(one_tie, axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
