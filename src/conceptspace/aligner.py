@@ -30,7 +30,7 @@ from .projector import (
     project,
     project_backward,
 )
-from .records import write_csv
+from .records import check_types, write_csv
 
 _STREAM_INIT = 31
 _STREAM_VAL_SPLIT = 32
@@ -283,6 +283,7 @@ def apply_stage_overrides(cfg: AlignConfig, stage: CurriculumStage) -> AlignConf
             raise ValueError(f"unknown aligner override {key!r} in stage {stage.name!r}")
         updates[key] = value
     try:
+        check_types(AlignConfig, updates)
         return replace(cfg, **updates) if updates else cfg
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad overrides in stage {stage.name!r}: {exc}") from exc

@@ -8,6 +8,13 @@ its mask so backward replays it exactly.
 
 Row convention throughout: inputs are (..., T, E) with linear maps applied on
 the right, e.g. Q = Xq @ Wq; any leading axes are a batch that rides along.
+
+Inside the core everything is head-major: the projected q, k and v are split
+once into (..., H, T, dk) views, so the score, weighting and gradient products
+are stacked matrix products (``@``) that numpy hands to BLAS, with the heads as
+one more batch axis. Scores, probabilities and the dropout mask are
+(..., H, Tq, Tk); heads are merged back to (..., T, E) only for the output
+projection and the input gradients.
 """
 
 from __future__ import annotations
@@ -26,16 +33,23 @@ class AttentionCache:
     wv: np.ndarray
     wo: np.ndarray
     heads: int
-    q: np.ndarray  # (..., Tq, H, dk)
-    k: np.ndarray  # (..., Tk, H, dk)
-    v: np.ndarray  # (..., Tk, H, dk)
+    q: np.ndarray  # (..., H, Tq, dk) head-major
+    k: np.ndarray  # (..., H, Tk, dk) head-major
+    v: np.ndarray  # (..., H, Tk, dk) head-major
     probs: np.ndarray  # (..., H, Tq, Tk) post-softmax, pre-dropout
     kept: np.ndarray | None  # dropout keep mask scaled by 1/(1-p), or None
     concat: np.ndarray  # (..., Tq, E) input to the output projection
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads)
+    """(..., T, E) -> head-major (..., H, T, dk), a view."""
+    return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads).swapaxes(-2, -3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """Head-major (..., H, T, dk) -> (..., T, E)."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1])
 
 
 def fold_rows(x: np.ndarray) -> np.ndarray:
@@ -74,7 +88,7 @@ def attention_forward(
     k = _split_heads(xkv @ wk, heads)
     v = _split_heads(xkv @ wv, heads)
 
-    scores = np.einsum("...qhd,...khd->...hqk", q, k) * scale
+    scores = (q @ k.swapaxes(-1, -2)) * scale
     if causal:
         t = scores.shape[-1]
         mask = np.triu(np.ones((t, t), dtype=bool), k=1)
@@ -94,8 +108,7 @@ def attention_forward(
         kept = keep / (1.0 - dropout_p)
         weights = probs * kept
 
-    per_head = np.einsum("...hqk,...khd->...qhd", weights, v)
-    concat = per_head.reshape(*per_head.shape[:-2], e)
+    concat = _merge_heads(weights @ v)
     out = concat @ wo
     cache = AttentionCache(
         xq=xq, xkv=xkv, wq=wq, wk=wk, wv=wv, wo=wo,
@@ -123,8 +136,8 @@ def attention_backward(
     g_per_head = _split_heads(g_concat, heads)
 
     weights = cache.probs if cache.kept is None else cache.probs * cache.kept
-    g_weights = np.einsum("...qhd,...khd->...hqk", g_per_head, cache.v)
-    g_v = np.einsum("...hqk,...qhd->...khd", weights, g_per_head)
+    g_weights = g_per_head @ cache.v.swapaxes(-1, -2)
+    g_v = weights.swapaxes(-1, -2) @ g_per_head
     if cache.kept is not None:
         g_probs = g_weights * cache.kept
     else:
@@ -134,12 +147,9 @@ def attention_backward(
     inner = (g_probs * cache.probs).sum(axis=-1, keepdims=True)
     g_scores = cache.probs * (g_probs - inner)
 
-    g_q = np.einsum("...hqk,...khd->...qhd", g_scores, cache.k) * scale
-    g_k = np.einsum("...hqk,...qhd->...khd", g_scores, cache.q) * scale
-
-    g_q_full = g_q.reshape(*g_q.shape[:-2], e)
-    g_k_full = g_k.reshape(*g_k.shape[:-2], e)
-    g_v_full = g_v.reshape(*g_v.shape[:-2], e)
+    g_q_full = _merge_heads((g_scores @ cache.k) * scale)
+    g_k_full = _merge_heads((g_scores.swapaxes(-1, -2) @ cache.q) * scale)
+    g_v_full = _merge_heads(g_v)
 
     g_wq = fold_rows(cache.xq).T @ fold_rows(g_q_full)
     g_wk = fold_rows(cache.xkv).T @ fold_rows(g_k_full)

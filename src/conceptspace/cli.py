@@ -13,6 +13,7 @@ run. Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -165,12 +166,6 @@ class StageFile:
     epochs: int | None = None
     batch_size: int | None = None
     lr_overrides: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not isinstance(self.dataset, str):
-            raise TypeError(f"dataset must be a path string, got {type(self.dataset).__name__}")
-        if not isinstance(self.lr_overrides, dict):
-            raise TypeError("lr_overrides must be an object")
 
 
 def _parse_stages(stage_arg: str) -> list[CurriculumStage]:
@@ -459,7 +454,14 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged,
+    and each `parse_args` call fills a fresh namespace from its defaults.
+
+    Subcommand `x-y` runs `cmd_x_y`, looked up by `main` at each call rather
+    than bound here, so a wrapper later put on a `cmd_*` name (a tracer's) runs.
+    """
     parser = argparse.ArgumentParser(
         prog="conceptspace",
         description="Concept-space alignment, next-embedding modelling, and evaluation.",
@@ -476,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank-size", type=int, default=256)
     p.add_argument("--drift", type=float, default=0.25)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("gen-seq", help="generate a rule-driven sequence corpus")
     p.add_argument("--seed", type=int, default=0)
@@ -488,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule-a", type=int, default=5)
     p.add_argument("--rule-b", type=int, default=17)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_seq)
 
     p = sub.add_parser("align", help="run curriculum alignment training")
     p.add_argument("--config", default=None, help="JSON with projector/aligner blocks")
@@ -497,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heads", type=int, default=None)
     p.add_argument("--pooling", choices=["attention", "mean", "max"], default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("train-lcm", help="train the next-embedding model")
     p.add_argument("--config", default=None, help="JSON with latentdiff/schedule blocks")
@@ -509,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None, help="noise schedule levels")
     p.add_argument("--resume", default=None, help="training-state checkpoint directory")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_lcm)
 
     p = sub.add_parser("eval", help="evaluate a projector on a dataset")
     p.add_argument("--projector", default=None, help="projector checkpoint directory")
@@ -518,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--drift-csv", default=None)
     p.add_argument("--out", required=True, help="report JSON path")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sample", help="sample the next embedding for a prefix")
     p.add_argument("--lcm", required=True, help="model checkpoint directory")
@@ -531,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bank", default=None, help="decode the sample against this bank")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
     return parser
 
 
@@ -542,7 +538,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

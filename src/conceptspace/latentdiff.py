@@ -89,13 +89,9 @@ class ScheduleConfig:
     lambda_min: float = -10.0
 
     def __post_init__(self):
-        if isinstance(self.steps, bool) or not isinstance(self.steps, int):
-            raise TypeError(f"schedule steps must be an integer, got {self.steps!r}")
+        # `records.from_dict` checks the types; the stored schedule holds floats.
         for name in ("lambda_max", "lambda_min"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"schedule {name} must be a number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, float(getattr(self, name)))
         build_schedule(**asdict(self))  # raises on too few levels or an empty range
 
 

@@ -258,3 +258,106 @@ def test_batched_dropout_mask_equals_per_sample_masks():
         for i in range(3)
     ]
     assert np.array_equal(cache.kept, np.stack(masks))
+
+
+# ---------------------------------------------------------------------------
+# the head-major matmul core against the sequence-major einsum form
+
+
+def _einsum_attention(xq, xkv, wq, wk, wv, wo, g_out, heads, causal=False,
+                      dropout_p=0.0, rng=None):
+    """Forward and backward written with sequence-major (..., T, H, dk) einsums.
+
+    Returns (out, kept, grads) with grads = (g_xq, g_xkv, g_wq, g_wk, g_wv, g_wo).
+    """
+    e = xq.shape[-1]
+    dk = e // heads
+    scale = 1.0 / np.sqrt(dk)
+
+    def split(x):
+        return x.reshape(*x.shape[:-1], heads, dk)
+
+    def rows(x):
+        return x.reshape(-1, x.shape[-1])
+
+    q, k, v = split(xq @ wq), split(xkv @ wk), split(xkv @ wv)
+    scores = np.einsum("...qhd,...khd->...hqk", q, k) * scale
+    if causal:
+        t = scores.shape[-1]
+        scores = np.where(np.triu(np.ones((t, t), dtype=bool), k=1), -np.inf, scores)
+    exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = exp / exp.sum(axis=-1, keepdims=True)
+    kept = None
+    weights = probs
+    if dropout_p > 0.0:
+        kept = (rng.random(probs.shape) >= dropout_p) / (1.0 - dropout_p)
+        weights = probs * kept
+    per_head = np.einsum("...hqk,...khd->...qhd", weights, v)
+    concat = per_head.reshape(*per_head.shape[:-2], e)
+    out = concat @ wo
+
+    g_wo = rows(concat).T @ rows(g_out)
+    g_per_head = split(g_out @ wo.T)
+    g_weights = np.einsum("...qhd,...khd->...hqk", g_per_head, v)
+    g_v = np.einsum("...hqk,...qhd->...khd", weights, g_per_head)
+    g_probs = g_weights if kept is None else g_weights * kept
+    inner = (g_probs * probs).sum(axis=-1, keepdims=True)
+    g_scores = probs * (g_probs - inner)
+    g_q = np.einsum("...hqk,...khd->...qhd", g_scores, k) * scale
+    g_k = np.einsum("...hqk,...qhd->...khd", g_scores, q) * scale
+    g_q, g_k, g_v = (g.reshape(*g.shape[:-2], e) for g in (g_q, g_k, g_v))
+    grads = (
+        g_q @ wq.T,
+        g_k @ wk.T + g_v @ wv.T,
+        rows(xq).T @ rows(g_q),
+        rows(xkv).T @ rows(g_k),
+        rows(xkv).T @ rows(g_v),
+        g_wo,
+    )
+    return out, kept, grads
+
+
+@pytest.mark.parametrize(
+    "lead, tq, tk, heads, causal",
+    [
+        ((), 5, 5, 2, False),  # unbatched 2-D call
+        ((3,), 6, 6, 4, False),
+        ((3,), 6, 6, 4, True),
+        ((3,), 1, 8, 2, False),  # single-query pooling
+        ((2, 3), 4, 4, 2, True),  # two leading axes
+    ],
+    ids=["unbatched", "batched", "batched-causal", "pooling", "two-leading-axes"],
+)
+def test_matmul_core_matches_einsum_oracle(lead, tq, tk, heads, causal):
+    rng = stream_rng(0, 17)
+    xkv = rng.normal(size=(*lead, tk, 8))
+    xq = xkv if tq == tk else rng.normal(size=(*lead, tq, 8))
+    w = _weights(8, rng)
+    g_out = rng.normal(size=xq.shape)
+    out, cache = attention_forward(xq, xkv, *w, heads=heads, causal=causal)
+    want_out, _, want_grads = _einsum_attention(
+        xq, xkv, *w, g_out, heads=heads, causal=causal
+    )
+    assert cache.q.shape == (*lead, heads, tq, 8 // heads)
+    assert cache.probs.shape == (*lead, heads, tq, tk)
+    np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+    for got, want in zip(attention_backward(cache, g_out), want_grads):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_matmul_core_dropout_matches_einsum_oracle():
+    rng = stream_rng(0, 18)
+    x = rng.normal(size=(3, 5, 8))
+    w = _weights(8, rng)
+    g_out = rng.normal(size=x.shape)
+    out, cache = attention_forward(
+        x, x, *w, heads=2, dropout_p=0.3, rng=stream_rng(4, 0), training=True
+    )
+    want_out, want_kept, want_grads = _einsum_attention(
+        x, x, *w, g_out, heads=2, dropout_p=0.3, rng=stream_rng(4, 0)
+    )
+    assert np.array_equal(cache.kept, want_kept)
+    np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+    for got, want in zip(attention_backward(cache, g_out), want_grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -224,29 +224,43 @@ def _assert_one_line_usage_error(capsys, code, needle):
 
 
 # Each case replaces the fixture's stage or config file with `doc`; every one is
-# rejected before a dataset is read.
+# rejected before training starts. "<data>" stands for the fixture's dataset
+# path, so a stage case that needs it gets past the dataset read.
 _ALIGN_REJECTS = {
     "stage-not-object": ("stage", ["dataset"], "must hold a JSON object, got list"),
     "config-not-object": ("config", [1], "must hold a JSON object, got list"),
     "stage-unknown-keys": ("stage", {"dataset": "data", "epoch": 1, "batchsize": 4},
                            "unknown StageFile key(s): batchsize, epoch"),
     "stage-no-dataset": ("stage", {}, "missing 1 required positional argument: 'dataset'"),
-    "stage-dataset-type": ("stage", {"dataset": 3}, "dataset must be a path string"),
+    "stage-dataset-type": ("stage", {"dataset": 3}, "dataset must be a string"),
     "stage-overrides-type": ("stage", {"dataset": "data", "lr_overrides": [1]},
                              "lr_overrides must be an object"),
     "config-unknown-block": ("config", {"projecter": {"heads": 2}},
                              "unknown align config block(s): projecter"),
     "config-block-type": ("config", {"aligner": [1]},
                           "block 'aligner' must be an object, got list"),
+    "projector-int-as-float": ("config", {"projector": {"heads": 2.0}},
+                               "ProjectorConfig heads must be an integer, got 2.0"),
+    "aligner-int-as-float": ("config",
+                             {"aligner": {"max_epochs": 2.5, "warmup_steps": 0,
+                                          "freeze_steps": 0}},
+                             "AlignConfig max_epochs must be an integer, got 2.5"),
+    "stage-epochs-float": ("stage", {"dataset": "data", "epochs": 2.5},
+                           "StageFile epochs must be an integer or null, got 2.5"),
+    "stage-epochs-string": ("stage", {"dataset": "data", "epochs": "3"},
+                            "StageFile epochs must be an integer or null, got '3'"),
+    "stage-override-string": ("stage", {"dataset": "<data>",
+                                        "lr_overrides": {"lr_projector": "x"}},
+                              "AlignConfig lr_projector must be a number, got 'x'"),
 }
 
 
 @pytest.mark.parametrize("case", list(_ALIGN_REJECTS))
 def test_align_malformed_input_exits_2(align_setup, tmp_path, capsys, case):
-    _root, _data, stage, config = align_setup
+    _root, data, stage, config = align_setup
     kind, doc, needle = _ALIGN_REJECTS[case]
     bad = tmp_path / f"{kind}.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(doc).replace("<data>", str(data)))
     files = {"stage": stage, "config": config, kind: bad}
     capsys.readouterr()
     code = cli.main(_align_args(tmp_path / "run", files["stage"], files["config"]))
@@ -258,7 +272,7 @@ def test_align_bad_override_in_a_later_stage_exits_2_before_training(align_setup
                                                                     capsys):
     _root, data, stage, config = align_setup
     later = tmp_path / "later.json"
-    later.write_text(json.dumps({"dataset": str(data), "epochs": "3"}))
+    later.write_text(json.dumps({"dataset": str(data), "epochs": 0}))
     capsys.readouterr()
     code = cli.main(_align_args(tmp_path / "run", f"{stage},{later}", config))
     _assert_one_line_usage_error(capsys, code, "bad overrides in stage 'later'")
@@ -747,6 +761,38 @@ def test_sample_schedule_flags_override_the_stored_schedule(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # parser behaviour
+
+
+def test_main_calls_in_one_process_get_their_own_defaults(trained_lcm, tmp_path, capsys):
+    model, data = trained_lcm
+    prefix = tmp_path / "prefix.bin"
+    _write_prefix(prefix, data)
+    guided, plain = tmp_path / "guided", tmp_path / "plain"
+    assert cli.main(_sample_args(guided / "next.bin", model, prefix,
+                                 extra=["--guidance", "1.5", "--eta", "0.5"])) == 0
+    assert cli.main(["gen-seq", "--out", str(tmp_path / "seq"), "--n", "4",
+                     "--bank-size", "8", "--dim", "6", "--seed", "4"]) == 0
+    assert cli.main(["sample", "--lcm", str(model), "--prefix", str(prefix),
+                     "--steps", "6", "--out", str(plain / "next.bin")]) == 0
+    first = json.loads((guided / "resolved-config.json").read_text())
+    second = json.loads((plain / "resolved-config.json").read_text())
+    assert (first["guidance"], first["eta"], first["seed"]) == (1.5, 0.5, 9)
+    assert (second["guidance"], second["eta"], second["seed"]) == (0.0, 0.0, 0)
+    assert cli.main(["sample", "--help"]) == 0
+    assert cli.main(["sample", "--lcm", str(model)]) == 2
+    assert cli.main(["sample", "--lcm", str(model), "--prefix", str(prefix),
+                     "--steps", "6", "--out", str(plain / "next.bin")]) == 0
+    assert json.loads((plain / "resolved-config.json").read_text()) == second
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()
+
+
+def test_main_runs_the_command_bound_at_call_time(monkeypatch, tmp_path):
+    cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_gen_seq", lambda args: seen.append(args.n) or 7)
+    assert cli.main(["gen-seq", "--out", str(tmp_path / "seq"), "--n", "4"]) == 7
+    assert seen == [4] and not (tmp_path / "seq").exists()
 
 
 def test_main_without_command_returns_2(capsys):
