@@ -6,24 +6,3 @@ Everything runs in float64 on one CPU core and is deterministic under a seed.
 """
 
 __version__ = "0.1.0"
-
-from .numerics import (
-    cosine_similarity,
-    covariance_matrix,
-    grad_check,
-    logdet_psd,
-    make_rng,
-    softmax,
-    spearman_rank_corr,
-)
-
-__all__ = [
-    "cosine_similarity",
-    "covariance_matrix",
-    "grad_check",
-    "logdet_psd",
-    "make_rng",
-    "softmax",
-    "spearman_rank_corr",
-    "__version__",
-]

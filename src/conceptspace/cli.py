@@ -320,7 +320,8 @@ def cmd_eval(args) -> int:
     world_cfg = dataset.meta.get("world")
     if not world_cfg:
         raise CliError(2, f"dataset {args.data} has no world metadata; cannot rebuild its caption bank")
-    world = corpus.world_from_config(world_cfg)
+    with corpus.malformed_manifest(Path(args.data) / "manifest.json"):
+        world = corpus.world_from_config(world_cfg)
 
     zt = dataset.targets
     if args.oracle:
@@ -357,8 +358,6 @@ def cmd_eval(args) -> int:
         "space": spaceval.space_report_to_dict(report),
         "roundtrip": spaceval.roundtrip_report_to_dict(roundtrip),
     }
-    _validate_report(doc)
-
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -385,15 +384,6 @@ def cmd_eval(args) -> int:
         f"decode_acc {roundtrip.decode_accuracy:.4f}"
     )
     return 0
-
-
-def _validate_report(doc: dict) -> None:
-    try:
-        import jsonschema
-    except ImportError:
-        return
-    schema_path = Path(__file__).parent / "schemas" / "space_report.schema.json"
-    jsonschema.validate(doc, json.loads(schema_path.read_text()))
 
 
 # ---------------------------------------------------------------------------

@@ -210,13 +210,6 @@ def world_from_config(cfg: dict) -> SyntheticWorld:
     )
 
 
-@dataclass(frozen=True)
-class PairedSample:
-    frames: np.ndarray  # (frames, frame_dim)
-    target: np.ndarray  # (concept_dim,)
-    caption_id: int
-
-
 @dataclass
 class PairedDataset:
     """In-memory paired corpus: frame stacks, targets, and caption ids."""
@@ -228,18 +221,6 @@ class PairedDataset:
 
     def __len__(self) -> int:
         return self.frames.shape[0]
-
-    def __getitem__(self, i: int) -> PairedSample:
-        return PairedSample(self.frames[i], self.targets[i], int(self.caption_ids[i]))
-
-    def subset(self, indices: np.ndarray) -> "PairedDataset":
-        indices = np.asarray(indices, dtype=np.int64)
-        return PairedDataset(
-            frames=self.frames[indices].copy(),
-            targets=self.targets[indices].copy(),
-            caption_ids=self.caption_ids[indices].copy(),
-            meta=dict(self.meta),
-        )
 
     def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
@@ -319,39 +300,6 @@ def gen_synthetic_pairs(
         caption_ids=caption_ids.astype(np.int64),
         meta={"world": world_config(world)},
     )
-
-
-def split(
-    dataset: PairedDataset, fractions: tuple[float, ...], seed: int
-) -> tuple[PairedDataset, ...]:
-    """Deterministic shuffled split with largest-remainder rounding.
-
-    The pieces are disjoint and exhaustive; sizes are floor(f*n) plus one extra
-    for the largest fractional remainders (ties go to the earlier piece).
-    """
-    n = len(dataset)
-    if n == 0:
-        raise ValueError("cannot split an empty dataset")
-    fractions = tuple(float(f) for f in fractions)
-    if any(f <= 0 for f in fractions):
-        raise ValueError(f"fractions must be positive, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got sum {sum(fractions)}")
-    raw = [f * n for f in fractions]
-    sizes = [int(math.floor(r)) for r in raw]
-    remainders = [r - s for r, s in zip(raw, sizes)]
-    shortfall = n - sum(sizes)
-    # Largest remainder first; ties broken by position so the result is stable.
-    order = sorted(range(len(fractions)), key=lambda i: (-remainders[i], i))
-    for i in order[:shortfall]:
-        sizes[i] += 1
-    perm = stream_rng(seed, 21).permutation(n)
-    pieces = []
-    start = 0
-    for size in sizes:
-        pieces.append(dataset.subset(perm[start : start + size]))
-        start += size
-    return tuple(pieces)
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .attention import attention_backward, attention_forward, fold_rows
 from .numerics import stream_rng
 from .optim import AdamW, TrainingDivergedError, clip_global_norm, warmup_cosine
-from .projector import sinusoidal_pe
+from .projector import sinusoidal_features
 from .records import write_csv
 
 _STREAM_INIT = 40
@@ -75,9 +74,18 @@ def build_schedule(
     log_snr = np.linspace(lambda_max, lambda_min, steps)
     # Both sigmoids computed directly (no 1-x subtraction) keeps the
     # variance-preserving identity tight at extreme log-SNR.
-    alpha = np.sqrt(expit(log_snr))
-    sigma = np.sqrt(expit(-log_snr))
+    alpha = np.sqrt([_sigmoid(v) for v in log_snr.tolist()])
+    sigma = np.sqrt([_sigmoid(-v) for v in log_snr.tolist()])
     return NoiseSchedule(alpha=alpha, sigma=sigma, log_snr=log_snr)
+
+
+def _sigmoid(x: float) -> float:
+    """1 / (1 + exp(-x)) with libm's exp, which equals scipy.special.expit bit
+    for bit; numpy's vectorised exp can differ from it in the last bit."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # exp(-x) > DBL_MAX, below x = -709.78: the sigmoid is 0
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -125,16 +133,15 @@ class LcmModelConfig:
     lambda_emb_dim: int = 64
 
     def __post_init__(self):
-        if self.concept_dim < 1:
-            raise ValueError("concept_dim must be positive")
+        for name, value in asdict(self).items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.ctx_width % self.ctx_heads != 0:
             raise ValueError(
                 f"ctx_width {self.ctx_width} must be divisible by ctx_heads {self.ctx_heads}"
             )
         if self.lambda_emb_dim % 2 != 0:
             raise ValueError("lambda_emb_dim must be even")
-        if self.ctx_layers < 1 or self.den_depth < 1:
-            raise ValueError("ctx_layers and den_depth must be >= 1")
 
     @property
     def denoiser_input_dim(self) -> int:
@@ -168,16 +175,6 @@ def init_two_tower(cfg: LcmModelConfig, rng: np.random.Generator) -> dict[str, n
     return tensors
 
 
-def lambda_embed(lam: float | np.ndarray, dim: int) -> np.ndarray:
-    """Sinusoidal (interleaved sin/cos) features of noise levels: (..., dim) for lam (...)."""
-    inv_freq = np.exp(np.arange(0, dim, 2, dtype=np.float64) * -(math.log(10000.0) / dim))
-    angles = np.asarray(lam, dtype=np.float64)[..., None] * inv_freq
-    emb = np.zeros((*angles.shape[:-1], dim))
-    emb[..., 0::2] = np.sin(angles)
-    emb[..., 1::2] = np.cos(angles)
-    return emb
-
-
 @dataclass
 class _CtxCache:
     prefix: np.ndarray
@@ -195,7 +192,7 @@ def _ctx_forward(
     if prefix.shape[-2] < 1:
         raise ValueError("prefix must be non-empty")
     x = prefix @ params["ctx.in_w"].T + params["ctx.in_b"]
-    x = x + sinusoidal_pe(prefix.shape[-2], cfg.ctx_width)
+    x = x + sinusoidal_features(np.arange(prefix.shape[-2]), cfg.ctx_width)
     cache = _CtxCache(prefix=prefix, layer_caches=[])
     for layer in range(cfg.ctx_layers):
         p = f"ctx.l{layer}"
@@ -264,7 +261,7 @@ def _den_forward(
     params: dict[str, np.ndarray], cfg: LcmModelConfig, xt: np.ndarray, lam: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, _DenCache]:
     """Denoiser over rows: xt (..., d), log-SNR lam (...), context c (..., ctx_width)."""
-    inp = np.concatenate([xt, lambda_embed(lam, cfg.lambda_emb_dim), c], axis=-1)
+    inp = np.concatenate([xt, sinusoidal_features(lam, cfg.lambda_emb_dim), c], axis=-1)
     h = inp @ params["den.in_w"].T + params["den.in_b"]
     pre_block = []
     us = []

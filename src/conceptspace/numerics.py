@@ -1,4 +1,4 @@
-"""Shared numeric substrate: seeded randomness, small statistics helpers, and
+"""Shared numeric substrate: seeded streams, small statistics helpers, and
 the finite-difference oracle used to verify every hand-written backward pass.
 
 All public functions work on float64 numpy arrays and are deterministic given
@@ -8,20 +8,13 @@ their inputs (and, where applicable, the generator passed in).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 # Eigenvalues below this floor are clamped before taking logs so that
 # rank-deficient covariance matrices still produce a finite log-determinant.
 EIGENVALUE_FLOOR = 1e-12
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Create a generator with a platform-stable stream for this seed."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 def stream_rng(seed: int, *key: int) -> np.random.Generator:
@@ -46,27 +39,6 @@ def gaussian_sample(
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     return np.asarray(rng.normal(mu, sigma, shape), dtype=np.float64)
-
-
-def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along `axis` (max-shifted)."""
-    v = np.asarray(v, dtype=np.float64)
-    shifted = v - np.max(v, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm vector")
-    # Clamp: roundoff can push |cos| a few ulp past 1 for near-parallel inputs.
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -206,23 +178,3 @@ def grad_check(
         if err > worst:
             worst = err
     return worst
-
-
-def flatten_tensors(tensors: dict[str, np.ndarray], order: Iterable[str]) -> np.ndarray:
-    """Concatenate named arrays into one flat vector in the given key order."""
-    return np.concatenate([np.asarray(tensors[k], dtype=np.float64).ravel() for k in order])
-
-
-def unflatten_tensors(
-    vec: np.ndarray, shapes: dict[str, tuple[int, ...]], order: Iterable[str]
-) -> dict[str, np.ndarray]:
-    """Inverse of flatten_tensors for the same key order and shapes."""
-    out: dict[str, np.ndarray] = {}
-    pos = 0
-    for k in order:
-        size = int(np.prod(shapes[k], dtype=np.int64)) if shapes[k] else 1
-        out[k] = np.asarray(vec[pos : pos + size], dtype=np.float64).reshape(shapes[k])
-        pos += size
-    if pos != vec.size:
-        raise ValueError(f"vector length {vec.size} does not match shapes (consumed {pos})")
-    return out

@@ -38,8 +38,10 @@ class ProjectorConfig:
     use_temporal_attention: bool = True
 
     def __post_init__(self):
-        if self.frame_dim < 1 or self.concept_dim < 1:
-            raise ValueError("frame_dim and concept_dim must be positive")
+        for name in ("frame_dim", "concept_dim", "heads"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.frame_dim % self.heads != 0:
             raise ValueError(
                 f"frame_dim {self.frame_dim} must be divisible by heads {self.heads}"
@@ -72,19 +74,20 @@ def init_projector(cfg: ProjectorConfig, rng: np.random.Generator) -> dict[str, 
     return tensors
 
 
-def sinusoidal_pe(length: int, dim: int) -> np.ndarray:
-    """Interleaved sin/cos position codes; pair 2i and 2i+1 share a frequency."""
+def sinusoidal_features(x: np.ndarray, dim: int) -> np.ndarray:
+    """Interleaved sin/cos features, (..., dim) for values x (...).
+
+    Pair 2i and 2i+1 share the frequency 10000^(-2i/dim). Position codes are
+    the features of 0..T-1; the denoiser embeds its log-SNR level the same way.
+    """
     if dim % 2 != 0:
         raise ValueError(f"dim must be even for interleaved sin/cos codes, got {dim}")
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    positions = np.arange(length, dtype=np.float64)[:, None]
     inv_freq = np.exp(np.arange(0, dim, 2, dtype=np.float64) * -(math.log(10000.0) / dim))
-    angles = positions * inv_freq[None, :]
-    pe = np.zeros((length, dim))
-    pe[:, 0::2] = np.sin(angles)
-    pe[:, 1::2] = np.cos(angles)
-    return pe
+    angles = np.asarray(x, dtype=np.float64)[..., None] * inv_freq
+    out = np.zeros((*angles.shape[:-1], dim))
+    out[..., 0::2] = np.sin(angles)
+    out[..., 1::2] = np.cos(angles)
+    return out
 
 
 @dataclass
@@ -125,7 +128,7 @@ def project(
         raise ValueError("need at least one frame")
 
     adapted = frames @ params[ADAPTER_KEY] if cfg.use_adapter else frames
-    with_pe = adapted + sinusoidal_pe(frames.shape[-2], cfg.frame_dim)
+    with_pe = adapted + sinusoidal_features(np.arange(frames.shape[-2]), cfg.frame_dim)
 
     attn_cache = None
     if cfg.use_temporal_attention:

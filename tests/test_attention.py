@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from conceptspace.attention import attention_backward, attention_forward
-from conceptspace.numerics import grad_check, softmax, stream_rng
+from conceptspace.numerics import grad_check, stream_rng
+from oracles import softmax
 
 
 def _weights(dim, rng, scale=0.3):

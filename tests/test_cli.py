@@ -8,9 +8,13 @@ paths as given) and compare file hashes before and after.
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -241,6 +245,9 @@ _ALIGN_REJECTS = {
                           "block 'aligner' must be an object, got list"),
     "projector-int-as-float": ("config", {"projector": {"heads": 2.0}},
                                "ProjectorConfig heads must be an integer, got 2.0"),
+    "projector-zero-heads": ("config", {"projector": {"heads": 0}}, "heads must be >= 1, got 0"),
+    "projector-negative-heads": ("config", {"projector": {"heads": -4}},
+                                 "heads must be >= 1, got -4"),
     "aligner-int-as-float": ("config",
                              {"aligner": {"max_epochs": 2.5, "warmup_steps": 0,
                                           "freeze_steps": 0}},
@@ -386,7 +393,14 @@ def test_train_lcm_misspelt_key_exits_2(lcm_setup, tmp_path, capsys, block):
      "unknown train-lcm config block(s): latentdif"),
     (lambda doc: doc["latentdiff"].update(modle=doc["latentdiff"].pop("model")),
      "unknown latentdiff block(s): modle"),
-], ids=["latentdiff-list", "model-list", "unknown-top", "unknown-latentdiff"])
+    (lambda doc: doc["latentdiff"]["model"].update(ctx_width=0), "ctx_width must be >= 1, got 0"),
+    (lambda doc: doc["latentdiff"]["model"].update(lambda_emb_dim=0),
+     "lambda_emb_dim must be >= 1, got 0"),
+    (lambda doc: doc["latentdiff"]["model"].update(ctx_heads=-2), "ctx_heads must be >= 1, got -2"),
+    (lambda doc: doc["latentdiff"]["model"].update(den_width=0), "den_width must be >= 1, got 0"),
+    (lambda doc: doc["latentdiff"]["model"].update(ffn_mult=0), "ffn_mult must be >= 1, got 0"),
+], ids=["latentdiff-list", "model-list", "unknown-top", "unknown-latentdiff", "ctx-width-0",
+        "lambda-emb-dim-0", "ctx-heads-negative", "den-width-0", "ffn-mult-0"])
 def test_train_lcm_bad_config_block_exits_2(lcm_setup, tmp_path, capsys, edit, needle):
     _root, data, config = lcm_setup
     doc = json.loads(config.read_text())
@@ -489,6 +503,8 @@ def test_eval_trained_projector_runs(align_setup, tmp_path):
                      "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert 0.0 <= doc["space"]["recall_at"]["1"] <= 1.0
+    schema_path = Path(cli.__file__).parent / "schemas" / "space_report.schema.json"
+    jsonschema.validate(doc, json.loads(schema_path.read_text()))
 
     # The drift rows match a per-row projection and nearest decode.
     params, proj_cfg, _meta = checkpoints.load_projector(run / "projector")
@@ -601,6 +617,26 @@ def test_sample_decodes_against_bank(trained_lcm, tmp_path, capsys):
     assert "decoded_caption_id=" in capsys.readouterr().out
 
 
+def test_sample_loads_neither_scipy_nor_jsonschema(trained_lcm, tmp_path):
+    # numpy is the only run-time dependency: a fresh process that imports the
+    # CLI and samples must not pull in the test-only packages.
+    model, data = trained_lcm
+    prefix = tmp_path / "prefix.bin"
+    _write_prefix(prefix, data)
+    argv = _sample_args(tmp_path / "next.bin", model, prefix)
+    script = (
+        "import sys\n"
+        "from conceptspace import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "next.bin").exists()
+
+
 def test_sample_prefix_dim_mismatch_exits_2(trained_lcm, tmp_path):
     model, _data = trained_lcm
     prefix = tmp_path / "prefix.bin"
@@ -691,6 +727,7 @@ def _train_state_case(root):
 # wrong-typed value for it.
 _LOADERS = {
     "dataset": (_dataset_case, ("n",), [7]),
+    "dataset-world": (_dataset_case, ("world", "seed"), "abc"),
     "sequences": (_sequences_case, ("lengths",), 7),
     "checkpoint": (_checkpoint_case, ("tensors",), 7),
     "projector-config": (_projector_config_case, ("meta", "config"), 7),
@@ -709,7 +746,8 @@ _FAULTS += [(loader, fault) for loader in ("projector-config", "lcm-config", "tr
 
 
 _FAULTS += [("checkpoint-meta", "wrong-type"), ("lcm-schedule", "wrong-type"),
-            ("lcm-schedule", "unknown-key")]
+            ("lcm-schedule", "unknown-key"), ("dataset-world", "missing-key"),
+            ("dataset-world", "wrong-type")]
 
 
 @pytest.mark.parametrize(("loader", "fault"), _FAULTS + [("sequences", "old-format"),

@@ -23,7 +23,6 @@ from conceptspace.corpus import (
     read_embeddings,
     read_ids,
     save_sequences,
-    split,
     world_config,
     world_from_config,
     write_embeddings,
@@ -184,7 +183,7 @@ def test_world_config_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# dataset save/load and split
+# dataset save/load
 
 
 def _tiny_dataset(n=10):
@@ -201,38 +200,6 @@ def test_dataset_save_load_round_trip(tmp_path):
     assert np.array_equal(back.frames, ds.frames.astype(np.float32).astype(np.float64))
     assert np.array_equal(back.caption_ids, ds.caption_ids)
     assert back.meta["world"] == ds.meta["world"]
-
-
-def test_split_sizes_largest_remainder():
-    ds = _tiny_dataset(10)
-    train, val, test = split(ds, (0.8, 0.1, 0.1), seed=0)
-    assert (len(train), len(val), len(test)) == (8, 1, 1)
-
-
-def test_split_deterministic_and_partition():
-    ds = _tiny_dataset(23)
-    a = split(ds, (0.6, 0.2, 0.2), seed=5)
-    b = split(ds, (0.6, 0.2, 0.2), seed=5)
-    for part_a, part_b in zip(a, b):
-        assert np.array_equal(part_a.caption_ids, part_b.caption_ids)
-    merged = sorted(
-        int(c) for part in a for c in part.caption_ids
-    )
-    assert merged == sorted(int(c) for c in ds.caption_ids)
-    assert sum(len(p) for p in a) == len(ds)
-
-
-def test_split_rejects_bad_fractions():
-    ds = _tiny_dataset(6)
-    with pytest.raises(ValueError):
-        split(ds, (0.5, 0.2, 0.2), seed=0)
-
-
-def test_split_rejects_empty_dataset():
-    ds = _tiny_dataset(4)
-    empty = ds.subset(np.array([], dtype=np.int64))
-    with pytest.raises(ValueError):
-        split(empty, (0.8, 0.1, 0.1), seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conceptspace import checkpoints, latentdiff
 from conceptspace.checkpoints import load_lcm, save_lcm
@@ -88,6 +89,19 @@ def test_schedule_rejects_bad_requests():
         build_schedule(1)
     with pytest.raises(ValueError):
         build_schedule(10, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("span", [(10.0, -10.0), (5.0, -5.0), (20.0, -20.0), (3.0, -7.5),
+                                  (800.0, -800.0)])
+def test_schedule_equals_expit_bit_for_bit(span):
+    # scipy's expit is the oracle: trained models and checkpoints keep their bytes.
+    # At +-800 the outer levels' sigmoids underflow to 0, or overflow libm's exp.
+    for steps in range(2, 201):
+        for hi, lo in (span, (-span[1], -span[0])):
+            sched = build_schedule(steps, hi, lo)
+            log_snr = np.linspace(hi, lo, steps)
+            assert sched.alpha.tobytes() == np.sqrt(expit(log_snr)).tobytes(), (steps, hi, lo)
+            assert sched.sigma.tobytes() == np.sqrt(expit(-log_snr)).tobytes(), (steps, hi, lo)
 
 
 # ---------------------------------------------------------------------------

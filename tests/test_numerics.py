@@ -1,4 +1,5 @@
-"""Oracle and property tests for the numerics layer.
+"""Oracle and property tests for the numerics layer, and for the reference
+forms in oracles.py that the other test modules compare against.
 
 Hand-computed and extended-precision constants are frozen inline; each one
 notes how it was obtained so it can be re-derived without this repo.
@@ -19,18 +20,14 @@ from conceptspace.numerics import (
     EIGENVALUE_FLOOR,
     CovarianceSummary,
     average_ranks,
-    cosine_similarity,
     covariance_matrix,
-    flatten_tensors,
     gaussian_sample,
     grad_check,
     logdet_psd,
-    make_rng,
-    softmax,
     spearman_rank_corr,
     stream_rng,
-    unflatten_tensors,
 )
+from oracles import cosine_similarity, flatten_tensors, softmax, unflatten_tensors
 
 # softmax([1, 2, 3]) evaluated with 50-digit mpmath, rounded to float64.
 SOFTMAX_123 = np.array(
@@ -43,30 +40,30 @@ SOFTMAX_123 = np.array(
 
 
 def test_gaussian_sigma_zero_is_exact_mean():
-    out = gaussian_sample(make_rng(0), (2, 2), mu=0.5, sigma=0.0)
+    out = gaussian_sample(np.random.default_rng(0), (2, 2), mu=0.5, sigma=0.0)
     assert out.shape == (2, 2)
     assert np.all(out == 0.5)
 
 
 def test_gaussian_same_seed_same_draws():
-    a = gaussian_sample(make_rng(7), (3, 4), mu=0.0, sigma=1.0)
-    b = gaussian_sample(make_rng(7), (3, 4), mu=0.0, sigma=1.0)
+    a = gaussian_sample(np.random.default_rng(7), (3, 4), mu=0.0, sigma=1.0)
+    b = gaussian_sample(np.random.default_rng(7), (3, 4), mu=0.0, sigma=1.0)
     assert np.array_equal(a, b)
 
 
 def test_gaussian_law_of_large_numbers():
-    x = gaussian_sample(make_rng(7), (10**5,), mu=0.0, sigma=1.0)
+    x = gaussian_sample(np.random.default_rng(7), (10**5,), mu=0.0, sigma=1.0)
     assert abs(float(np.mean(x))) < 0.02
     assert abs(float(np.var(x)) - 1.0) < 0.02
 
 
 def test_gaussian_rejects_negative_sigma():
     with pytest.raises(ValueError):
-        gaussian_sample(make_rng(0), (2,), mu=0.0, sigma=-1.0)
+        gaussian_sample(np.random.default_rng(0), (2,), mu=0.0, sigma=-1.0)
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# softmax (oracles.py)
 
 
 def test_softmax_uniform_on_constant_input():
@@ -93,7 +90,7 @@ def test_softmax_sums_to_one_and_shift_invariant(vals):
 
 
 # ---------------------------------------------------------------------------
-# cosine_similarity
+# cosine_similarity (oracles.py)
 
 
 def test_cosine_self_is_one():
@@ -148,7 +145,7 @@ def test_covariance_hand_case():
 
 
 def test_covariance_trace_is_sum_of_variances():
-    x = make_rng(3).normal(size=(40, 5))
+    x = np.random.default_rng(3).normal(size=(40, 5))
     summary = covariance_matrix(x)
     per_dim = np.var(x, axis=0, ddof=1)
     assert float(np.trace(summary.cov)) == pytest.approx(float(np.sum(per_dim)), abs=1e-9)
@@ -160,7 +157,7 @@ def test_covariance_needs_two_rows():
 
 
 def test_covariance_is_symmetric():
-    summary = covariance_matrix(make_rng(5).normal(size=(30, 6)))
+    summary = covariance_matrix(np.random.default_rng(5).normal(size=(30, 6)))
     assert np.array_equal(summary.cov, summary.cov.T)
 
 
@@ -183,7 +180,7 @@ def test_logdet_scaled_identity():
 
 def test_logdet_rank_deficient_uses_floor():
     # outer-product construction: eigenvalues {3, 1, 0}
-    q, _ = np.linalg.qr(make_rng(11).normal(size=(3, 3)))
+    q, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))
     cov = q @ np.diag([3.0, 1.0, 0.0]) @ q.T
     cov = 0.5 * (cov + cov.T)
     expected = math.log(3.0) + math.log(1.0) + math.log(EIGENVALUE_FLOOR)
@@ -208,11 +205,12 @@ def _assert_same_ranks(x):
 
 
 def test_average_ranks_continuous_rows():
-    _assert_same_ranks(make_rng(0).normal(size=(16, 999)))
+    _assert_same_ranks(np.random.default_rng(0).normal(size=(16, 999)))
 
 
 def test_average_ranks_integer_rows_with_many_ties():
-    _assert_same_ranks(make_rng(1).integers(-3, 4, size=(16, 999)).astype(np.float64))
+    ties = np.random.default_rng(1).integers(-3, 4, size=(16, 999))
+    _assert_same_ranks(ties.astype(np.float64))
 
 
 def test_average_ranks_all_equal_rows():
@@ -232,7 +230,7 @@ def test_average_ranks_length_one_and_two_rows(rows):
 
 
 def test_average_ranks_one_and_three_dimensional_input():
-    rng = make_rng(2)
+    rng = np.random.default_rng(2)
     _assert_same_ranks(rng.normal(size=11))
     _assert_same_ranks(np.round(rng.normal(size=(2, 3, 40)), 1))
 
@@ -240,7 +238,7 @@ def test_average_ranks_one_and_three_dimensional_input():
 def test_average_ranks_takes_both_paths(monkeypatch):
     # Only the tie path spreads run averages with np.repeat. The patch is live
     # only around average_ranks, so the rankdata oracle never runs under it.
-    distinct = make_rng(3).normal(size=(4, 50))
+    distinct = np.random.default_rng(3).normal(size=(4, 50))
     one_tie = distinct.copy()
     one_tie[2, 7] = one_tie[2, 31]
     calls = []
@@ -307,7 +305,7 @@ def test_spearman_constant_input_raises():
 def test_spearman_monotone_transform_invariant(vals):
     # integer grid keeps exp() strictly monotone in float64 (no underflow ties)
     a = np.array(vals, dtype=np.float64)
-    b = make_rng(1).permutation(len(vals)).astype(np.float64)
+    b = np.random.default_rng(1).permutation(len(vals)).astype(np.float64)
     base = spearman_rank_corr(a, b)
     warped = spearman_rank_corr(np.exp(a / 25.0), b)
     assert warped == pytest.approx(base, abs=1e-9)
@@ -318,7 +316,7 @@ def test_spearman_monotone_transform_invariant(vals):
 
 
 def test_grad_check_quadratic_is_tight():
-    point = make_rng(2).normal(size=7)
+    point = np.random.default_rng(2).normal(size=7)
 
     def f(x):
         return float(np.dot(x, x))
@@ -343,7 +341,7 @@ def test_grad_check_rejects_non_finite_objective():
 
 
 # ---------------------------------------------------------------------------
-# seeded streams and tensor flattening
+# seeded streams, and tensor flattening (oracles.py)
 
 
 def test_stream_rng_keyed_independence():
@@ -362,8 +360,8 @@ def test_stream_rng_multi_part_keys():
 
 def test_flatten_round_trip():
     tensors = {
-        "w": make_rng(0).normal(size=(3, 2)),
-        "b": make_rng(1).normal(size=(2,)),
+        "w": np.random.default_rng(0).normal(size=(3, 2)),
+        "b": np.random.default_rng(1).normal(size=(2,)),
     }
     order = ["w", "b"]
     flat = flatten_tensors(tensors, order)

@@ -17,7 +17,7 @@ from conceptspace.projector import (
     init_projector,
     project,
     project_backward,
-    sinusoidal_pe,
+    sinusoidal_features,
 )
 from conceptspace.records import from_dict
 
@@ -87,25 +87,25 @@ def test_init_same_seed_identical():
 
 
 def test_pe_row_zero():
-    pe = sinusoidal_pe(3, 8)
+    pe = sinusoidal_features(np.arange(3), 8)
     assert np.all(pe[0, 0::2] == 0.0)
     assert np.all(pe[0, 1::2] == 1.0)
 
 
 def test_pe_first_frequency():
-    pe = sinusoidal_pe(2, 8)
+    pe = sinusoidal_features(np.arange(2), 8)
     assert pe[1, 0] == pytest.approx(math.sin(1.0), abs=1e-15)
     assert pe[1, 1] == pytest.approx(math.cos(1.0), abs=1e-15)
 
 
 def test_pe_bounded():
-    pe = sinusoidal_pe(50, 16)
+    pe = sinusoidal_features(np.arange(50), 16)
     assert float(np.max(np.abs(pe))) <= 1.0
 
 
 def test_pe_rejects_odd_dim():
     with pytest.raises(ValueError):
-        sinusoidal_pe(4, 7)
+        sinusoidal_features(np.arange(4), 7)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def _pool_rows(pooling, params_key, x):
     """
     cfg = _cfg(pooling=pooling, use_adapter=False, use_temporal_attention=False)
     params = init_projector(cfg, stream_rng(*params_key))
-    _, trace = project(params, cfg, x - sinusoidal_pe(*x.shape))
+    _, trace = project(params, cfg, x - sinusoidal_features(np.arange(x.shape[0]), x.shape[1]))
     return params, trace
 
 
