@@ -15,7 +15,7 @@ patience counter, and the best-validation parameters are what a stage returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .projector import (
     project,
     project_backward,
 )
-from .records import check_types, write_csv
+from .records import from_dict, write_csv
 
 _STREAM_INIT = 31
 _STREAM_VAL_SPLIT = 32
@@ -273,18 +273,11 @@ def train_stage(
 
 
 def apply_stage_overrides(cfg: AlignConfig, stage: CurriculumStage) -> AlignConfig:
-    updates: dict = {}
-    if stage.epochs is not None:
-        updates["max_epochs"] = stage.epochs
-    if stage.batch_size is not None:
-        updates["batch_size"] = stage.batch_size
-    for key, value in stage.lr_overrides.items():
-        if key not in AlignConfig.__dataclass_fields__:
-            raise ValueError(f"unknown aligner override {key!r} in stage {stage.name!r}")
-        updates[key] = value
+    """`cfg` with the stage's epochs, batch size and `lr_overrides` laid over it."""
+    sizes = {"max_epochs": stage.epochs, "batch_size": stage.batch_size}
+    updates = {k: v for k, v in sizes.items() if v is not None} | stage.lr_overrides
     try:
-        check_types(AlignConfig, updates)
-        return replace(cfg, **updates) if updates else cfg
+        return from_dict(AlignConfig, asdict(cfg) | updates)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad overrides in stage {stage.name!r}: {exc}") from exc
 

@@ -77,6 +77,15 @@ def _blocks(doc: dict, allowed: tuple[str, ...], where: str) -> dict[str, dict]:
     return blocks
 
 
+def _config(cls, block: dict, label: str, **given):
+    """Dataclass `cls` from a config block with each given value that is not
+    None (a CLI flag's) laid over it; a malformed value exits 2 naming its key."""
+    try:
+        return from_dict(cls, block | {k: v for k, v in given.items() if v is not None})
+    except (TypeError, ValueError) as exc:
+        raise CliError(2, f"bad {label}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # gen
 
@@ -172,10 +181,7 @@ def _parse_stages(stage_arg: str) -> list[CurriculumStage]:
     stages = []
     for part in stage_arg.split(","):
         path = Path(part.strip())
-        try:
-            doc = from_dict(StageFile, _load_json(path, "stage"))
-        except (TypeError, ValueError) as exc:
-            raise CliError(2, f"bad stage file {path}: {exc}") from exc
+        doc = _config(StageFile, _load_json(path, "stage"), f"stage file {path}")
         stages.append(
             CurriculumStage(
                 name=path.stem if doc.name is None else doc.name,
@@ -195,28 +201,10 @@ def cmd_align(args) -> int:
 
     first = PairedDataset.load(stages[0].dataset_path)
     stages[0] = replace(stages[0], dataset=first)
-    frame_dim = first.frames.shape[2]
-    concept_dim = first.targets.shape[1]
-
-    proj_block = dict(blocks["projector"])
-    proj_block["frame_dim"] = frame_dim
-    proj_block["concept_dim"] = concept_dim
-    if args.heads is not None:
-        proj_block["heads"] = args.heads
-    if args.pooling is not None:
-        proj_block["pooling"] = args.pooling
-    try:
-        proj_cfg = from_dict(ProjectorConfig, proj_block)
-    except (TypeError, ValueError) as exc:
-        raise CliError(2, f"bad projector config: {exc}") from exc
-
-    align_block = dict(blocks["aligner"])
-    if args.seed is not None:
-        align_block["seed"] = args.seed
-    try:
-        align_cfg = from_dict(AlignConfig, align_block)
-    except (TypeError, ValueError) as exc:
-        raise CliError(2, f"bad aligner config: {exc}") from exc
+    proj_cfg = _config(ProjectorConfig, blocks["projector"], "projector config",
+                       frame_dim=first.frames.shape[2], concept_dim=first.targets.shape[1],
+                       heads=args.heads, pooling=args.pooling)
+    align_cfg = _config(AlignConfig, blocks["aligner"], "aligner config", seed=args.seed)
 
     params, histories = run_curriculum(stages, proj_cfg, align_cfg)
 
@@ -259,31 +247,15 @@ def cmd_train_lcm(args) -> int:
                      ("latentdiff", "schedule"), "train-lcm config")
     lcm_blocks = _blocks(blocks["latentdiff"], ("model", "train"), "latentdiff")
     sequences, _meta = corpus.load_sequences(args.data)
-    concept_dim = sequences[0].embeddings.shape[1]
-
-    model_block = dict(lcm_blocks["model"])
-    model_block["concept_dim"] = concept_dim
-    train_block = dict(lcm_blocks["train"])
-    if args.seed is not None:
-        train_block["seed"] = args.seed
-    if args.max_steps is not None:
-        train_block["max_steps"] = args.max_steps
-    if args.ckpt_every is not None:
-        train_block["ckpt_every"] = args.ckpt_every
-    if args.lr is not None:
-        train_block["lr"] = args.lr
-
-    try:
-        model_cfg = from_dict(latentdiff.LcmModelConfig, model_block)
-        train_cfg = from_dict(latentdiff.LcmTrainConfig, train_block)
-        sched_cfg = from_dict(latentdiff.ScheduleConfig, blocks["schedule"])
-        if args.steps is not None:
-            sched_cfg = replace(sched_cfg, steps=args.steps)
-    except (TypeError, ValueError) as exc:
-        raise CliError(2, f"bad config: {exc}") from exc
+    model_cfg = _config(latentdiff.LcmModelConfig, lcm_blocks["model"], "model config",
+                        concept_dim=sequences[0].embeddings.shape[1])
+    train_cfg = _config(latentdiff.LcmTrainConfig, lcm_blocks["train"], "train config",
+                        seed=args.seed, max_steps=args.max_steps, ckpt_every=args.ckpt_every,
+                        lr=args.lr)
+    sched_cfg = _config(latentdiff.ScheduleConfig, blocks["schedule"], "schedule config",
+                        steps=args.steps)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     params, history = latentdiff.train_lcm(
         sequences, model_cfg, train_cfg, latentdiff.build_schedule(**asdict(sched_cfg)),
         out_dir=out, resume=args.resume,
@@ -402,13 +374,9 @@ def cmd_sample(args) -> int:
     if prefix.shape[0] < 1:
         raise CliError(2, "prefix file holds no rows")
     with corpus.malformed_manifest(Path(args.lcm) / "params.json"):
-        sched_cfg = from_dict(latentdiff.ScheduleConfig, meta.get("schedule", {}))
-    overrides = {"steps": args.steps, "lambda_max": args.lambda_max,
-                 "lambda_min": args.lambda_min}
-    try:
-        sched_cfg = replace(sched_cfg, **{k: v for k, v in overrides.items() if v is not None})
-    except (TypeError, ValueError) as exc:
-        raise CliError(2, str(exc)) from exc
+        stored = from_dict(latentdiff.ScheduleConfig, meta.get("schedule", {}))
+    sched_cfg = _config(latentdiff.ScheduleConfig, asdict(stored), "schedule",
+                        steps=args.steps, lambda_max=args.lambda_max, lambda_min=args.lambda_min)
     schedule = latentdiff.build_schedule(**asdict(sched_cfg))
     z = latentdiff.sample_next(
         params, model_cfg, prefix, schedule,

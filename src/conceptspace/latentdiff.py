@@ -13,9 +13,8 @@ A training step runs each tower once over the whole batch: the context tower
 over right-padded prefixes, where the causal mask already keeps every real
 position from seeing a pad, and the denoiser over rows. The loss of an item is
 the plain (unsquared) Euclidean distance between the target and the
-prediction, summed over the batch; a squared variant sits behind a config
-flag. All gradients are hand-derived and verified against finite differences
-in the test suite.
+prediction, summed over the batch. All gradients are hand-derived and verified
+against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -100,7 +99,12 @@ class ScheduleConfig:
         # `records.from_dict` checks the types; the stored schedule holds floats.
         for name in ("lambda_max", "lambda_min"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        build_schedule(**asdict(self))  # raises on too few levels or an empty range
+        schedule = build_schedule(**asdict(self))  # raises on too few levels or an empty range
+        # The sampler divides by sigma at every level but the clean one, and
+        # sigma grows with the level: level 1 is the one that can be 0.
+        if schedule.sigma[1] == 0.0:
+            raise ValueError(f"lambda_max {self.lambda_max:g} puts level 1 at log-SNR "
+                             f"{schedule.log_snr[1]:.6g}, where sigma is 0 (above about 709.78)")
 
 
 def forward_diffuse(
@@ -140,8 +144,10 @@ class LcmModelConfig:
             raise ValueError(
                 f"ctx_width {self.ctx_width} must be divisible by ctx_heads {self.ctx_heads}"
             )
-        if self.lambda_emb_dim % 2 != 0:
-            raise ValueError("lambda_emb_dim must be even")
+        for name in ("ctx_width", "lambda_emb_dim"):
+            value = getattr(self, name)
+            if value % 2 != 0:
+                raise ValueError(f"{name} must be even for interleaved sin/cos codes, got {value}")
 
     @property
     def denoiser_input_dim(self) -> int:
@@ -356,7 +362,6 @@ class LcmTrainConfig:
     val_fraction: float = 0.1
     val_every: int = 200
     ckpt_every: int = 1000
-    squared_loss: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.guidance_p <= 1.0:
@@ -381,7 +386,6 @@ def _loss_forward(
     t: np.ndarray,
     eps: np.ndarray,
     conditioned: np.ndarray,
-    squared: bool,
 ):
     """Summed loss of items noised to levels t with noise eps.
 
@@ -411,8 +415,6 @@ def _loss_forward(
     pred, den_cache = _den_forward(params, cfg, xt, schedule.log_snr[t], c)
     residual = targets - pred
     dist = np.linalg.norm(residual, axis=1)
-    if squared:
-        return float(np.sum(dist * dist)), -2.0 * residual, ctx, den_cache
     # Subgradient 0 at an exact hit (residual and distance both 0); otherwise
     # the unit direction.
     g_pred = -residual / np.where(dist > 0.0, dist, np.inf)[:, None]
@@ -426,7 +428,6 @@ def diffusion_loss(
     schedule: NoiseSchedule,
     guidance_p: float,
     rng: np.random.Generator,
-    squared: bool = False,
 ) -> tuple[float, dict[str, np.ndarray], int]:
     """Sum-reduced denoising loss over a batch, with analytic gradients.
 
@@ -446,9 +447,7 @@ def diffusion_loss(
         eps[i] = rng.standard_normal(cfg.concept_dim)
         conditioned[i] = rng.random() >= guidance_p
 
-    total, g_pred, ctx, den_cache = _loss_forward(
-        params, cfg, batch, schedule, t, eps, conditioned, squared
-    )
+    total, g_pred, ctx, den_cache = _loss_forward(params, cfg, batch, schedule, t, eps, conditioned)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     g_c = _den_backward(params, cfg, den_cache, g_pred, grads)
     grads["null_ctx"] += g_c[~conditioned].sum(axis=0)
@@ -493,7 +492,6 @@ def _val_loss(
     items: list[NextEmbeddingItem],
     schedule: NoiseSchedule,
     seed: int,
-    squared: bool,
 ) -> float:
     """Mean per-item loss on held-out items, always conditioned.
 
@@ -511,9 +509,7 @@ def _val_loss(
     total = 0.0
     for start in range(0, n, VAL_BLOCK):
         b = slice(start, start + VAL_BLOCK)
-        total += _loss_forward(
-            params, cfg, items[b], schedule, t[b], eps[b], conditioned[b], squared
-        )[0]
+        total += _loss_forward(params, cfg, items[b], schedule, t[b], eps[b], conditioned[b])[0]
     return total / n
 
 
@@ -562,9 +558,7 @@ def train_lcm(
     else:
         params = init_two_tower(model_cfg, stream_rng(cfg.seed, _STREAM_INIT))
         start_step = 0
-        best_val = _val_loss(
-            params, model_cfg, val_items, schedule, cfg.seed, cfg.squared_loss
-        )
+        best_val = _val_loss(params, model_cfg, val_items, schedule, cfg.seed)
         best_step = 0
         best_tensors = {k: v.copy() for k, v in params.items()}
         history.vals.append(LcmValRecord(step=0, val_loss=best_val))
@@ -575,10 +569,8 @@ def train_lcm(
         )
         batch = [train_items[int(i)] for i in picks]
         step_rng = stream_rng(cfg.seed, _STREAM_STEP, step)
-        loss, grads, _ = diffusion_loss(
-            params, model_cfg, batch, schedule, cfg.guidance_p, step_rng,
-            squared=cfg.squared_loss,
-        )
+        loss, grads, _ = diffusion_loss(params, model_cfg, batch, schedule, cfg.guidance_p,
+                                        step_rng)
         if not np.isfinite(loss):
             raise TrainingDivergedError(step)
         clipped, raw_norm, clip_norm = clip_global_norm(grads, cfg.grad_clip)
@@ -593,9 +585,7 @@ def train_lcm(
 
         done = step + 1
         if done % cfg.val_every == 0 or done == cfg.max_steps:
-            val = _val_loss(
-                params, model_cfg, val_items, schedule, cfg.seed, cfg.squared_loss
-            )
+            val = _val_loss(params, model_cfg, val_items, schedule, cfg.seed)
             history.vals.append(LcmValRecord(step=done, val_loss=val))
             if val < best_val:
                 best_val = val
@@ -634,6 +624,13 @@ def sample_next(
     the next level. Returns the final clean prediction. eta > 0 injects fresh
     noise at each step, scaled so eta == 1 matches ancestral sampling.
     """
+    steps = schedule.steps
+    # With eta > 0 a step divides by alpha at each level below the noisiest,
+    # and alpha falls with the level: level steps-2 is the one that can be 0.
+    if eta > 0.0 and steps > 1 and schedule.alpha[steps - 2] == 0.0:
+        raise ValueError(f"eta > 0, but lambda_min {schedule.log_snr[-1]:g} puts level {steps - 2} "
+                         f"at log-SNR {schedule.log_snr[steps - 2]:.6g}, where alpha is 0 "
+                         f"(below about -709.78)")
     if rng is None:
         rng = stream_rng(0, _STREAM_SAMPLE)
     c = contextualize(params, cfg, prefix)[-1]
@@ -648,7 +645,6 @@ def sample_next(
             return pred
         return (1.0 + guidance_scale) * pred[0] - guidance_scale * pred[1]
 
-    steps = schedule.steps
     x = rng.standard_normal(cfg.concept_dim)
     if steps == 1:
         return predict(x, 0)

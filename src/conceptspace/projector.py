@@ -46,6 +46,10 @@ class ProjectorConfig:
             raise ValueError(
                 f"frame_dim {self.frame_dim} must be divisible by heads {self.heads}"
             )
+        if self.frame_dim % 2 != 0:
+            raise ValueError(
+                f"frame_dim must be even for interleaved sin/cos codes, got {self.frame_dim}"
+            )
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.pooling not in POOLING_MODES:

@@ -33,24 +33,20 @@ def _field_types(cls) -> dict[str, tuple]:
     return out
 
 
-def check_types(cls, d: dict) -> None:
-    """Raise TypeError, naming the key, for a value of `d` its field of `cls` does not take."""
-    for key, value in d.items():
-        options = _field_types(cls)[key]
-        if not any(_JSON_TYPES[t][1](value) for t in options):
-            expected = " or ".join(_JSON_TYPES[t][0] for t in options)
-            raise TypeError(f"{cls.__name__} {key} must be {expected}, got {value!r}")
-
-
 def from_dict(cls, d: dict):
     """Build dataclass `cls` from `d`; a key that names no field, or a value
-    of another type than its field's annotation, is an error."""
+    of another type than its field's annotation, is an error naming the key."""
     if not isinstance(d, dict):
         raise TypeError(f"{cls.__name__} block must be an object, got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
-    check_types(cls, d)
+    allowed = _field_types(cls)
+    for key, value in d.items():
+        options = allowed[key]
+        if not any(_JSON_TYPES[t][1](value) for t in options):
+            expected = " or ".join(_JSON_TYPES[t][0] for t in options)
+            raise TypeError(f"{cls.__name__} {key} must be {expected}, got {value!r}")
     return cls(**d)
 
 

@@ -12,6 +12,9 @@ import os
 import shutil
 import subprocess
 import sys
+import typing
+import warnings
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import jsonschema
@@ -19,8 +22,10 @@ import numpy as np
 import pytest
 
 from conceptspace import checkpoints, cli, corpus, latentdiff, spaceval
+from conceptspace.aligner import AlignConfig
 from conceptspace.numerics import stream_rng
 from conceptspace.projector import ProjectorConfig, init_projector, project
+from conceptspace.records import from_dict
 
 
 def _hash_dir(path: Path) -> dict:
@@ -286,6 +291,19 @@ def test_align_bad_override_in_a_later_stage_exits_2_before_training(align_setup
     assert not (tmp_path / "run").exists()
 
 
+def test_align_odd_frame_dim_exits_2_naming_the_key(tmp_path, capsys):
+    # 9 frame features split over 3 heads, but the sin/cos position codes need an even width.
+    assert cli.main(_gen_args(tmp_path / "data", n=8, frames=3, dim_frame=9, dim_concept=4,
+                              bank_size=16)) == 0
+    stage = tmp_path / "stage.json"
+    stage.write_text(json.dumps({"dataset": "data", "epochs": 1}))
+    capsys.readouterr()
+    code = cli.main(["align", "--stages", str(stage), "--heads", "3",
+                     "--out", str(tmp_path / "run")])
+    _assert_one_line_usage_error(capsys, code, "frame_dim must be even")
+    assert not (tmp_path / "run").exists()
+
+
 def test_align_stage_file_name_and_relative_dataset(align_setup, tmp_path):
     root, _data, _stage, config = align_setup
     stage = root / "named-stage.json"
@@ -399,8 +417,13 @@ def test_train_lcm_misspelt_key_exits_2(lcm_setup, tmp_path, capsys, block):
     (lambda doc: doc["latentdiff"]["model"].update(ctx_heads=-2), "ctx_heads must be >= 1, got -2"),
     (lambda doc: doc["latentdiff"]["model"].update(den_width=0), "den_width must be >= 1, got 0"),
     (lambda doc: doc["latentdiff"]["model"].update(ffn_mult=0), "ffn_mult must be >= 1, got 0"),
+    (lambda doc: doc["latentdiff"]["model"].update(ctx_width=9, ctx_heads=3),
+     "ctx_width must be even"),
+    (lambda doc: doc["latentdiff"]["train"].update(squared_loss=True),
+     "unknown LcmTrainConfig key(s): squared_loss"),
 ], ids=["latentdiff-list", "model-list", "unknown-top", "unknown-latentdiff", "ctx-width-0",
-        "lambda-emb-dim-0", "ctx-heads-negative", "den-width-0", "ffn-mult-0"])
+        "lambda-emb-dim-0", "ctx-heads-negative", "den-width-0", "ffn-mult-0", "ctx-width-odd",
+        "squared-loss"])
 def test_train_lcm_bad_config_block_exits_2(lcm_setup, tmp_path, capsys, edit, needle):
     _root, data, config = lcm_setup
     doc = json.loads(config.read_text())
@@ -426,6 +449,7 @@ def test_train_lcm_resume_refuses_other_config(tmp_path, capsys, block, key, val
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize(("schedule", "needle"), [({"steps": 6, "lamda_max": 3.0}, "lamda_max"),
@@ -637,6 +661,27 @@ def test_sample_loads_neither_scipy_nor_jsonschema(trained_lcm, tmp_path):
     assert (tmp_path / "next.bin").exists()
 
 
+@pytest.mark.parametrize(("extra", "needle"), [
+    (["--steps", "200", "--lambda-max", "800", "--lambda-min", "-800"],
+     "bad schedule: lambda_max 800 puts level 1 at log-SNR 791.96, where sigma is 0"),
+    (["--steps", "40", "--lambda-min", "-760", "--eta", "1"],
+     "lambda_min -760 puts level 38 at log-SNR -740.256, where alpha is 0"),
+], ids=["sigma-zero", "eta-alpha-zero"])
+def test_sample_schedule_the_sampler_cannot_divide_by_exits_2(trained_lcm, tmp_path, capsys,
+                                                             extra, needle):
+    model, data = trained_lcm
+    prefix = tmp_path / "prefix.bin"
+    _write_prefix(prefix, data)
+    out = tmp_path / "out" / "next.bin"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(_sample_args(out, model, prefix, extra=extra))
+    _assert_one_line_usage_error(capsys, code, needle)
+    assert caught == []
+    assert not out.parent.exists()
+
+
 def test_sample_prefix_dim_mismatch_exits_2(trained_lcm, tmp_path):
     model, _data = trained_lcm
     prefix = tmp_path / "prefix.bin"
@@ -841,3 +886,60 @@ def test_main_without_command_returns_2(capsys):
 def test_main_unknown_command_returns_2(capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# config blocks, key by key
+
+
+_CONFIG_CLASSES = (ProjectorConfig, AlignConfig, cli.StageFile, latentdiff.LcmModelConfig,
+                   latentdiff.LcmTrainConfig, latentdiff.ScheduleConfig)
+
+
+def _mistyped(cls, name):
+    """A JSON value of a type that field `name` of `cls` does not take."""
+    hint = typing.get_type_hints(cls)[name]
+    return 1 if str in (hint, *typing.get_args(hint)) else "x"
+
+
+# Every key of every config class, except the dims the command fills from its data.
+_KEYS = [(cls, f.name) for cls in _CONFIG_CLASSES for f in fields(cls)
+         if f.name not in ("frame_dim", "concept_dim")]
+
+
+@pytest.mark.parametrize(("cls", "key"), _KEYS,
+                         ids=[f"{cls.__name__}.{key}" for cls, key in _KEYS])
+def test_mistyped_config_value_exits_2_naming_the_key(align_setup, lcm_setup, tmp_path,
+                                                      capsys, cls, key):
+    _root, _data, stage, config = align_setup
+    _lcm_root, seqs, _lcm_config = lcm_setup
+    bad = tmp_path / "bad.json"
+    value = {key: _mistyped(cls, key)}
+    out = tmp_path / "run"
+    if cls is cli.StageFile:
+        bad.write_text(json.dumps({"dataset": "data", **value}))
+        argv = _align_args(out, bad, config)
+    elif cls in (ProjectorConfig, AlignConfig):
+        bad.write_text(json.dumps({"projector" if cls is ProjectorConfig else "aligner": value}))
+        argv = _align_args(out, stage, bad)
+    else:
+        block = {latentdiff.LcmModelConfig: "model", latentdiff.LcmTrainConfig: "train"}
+        doc = {"latentdiff": {block[cls]: value}} if cls in block else {"schedule": value}
+        bad.write_text(json.dumps(doc))
+        argv = _train_args(out, seqs, bad)
+    capsys.readouterr()
+    code = cli.main(argv)
+    _assert_one_line_usage_error(capsys, code, f"{cls.__name__} {key} must be")
+    assert not out.exists()
+
+
+# ProjectorConfig and LcmModelConfig round-trip in test_projector.py and test_latentdiff.py.
+@pytest.mark.parametrize("cfg", [
+    AlignConfig(lambda_con=0.5, max_epochs=3, seed=7),
+    cli.StageFile(dataset="data", name="coarse", epochs=2, lr_overrides={"tau": 0.1}),
+    latentdiff.LcmTrainConfig(lr=1e-3, max_steps=50, warmup_steps=5, seed=3),
+    latentdiff.ScheduleConfig(steps=6, lambda_max=4, lambda_min=-3),
+], ids=lambda cfg: type(cfg).__name__)
+def test_config_dict_round_trip(cfg):
+    # Stage overrides rebuild the aligner config from its dict, so each class must round-trip.
+    assert from_dict(type(cfg), asdict(cfg)) == cfg

@@ -308,15 +308,12 @@ def _live_params(cfg):
     return params
 
 
-@pytest.mark.parametrize("squared", [False, True])
-def test_diffusion_loss_batch_matches_per_item_calls(squared):
+def test_diffusion_loss_batch_matches_per_item_calls():
     cfg = _model_cfg()
     params = _live_params(cfg)
     sched = build_schedule(6)
     batch = _mixed_batch()
-    loss, grads, dropped = diffusion_loss(
-        params, cfg, batch, sched, 0.3, stream_rng(25, 7), squared=squared
-    )
+    loss, grads, dropped = diffusion_loss(params, cfg, batch, sched, 0.3, stream_rng(25, 7))
     assert 0 < dropped < len(batch)
 
     # One generator shared by consecutive single-item calls draws in the same
@@ -325,9 +322,7 @@ def test_diffusion_loss_batch_matches_per_item_calls(squared):
     ref_loss, ref_dropped = 0.0, 0
     ref_grads = {k: np.zeros_like(v) for k, v in params.items()}
     for item in batch:
-        item_loss, item_grads, item_dropped = diffusion_loss(
-            params, cfg, [item], sched, 0.3, rng, squared=squared
-        )
+        item_loss, item_grads, item_dropped = diffusion_loss(params, cfg, [item], sched, 0.3, rng)
         ref_loss += item_loss
         ref_dropped += item_dropped
         for key in ref_grads:
@@ -338,10 +333,8 @@ def test_diffusion_loss_batch_matches_per_item_calls(squared):
         np.testing.assert_allclose(grads[key], ref_grads[key], rtol=0, atol=1e-12, err_msg=key)
 
 
-def _check_loss_grads(cfg, params, batch, sched, rng_key, squared):
-    loss, grads, _ = diffusion_loss(
-        params, cfg, batch, sched, 0.3, stream_rng(*rng_key), squared=squared
-    )
+def _check_loss_grads(cfg, params, batch, sched, rng_key):
+    loss, grads, _ = diffusion_loss(params, cfg, batch, sched, 0.3, stream_rng(*rng_key))
     assert loss > 0.0
 
     worst = 0.0
@@ -351,9 +344,7 @@ def _check_loss_grads(cfg, params, batch, sched, rng_key, squared):
         def f(flat, _key=key):
             p2 = dict(params)
             p2[_key] = flat.reshape(base.shape)
-            val, _, _ = diffusion_loss(
-                p2, cfg, batch, sched, 0.3, stream_rng(*rng_key), squared=squared
-            )
+            val, _, _ = diffusion_loss(p2, cfg, batch, sched, 0.3, stream_rng(*rng_key))
             return val
 
         err = grad_check(f, grads[key].ravel(), base.ravel(), eps=1e-5)
@@ -362,29 +353,25 @@ def _check_loss_grads(cfg, params, batch, sched, rng_key, squared):
     assert worst < 1e-5  # typical values are far tighter
 
 
-@pytest.mark.parametrize("squared", [False, True])
-def test_diffusion_loss_grad_check(squared):
+def test_diffusion_loss_grad_check():
     cfg = _model_cfg()
     params = _live_params(cfg)
     sched = build_schedule(6)
     batch = [_one_item(key=k) for k in range(3)]
-    _check_loss_grads(cfg, params, batch, sched, (25, int(squared)), squared)
+    _check_loss_grads(cfg, params, batch, sched, (25, 0))
 
 
 def test_diffusion_loss_grad_check_mixed_lengths():
-    # The squared loss differs only in the row-wise upstream gradient, which the
-    # per-item check and the batch-against-items test already cover.
     cfg = _model_cfg()
     params = _live_params(cfg)
     sched = build_schedule(6)
     batch = _mixed_batch()
     _, _, dropped = diffusion_loss(params, cfg, batch, sched, 0.3, stream_rng(25, 7))
     assert 0 < dropped < len(batch)
-    _check_loss_grads(cfg, params, batch, sched, (25, 7), squared=False)
+    _check_loss_grads(cfg, params, batch, sched, (25, 7))
 
 
-@pytest.mark.parametrize("squared", [False, True])
-def test_val_loss_matches_per_item_reference(squared, monkeypatch):
+def test_val_loss_matches_per_item_reference(monkeypatch):
     monkeypatch.setattr(latentdiff, "VAL_BLOCK", 4)  # 10 items: blocks of 4, 4 and 2
     cfg = _model_cfg()
     params = _live_params(cfg)
@@ -398,8 +385,8 @@ def test_val_loss_matches_per_item_reference(squared, monkeypatch):
         c = contextualize(params, cfg, item.prefix)[-1]
         xt = forward_diffuse(item.target, t, eps, sched)
         dist = float(np.linalg.norm(item.target - denoise(params, cfg, xt, t, c, True, sched)))
-        total += dist * dist if squared else dist
-    got = _val_loss(params, cfg, items, sched, 11, squared)
+        total += dist
+    got = _val_loss(params, cfg, items, sched, 11)
     assert got == pytest.approx(total / len(items), rel=0, abs=1e-12)
 
 
@@ -609,6 +596,23 @@ def test_sample_eta_injects_seeded_noise():
     assert not np.array_equal(det, sto)
 
 
+def test_sample_next_with_eta_rejects_a_zero_alpha_below_the_noisiest_level():
+    cfg = _model_cfg()
+    params = _rand_params(cfg)
+    prefix = stream_rng(29, 4).normal(size=(2, 6))
+    # Log-SNR -720, -760, -800: alpha is 0 at every level, and level 1 is divided by.
+    sched = build_schedule(3, -720.0, -800.0)
+    with pytest.raises(ValueError, match="lambda_min -800 puts level 1 .* where alpha is 0"):
+        sample_next(params, cfg, prefix, sched, rng=stream_rng(9, 9), eta=1.0)
+    with np.errstate(all="raise"):
+        assert np.all(np.isfinite(sample_next(params, cfg, prefix, sched, rng=stream_rng(9, 9))))
+    # Log-SNR 10, -395, -800: alpha is 0 only at the noisiest level, which no step divides by.
+    sched = build_schedule(3, 10.0, -800.0)
+    with np.errstate(all="raise"):
+        z = sample_next(params, cfg, prefix, sched, rng=stream_rng(9, 9), eta=1.0)
+    assert np.all(np.isfinite(z))
+
+
 # ---------------------------------------------------------------------------
 # config and checkpoint plumbing
 
@@ -630,6 +634,14 @@ def test_schedule_config_defaults_types_and_range():
             from_dict(ScheduleConfig, bad)
     with pytest.raises(ValueError, match="lamda_max"):
         from_dict(ScheduleConfig, {"lamda_max": 3.0})
+
+
+def test_schedule_config_rejects_a_zero_sigma_above_the_clean_level():
+    with pytest.raises(ValueError, match="lambda_max 800 puts level 1 .* where sigma is 0"):
+        ScheduleConfig(steps=200, lambda_max=800.0, lambda_min=-800.0)
+    # Level 0 is never divided by, so its sigma may be 0; alpha 0 matters only to eta > 0.
+    assert ScheduleConfig(steps=2, lambda_max=800.0).lambda_max == 800.0
+    assert ScheduleConfig(steps=40, lambda_min=-760.0).lambda_min == -760.0
 
 
 def test_lcm_checkpoint_round_trip(tmp_path):
