@@ -1,16 +1,21 @@
-"""Checkpoint directories: params.json plus one binary blob per named tensor.
+"""Checkpoint directories: params.json plus one tensors.bin holding every tensor.
 
-Model weights and optimizer moments are stored as float64 blobs so that a
-resumed run continues bit-identically to an uninterrupted one. params.json
-records tensor shapes, the model config, and whatever metadata the caller
-attaches (step counts, best-validation bookkeeping, seeds); a training state
-also records a fingerprint of its corpus, so a resume on other data is refused.
+Model weights and optimizer moments are stored as float64 so that a resumed
+run continues bit-identically to an uninterrupted one. tensors.bin is one
+float64 embedding container (see corpus.py) whose values are the tensors',
+row-major, one after another in the order of the index in params.json. The
+index maps each tensor name to its shape, so the offsets follow from that
+order. params.json also records the model config and whatever metadata the
+caller attaches (step counts, best-validation bookkeeping, seeds); a
+training state also records a fingerprint of its corpus, so a resume on
+other data is refused.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 from dataclasses import asdict
 from pathlib import Path
@@ -20,25 +25,25 @@ import numpy as np
 from .corpus import (
     DTYPE_F64,
     EmbeddingFormatError,
+    container_header,
     malformed_manifest,
     read_embeddings,
-    write_embeddings,
 )
 from .latentdiff import LcmModelConfig, LcmTrainConfig
 from .optim import AdamW
 from .projector import ProjectorConfig
 from .records import from_dict
 
-
-def _blob_name(tensor_name: str) -> str:
-    return tensor_name.replace("/", "_") + ".bin"
+CHECKPOINT_FORMAT = "tensor-file-v2"
+TENSOR_FILE = "tensors.bin"
 
 
 def save_tensors(out_dir: str | Path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     """Write a checkpoint directory atomically: a failed save leaves any old one as it was.
 
     The files go into a sibling temporary directory that is renamed into place
-    once complete; the old directory is removed only after that.
+    once complete; the old directory is removed only after that. Each tensor
+    is streamed into tensors.bin in turn, so no copy of the whole state is made.
     """
     out = Path(out_dir)
     tmp = out.with_name(f".{out.name}.partial")
@@ -46,13 +51,19 @@ def save_tensors(out_dir: str | Path, tensors: dict[str, np.ndarray], meta: dict
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
     try:
-        index = {}
-        for name, tensor in tensors.items():
-            tensor = np.asarray(tensor, dtype=np.float64)
-            as_matrix = tensor.reshape(tensor.shape[0], -1) if tensor.ndim >= 2 else tensor.reshape(1, -1)
-            write_embeddings(tmp / _blob_name(name), as_matrix, dtype_code=DTYPE_F64)
-            index[name] = {"shape": list(tensor.shape), "file": _blob_name(name)}
-        doc = {"format": "tensor-dir-v1", "meta": meta, "tensors": index}
+        arrays = {name: np.asarray(tensor, dtype=np.float64) for name, tensor in tensors.items()}
+        total = sum(a.size for a in arrays.values())
+        with open(tmp / TENSOR_FILE, "wb") as fh:
+            fh.write(container_header(total, 1, DTYPE_F64))
+            for name, a in arrays.items():
+                if not np.all(np.isfinite(a)):
+                    raise ValueError(f"refusing to write non-finite values (tensor {name!r})")
+                fh.write(np.ascontiguousarray(a, dtype="<f8"))
+        doc = {
+            "format": CHECKPOINT_FORMAT,
+            "meta": meta,
+            "tensors": {name: list(a.shape) for name, a in arrays.items()},
+        }
         (tmp / "params.json").write_text(json.dumps(doc, indent=2) + "\n")
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -68,23 +79,42 @@ def save_tensors(out_dir: str | Path, tensors: dict[str, np.ndarray], meta: dict
         tmp.rename(out)
 
 
+def _shape(name: str, dims) -> tuple[int, ...]:
+    if not isinstance(dims, list) or not all(type(d) is int and d >= 0 for d in dims):
+        raise ValueError(f"tensor {name!r}: shape must be a list of non-negative integers, "
+                         f"got {dims!r}")
+    return tuple(dims)
+
+
 def load_tensors(in_dir: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """The tensors of a checkpoint, as writable views into one array read from tensors.bin."""
     root = Path(in_dir)
     doc_path = root / "params.json"
     if not doc_path.exists():
         raise EmbeddingFormatError(f"{root}: missing params.json")
     with malformed_manifest(doc_path):
         doc = json.loads(doc_path.read_text())
-        if doc.get("format") != "tensor-dir-v1":
-            raise EmbeddingFormatError(f"{root}: unexpected checkpoint format {doc.get('format')!r}")
+        if doc.get("format") != CHECKPOINT_FORMAT:
+            raise EmbeddingFormatError(
+                f"{root}: unexpected checkpoint format {doc.get('format')!r}, "
+                f"expected {CHECKPOINT_FORMAT!r}"
+            )
         meta = doc.get("meta", {})
         if not isinstance(meta, dict):
             raise TypeError(f"meta must be an object, got {type(meta).__name__}")
-        tensors = {}
-        for name, entry in doc["tensors"].items():
-            flat = read_embeddings(root / entry["file"])
-            tensors[name] = flat.reshape(tuple(entry["shape"]))
-        return tensors, meta
+        shapes = {name: _shape(name, dims) for name, dims in doc["tensors"].items()}
+    flat = read_embeddings(root / TENSOR_FILE).reshape(-1)
+    covered = sum(math.prod(shape) for shape in shapes.values())
+    if covered != flat.size:
+        raise EmbeddingFormatError(
+            f"{root}: the index covers {covered} values, {TENSOR_FILE} holds {flat.size}"
+        )
+    tensors, pos = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        tensors[name] = flat[pos : pos + size].reshape(shape)
+        pos += size
+    return tensors, meta
 
 
 # ---------------------------------------------------------------------------

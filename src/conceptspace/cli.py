@@ -373,6 +373,9 @@ def cmd_sample(args) -> int:
         )
     if prefix.shape[0] < 1:
         raise CliError(2, "prefix file holds no rows")
+    bank = corpus.read_embeddings(args.bank) if args.bank else None
+    if bank is not None and bank.shape[1] != model_cfg.concept_dim:
+        raise CliError(2, f"bank dim {bank.shape[1]} does not match model")
     with corpus.malformed_manifest(Path(args.lcm) / "params.json"):
         stored = from_dict(latentdiff.ScheduleConfig, meta.get("schedule", {}))
     sched_cfg = _config(latentdiff.ScheduleConfig, asdict(stored), "schedule",
@@ -384,14 +387,13 @@ def cmd_sample(args) -> int:
         rng=stream_rng(args.seed, _STREAM_CLI_SAMPLE),
         eta=args.eta,
     )
+    # Decoded before the write, so a bank it refuses leaves no --out behind.
+    decoded = None if bank is None else spaceval.nearest_decode(z, bank)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     corpus.write_embeddings(out, z[None, :])
-    if args.bank:
-        bank = corpus.read_embeddings(args.bank)
-        if bank.shape[1] != model_cfg.concept_dim:
-            raise CliError(2, f"bank dim {bank.shape[1]} does not match model")
-        print(f"decoded_caption_id={spaceval.nearest_decode(z, bank)}")
+    if decoded is not None:
+        print(f"decoded_caption_id={decoded}")
     _write_resolved_config(
         out.parent,
         {

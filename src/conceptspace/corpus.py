@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ MAGIC = b"CEMB0001"
 DTYPE_F32 = 1
 DTYPE_F64 = 2
 _HEADER = struct.Struct("<8sIQI")
+_ITEM_DTYPES = {DTYPE_F32: "<f4", DTYPE_F64: "<f8"}
 
 # Caption-bank norms stay inside this band so cosine decode is always defined
 # and the bank spans a nontrivial range of magnitudes.
@@ -73,33 +75,41 @@ def write_embeddings(path: str | Path, x: np.ndarray, dtype_code: int = DTYPE_F3
         payload = x.astype("<f8").tobytes()
     else:
         raise ValueError(f"unknown dtype code {dtype_code}")
-    header = _HEADER.pack(MAGIC, x.shape[1], x.shape[0], dtype_code)
-    Path(path).write_bytes(header + payload)
+    Path(path).write_bytes(container_header(x.shape[0], x.shape[1], dtype_code) + payload)
+
+
+def container_header(count: int, dim: int, dtype_code: int) -> bytes:
+    """The header of a container holding a (count, dim) matrix; the values follow it."""
+    return _HEADER.pack(MAGIC, dim, count, dtype_code)
 
 
 def read_embeddings(path: str | Path) -> np.ndarray:
-    """Read a binary embedding container back into a float64 (count, dim) matrix."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise EmbeddingFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, dim, count, dtype_code = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise EmbeddingFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if dtype_code == DTYPE_F32:
-        itemsize = 4
-        np_dtype = "<f4"
-    elif dtype_code == DTYPE_F64:
-        itemsize = 8
-        np_dtype = "<f8"
-    else:
-        raise EmbeddingFormatError(f"{path}: unknown dtype code {dtype_code}")
-    expected = _HEADER.size + count * dim * itemsize
-    if len(raw) != expected:
+    """Read a binary embedding container back into a float64 (count, dim) matrix.
+
+    The payload is read straight into one C-contiguous, writable array; a
+    float64 payload is returned as that array, a float32 one widened.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise EmbeddingFormatError(f"{path}: truncated header ({len(head)} bytes)")
+        magic, dim, count, dtype_code = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise EmbeddingFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if dtype_code not in _ITEM_DTYPES:
+            raise EmbeddingFormatError(f"{path}: unknown dtype code {dtype_code}")
+        item = np.dtype(_ITEM_DTYPES[dtype_code])
+        expected = _HEADER.size + count * dim * item.itemsize
+        # Size the array only once the file is known to hold it all.
+        got = os.fstat(fh.fileno()).st_size
+        if got == expected:
+            flat = np.empty(count * dim, dtype=item)
+            got = _HEADER.size + fh.readinto(flat)
+    if got != expected:
         raise EmbeddingFormatError(
-            f"{path}: payload size mismatch, expected {expected} bytes, got {len(raw)}"
+            f"{path}: payload size mismatch, expected {expected} bytes, got {got}"
         )
-    flat = np.frombuffer(raw, dtype=np_dtype, offset=_HEADER.size)
-    return flat.astype(np.float64).reshape(count, dim)
+    return flat.astype(np.float64, copy=False).reshape(count, dim)
 
 
 def write_ids(path: str | Path, ids: np.ndarray) -> None:

@@ -319,8 +319,10 @@ def denoise(
     if not 0 <= t < schedule.steps:
         raise ValueError(f"t={t} outside schedule with {schedule.steps} levels")
     c_shape = (*xt.shape[:-1], cfg.ctx_width)
-    null = np.broadcast_to(params["null_ctx"], c_shape)
-    c_eff = np.asarray(c, dtype=np.float64) if conditioned else null
+    if conditioned:
+        c_eff = np.asarray(c, dtype=np.float64)
+    else:
+        c_eff = np.broadcast_to(params["null_ctx"], c_shape)
     if c_eff.shape != c_shape:
         raise ValueError(f"context must have shape {c_shape}, got {c_eff.shape}")
     out, _ = _den_forward(params, cfg, xt, np.full(xt.shape[:-1], schedule.log_snr[t]), c_eff)

@@ -98,8 +98,9 @@ class AdamW:
         return state
 
     def load_state(self, state: dict[str, np.ndarray], t: dict[str, int]) -> None:
-        self.m = {k[2:]: v.copy() for k, v in state.items() if k.startswith("m.")}
-        self.v = {k[2:]: v.copy() for k, v in state.items() if k.startswith("v.")}
+        """Take `state`'s writable buffers as the moments, without a copy: steps update them."""
+        self.m = {k[2:]: v for k, v in state.items() if k.startswith("m.")}
+        self.v = {k[2:]: v for k, v in state.items() if k.startswith("v.")}
         self.t = dict(t)
 
 

@@ -706,6 +706,21 @@ def test_sample_corrupt_prefix_exits_3(trained_lcm, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(("bank", "code"), [(None, 3), (np.ones((4, 5)), 2),
+                                            (np.zeros((4, 6)), 2)],
+                         ids=["missing", "wrong-dim", "zero-row"])
+def test_sample_bad_bank_exits_before_writing(trained_lcm, tmp_path, bank, code):
+    model, data = trained_lcm
+    prefix = tmp_path / "prefix.bin"
+    _write_prefix(prefix, data)
+    bank_path = tmp_path / "bank.bin"
+    if bank is not None:
+        corpus.write_embeddings(bank_path, bank)
+    out = tmp_path / "out" / "s.bin"
+    assert cli.main(_sample_args(out, model, prefix, extra=["--bank", str(bank_path)])) == code
+    assert not out.parent.exists()
+
+
 # ---------------------------------------------------------------------------
 # malformed manifests
 
@@ -782,6 +797,10 @@ _LOADERS = {
     "train-state": (_train_state_case, ("meta", "step"), [7]),
 }
 
+# The format names an older release wrote; each is refused by name.
+_OLD_FORMATS = {"sequences": "sequence-corpus-v1", "checkpoint": "tensor-dir-v1",
+                "projector-config": "tensor-dir-v1", "train-state": "tensor-dir-v1"}
+
 
 _FAULTS = [(loader, fault) for loader in ("dataset", "sequences", "checkpoint")
            for fault in ("missing-key", "wrong-type", "not-json")]
@@ -793,6 +812,15 @@ _FAULTS += [(loader, fault) for loader in ("projector-config", "lcm-config", "tr
 _FAULTS += [("checkpoint-meta", "wrong-type"), ("lcm-schedule", "wrong-type"),
             ("lcm-schedule", "unknown-key"), ("dataset-world", "missing-key"),
             ("dataset-world", "wrong-type")]
+# A checkpoint's index and its tensors.bin, through sample, eval --projector
+# and train-lcm --resume.
+_FAULTS += [(loader, fault) for loader in ("checkpoint", "projector-config", "train-state")
+            for fault in ("old-format", "index-short", "index-long", "negative-dim",
+                          "fractional-dim", "no-payload", "short-payload")]
+
+
+def _first_shape(doc):
+    return next(iter(doc["tensors"].values()))
 
 
 @pytest.mark.parametrize(("loader", "fault"), _FAULTS + [("sequences", "old-format"),
@@ -804,6 +832,7 @@ def test_malformed_manifest_exits_3(loader, fault, tmp_path, capsys):
     node = doc
     for name in parents:
         node = node[name]
+    payload = manifest.parent / checkpoints.TENSOR_FILE
     if fault == "missing-key":
         del node[key]
     elif fault == "wrong-type":
@@ -811,13 +840,27 @@ def test_malformed_manifest_exits_3(loader, fault, tmp_path, capsys):
     elif fault == "unknown-key":
         node[key]["use_tags"] = True
     elif fault == "old-format":
-        doc["format"] = "sequence-corpus-v1"
+        doc["format"] = _OLD_FORMATS[loader]
+    elif fault == "index-short":
+        del doc["tensors"][next(iter(doc["tensors"]))]
+    elif fault == "index-long":
+        doc["tensors"]["extra"] = [3]
+    elif fault == "negative-dim":
+        _first_shape(doc)[0] *= -1
+    elif fault == "fractional-dim":
+        _first_shape(doc)[0] = 0.5
+    elif fault == "no-payload":
+        payload.unlink()
+    elif fault == "short-payload":
+        payload.write_bytes(payload.read_bytes()[:-5])
     manifest.write_text("{not json" if fault == "not-json" else json.dumps(doc))
     capsys.readouterr()
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if fault == "old-format":
+        assert repr(_OLD_FORMATS[loader]) in err
 
 
 @pytest.mark.parametrize("stored", [[1], {"steps": "x"}, {"steps": 1}])

@@ -10,6 +10,7 @@ import pytest
 from conceptspace.corpus import (
     BANK_NORM_HIGH,
     BANK_NORM_LOW,
+    DTYPE_F32,
     DTYPE_F64,
     MAGIC,
     EmbeddingFormatError,
@@ -28,7 +29,10 @@ from conceptspace.corpus import (
     write_embeddings,
     write_ids,
 )
+from conceptspace.checkpoints import load_lcm_train_state, save_lcm_train_state
+from conceptspace.latentdiff import LcmModelConfig, LcmTrainConfig, init_two_tower
 from conceptspace.numerics import stream_rng
+from conceptspace.optim import AdamW
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +86,55 @@ def test_embedding_file_truncated_payload_names_counts(tmp_path):
 def test_embedding_file_truncated_header(tmp_path):
     path = tmp_path / "short.bin"
     path.write_bytes(MAGIC[:4])
-    with pytest.raises(EmbeddingFormatError):
+    with pytest.raises(EmbeddingFormatError) as exc:
         read_embeddings(path)
+    assert str(exc.value) == f"{path}: truncated header (4 bytes)"
+
+
+@pytest.mark.parametrize(("dtype_code", "itemsize"), [(DTYPE_F32, 4), (DTYPE_F64, 8)])
+@pytest.mark.parametrize("change", [-5, 3])
+def test_embedding_file_size_mismatch_message(tmp_path, dtype_code, itemsize, change):
+    path = tmp_path / "x.bin"
+    write_embeddings(path, np.ones((4, 3)), dtype_code=dtype_code)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:change] if change < 0 else raw + bytes(change))
+    expected = 24 + 12 * itemsize
+    with pytest.raises(EmbeddingFormatError) as exc:
+        read_embeddings(path)
+    assert str(exc.value) == (f"{path}: payload size mismatch, expected {expected} bytes, "
+                              f"got {expected + change}")
+
+
+def test_float64_file_reads_into_one_writable_array(tmp_path):
+    x = stream_rng(0, 3).normal(size=(9, 4))
+    x[0, 0] = -0.0
+    path = tmp_path / "x64.bin"
+    write_embeddings(path, x, dtype_code=DTYPE_F64)
+    back = read_embeddings(path)
+    assert back.dtype == np.float64 and back.shape == (9, 4)
+    assert back.tobytes() == x.tobytes()
+    assert back.flags.c_contiguous and back.flags.writeable
+    back += 1.0
+    assert np.array_equal(back, x + 1.0)
+
+
+def test_loaded_train_state_takes_an_in_place_adamw_step(tmp_path):
+    mcfg = LcmModelConfig(concept_dim=4, ctx_width=8, ctx_heads=2, ctx_layers=1,
+                          den_width=8, den_depth=1, lambda_emb_dim=4)
+    tcfg = LcmTrainConfig(max_steps=2, warmup_steps=1, batch_size=2)
+    params = init_two_tower(mcfg, stream_rng(0, 2))
+    grads = {k: stream_rng(1, i).normal(size=v.shape) for i, (k, v) in enumerate(params.items())}
+    opt = AdamW()
+    opt.step(params, grads, 1e-2)
+    save_lcm_train_state(tmp_path / "ck", params, mcfg, tcfg, opt, 1, 0.5, 1, params, "digest")
+    loaded, loaded_opt, step, _best = load_lcm_train_state(tmp_path / "ck", AdamW(), mcfg,
+                                                           tcfg, "digest")
+    assert step == 1
+    assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
+    # Read-only views would make the in-place step raise.
+    opt.step(params, grads, 1e-2)
+    loaded_opt.step(loaded, grads, 1e-2)
+    assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
 
 
 def test_embedding_file_rejects_non_finite():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -661,18 +662,34 @@ def test_failed_save_keeps_old_checkpoint(tmp_path, monkeypatch, fail_at):
     old = _rand_params(cfg, key=3)
     save_lcm(tmp_path / "ck", old, cfg, extra_meta={"seed": 1})
     before = {p.name: p.read_bytes() for p in (tmp_path / "ck").iterdir()}
-    calls = []
-    real_write = checkpoints.write_embeddings
+    streamed = []
 
-    def failing_write(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == fail_at:
-            raise OSError("disk full")
-        real_write(*args, **kwargs)
+    class FullDisk:
+        """tensors.bin with room for its header and `fail_at` tensors."""
 
-    monkeypatch.setattr(checkpoints, "write_embeddings", failing_write)
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if len(streamed) == fail_at + 1:
+                raise OSError("disk full")
+            streamed.append(len(data))
+            return self.fh.write(data)
+
+    def open_full_disk(path, mode="r", **kwargs):
+        assert Path(path).name == checkpoints.TENSOR_FILE and mode == "wb"
+        return FullDisk(open(path, mode, **kwargs))
+
+    monkeypatch.setattr(checkpoints, "open", open_full_disk, raising=False)
     with pytest.raises(OSError, match="disk full"):
         save_lcm(tmp_path / "ck", _rand_params(cfg, key=4), cfg, extra_meta={"seed": 2})
+    assert len(streamed) == fail_at + 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
     assert {p.name: p.read_bytes() for p in (tmp_path / "ck").iterdir()} == before
     loaded, _, meta = load_lcm(tmp_path / "ck")
@@ -693,6 +710,18 @@ def test_save_replaces_old_checkpoint_completely(tmp_path):
     assert meta["seed"] == 2
     for key in new:
         assert np.array_equal(loaded[key], new[key])
+
+
+def test_save_refuses_non_finite_tensor_and_keeps_old_checkpoint(tmp_path):
+    cfg = _model_cfg()
+    save_lcm(tmp_path / "ck", _rand_params(cfg, key=3), cfg, extra_meta={"seed": 1})
+    before = {p.name: p.read_bytes() for p in (tmp_path / "ck").iterdir()}
+    bad = _rand_params(cfg, key=4)
+    bad[list(bad)[-1]][0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        save_lcm(tmp_path / "ck", bad, cfg, extra_meta={"seed": 2})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+    assert {p.name: p.read_bytes() for p in (tmp_path / "ck").iterdir()} == before
 
 
 def test_resume_refuses_other_corpus(tmp_path):
