@@ -214,10 +214,15 @@ def load_lcm_train_state(
     best = {k[len("best."):]: v for k, v in tensors.items() if k.startswith("best.")}
     with malformed_manifest(Path(in_dir) / "params.json"):
         opt_t = {k: int(v) for k, v in meta["opt_t"].items()}
-        step = int(meta["step"])
+        step = meta["step"]
         best_val, best_step = float(meta["best_val"]), int(meta["best_step"])
         stored = {"model": dict(meta["config"]), "train": dict(meta["train_config"])}
         stored_digest = str(meta["corpus_sha256"])
+        max_steps = stored["train"]["max_steps"]
+        # A step past the end would train nothing; a negative one has no batch stream.
+        if type(step) is not int or not 0 <= step <= max_steps:
+            raise EmbeddingFormatError(f"{in_dir}: step must be an integer in [0, max_steps "
+                                       f"{max_steps}], got {step!r}")
     for label, current in (("model", asdict(model_cfg)), ("train", asdict(train_cfg))):
         saved = stored[label]
         differ = sorted(k for k in saved.keys() | current.keys() if saved.get(k) != current.get(k))

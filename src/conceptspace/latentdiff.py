@@ -64,18 +64,30 @@ def build_schedule(
     steps: int, lambda_max: float = 10.0, lambda_min: float = -10.0
 ) -> NoiseSchedule:
     """Linear log-SNR grid; strictly decreasing from lambda_max to lambda_min."""
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    if not lambda_max > lambda_min:
-        raise ValueError(
-            f"lambda_max must exceed lambda_min, got {lambda_max} <= {lambda_min}"
-        )
+    _check_grid(steps, lambda_max, lambda_min)
     log_snr = np.linspace(lambda_max, lambda_min, steps)
     # Both sigmoids computed directly (no 1-x subtraction) keeps the
     # variance-preserving identity tight at extreme log-SNR.
     alpha = np.sqrt([_sigmoid(v) for v in log_snr.tolist()])
     sigma = np.sqrt([_sigmoid(-v) for v in log_snr.tolist()])
     return NoiseSchedule(alpha=alpha, sigma=sigma, log_snr=log_snr)
+
+
+def _check_grid(steps: int, lambda_max: float, lambda_min: float) -> None:
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    if not lambda_max > lambda_min:
+        raise ValueError(
+            f"lambda_max must exceed lambda_min, got {lambda_max} <= {lambda_min}"
+        )
+
+
+def _level1_log_snr(steps: int, lambda_max: float, lambda_min: float) -> float:
+    """build_schedule's log_snr[1] without the grid: np.linspace adds one step to
+    lambda_max, or pins the last level to lambda_min."""
+    if steps == 2:
+        return lambda_min
+    return lambda_max + (lambda_min - lambda_max) / (steps - 1)
 
 
 def _sigmoid(x: float) -> float:
@@ -99,12 +111,13 @@ class ScheduleConfig:
         # `records.from_dict` checks the types; the stored schedule holds floats.
         for name in ("lambda_max", "lambda_min"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        schedule = build_schedule(**asdict(self))  # raises on too few levels or an empty range
+        _check_grid(self.steps, self.lambda_max, self.lambda_min)
         # The sampler divides by sigma at every level but the clean one, and
         # sigma grows with the level: level 1 is the one that can be 0.
-        if schedule.sigma[1] == 0.0:
+        level1 = _level1_log_snr(self.steps, self.lambda_max, self.lambda_min)
+        if _sigmoid(-level1) == 0.0:
             raise ValueError(f"lambda_max {self.lambda_max:g} puts level 1 at log-SNR "
-                             f"{schedule.log_snr[1]:.6g}, where sigma is 0 (above about 709.78)")
+                             f"{level1:.6g}, where sigma is 0 (above about 709.78)")
 
 
 def forward_diffuse(
@@ -219,27 +232,28 @@ def _ctx_backward(
     params: dict[str, np.ndarray], cfg: LcmModelConfig, cache: _CtxCache, g_out: np.ndarray,
     grads: dict[str, np.ndarray],
 ) -> None:
+    """Write the context-tower grads into `grads`, each once, as a new array."""
     g = g_out
     for layer in reversed(range(cfg.ctx_layers)):
         p = f"ctx.l{layer}"
         attn_cache, x_attn, u, relu_u = cache.layer_caches[layer]
         # FFN residual: x = x_attn + relu(x_attn W1^T + b1) W2^T + b2
-        grads[f"{p}.ffn_w2"] += fold_rows(g).T @ fold_rows(relu_u)
-        grads[f"{p}.ffn_b2"] += fold_rows(g).sum(axis=0)
+        grads[f"{p}.ffn_w2"] = fold_rows(g).T @ fold_rows(relu_u)
+        grads[f"{p}.ffn_b2"] = fold_rows(g).sum(axis=0)
         g_relu = g @ params[f"{p}.ffn_w2"]
         g_u = g_relu * (u > 0.0)
-        grads[f"{p}.ffn_w1"] += fold_rows(g_u).T @ fold_rows(x_attn)
-        grads[f"{p}.ffn_b1"] += fold_rows(g_u).sum(axis=0)
+        grads[f"{p}.ffn_w1"] = fold_rows(g_u).T @ fold_rows(x_attn)
+        grads[f"{p}.ffn_b1"] = fold_rows(g_u).sum(axis=0)
         g_attn_out = g + g_u @ params[f"{p}.ffn_w1"]
         # Attention residual.
         g_xq, g_xkv, g_wq, g_wk, g_wv, g_wo = attention_backward(attn_cache, g_attn_out)
-        grads[f"{p}.wq"] += g_wq
-        grads[f"{p}.wk"] += g_wk
-        grads[f"{p}.wv"] += g_wv
-        grads[f"{p}.wo"] += g_wo
+        grads[f"{p}.wq"] = g_wq
+        grads[f"{p}.wk"] = g_wk
+        grads[f"{p}.wv"] = g_wv
+        grads[f"{p}.wo"] = g_wo
         g = g_attn_out + g_xq + g_xkv
-    grads["ctx.in_w"] += fold_rows(g).T @ fold_rows(cache.prefix)
-    grads["ctx.in_b"] += fold_rows(g).sum(axis=0)
+    grads["ctx.in_w"] = fold_rows(g).T @ fold_rows(cache.prefix)
+    grads["ctx.in_b"] = fold_rows(g).sum(axis=0)
 
 
 def contextualize(
@@ -284,17 +298,18 @@ def _den_backward(
     params: dict[str, np.ndarray], cfg: LcmModelConfig, cache: _DenCache, g_out: np.ndarray,
     grads: dict[str, np.ndarray],
 ) -> np.ndarray:
-    """Accumulate denoiser grads for (N, d) rows; returns the (N, ctx_width) context grads."""
-    grads["den.out_w"] += g_out.T @ cache.h_final
-    grads["den.out_b"] += g_out.sum(axis=0)
+    """Write the denoiser grads of (N, d) rows into `grads`, each once, as a new
+    array; returns the (N, ctx_width) context grads."""
+    grads["den.out_w"] = g_out.T @ cache.h_final
+    grads["den.out_b"] = g_out.sum(axis=0)
     g_h = g_out @ params["den.out_w"]
     for k in reversed(range(cfg.den_depth)):
         g_u = g_h * (cache.us[k] > 0.0)
-        grads[f"den.b{k}.w"] += g_u.T @ cache.pre_block[k]
-        grads[f"den.b{k}.b"] += g_u.sum(axis=0)
+        grads[f"den.b{k}.w"] = g_u.T @ cache.pre_block[k]
+        grads[f"den.b{k}.b"] = g_u.sum(axis=0)
         g_h = g_h + g_u @ params[f"den.b{k}.w"]
-    grads["den.in_w"] += g_h.T @ cache.inp
-    grads["den.in_b"] += g_h.sum(axis=0)
+    grads["den.in_w"] = g_h.T @ cache.inp
+    grads["den.in_b"] = g_h.sum(axis=0)
     return g_h @ params["den.in_w"][:, cfg.concept_dim + cfg.lambda_emb_dim :]
 
 
@@ -423,6 +438,21 @@ def _loss_forward(
     return float(np.sum(dist)), g_pred, ctx, den_cache
 
 
+def _draw_items(
+    n: int, cfg: LcmModelConfig, schedule: NoiseSchedule, guidance_p: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per item, in a fixed order: a level, the noise, then whether the context is kept."""
+    t = np.empty(n, dtype=np.int64)
+    eps = np.empty((n, cfg.concept_dim))
+    conditioned = np.empty(n, dtype=bool)
+    for i in range(n):
+        t[i] = rng.integers(0, schedule.steps)
+        eps[i] = rng.standard_normal(cfg.concept_dim)
+        conditioned[i] = rng.random() >= guidance_p
+    return t, eps, conditioned
+
+
 def diffusion_loss(
     params: dict[str, np.ndarray],
     cfg: LcmModelConfig,
@@ -433,32 +463,26 @@ def diffusion_loss(
 ) -> tuple[float, dict[str, np.ndarray], int]:
     """Sum-reduced denoising loss over a batch, with analytic gradients.
 
-    Per item the draws happen in a fixed order (level, noise, dropout) so the
-    result is fully determined by the generator state. Returns the loss, the
-    gradient dict over every parameter (zeros where nothing flowed), and how
-    many items had their context dropped.
+    The draws come from `_draw_items`, so the result is fully determined by the
+    generator state. Returns the loss, a new gradient array for every parameter
+    in `params` order (zeros where nothing flowed), and how many items had
+    their context dropped.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    n = len(batch)
-    t = np.empty(n, dtype=np.int64)
-    eps = np.empty((n, cfg.concept_dim))
-    conditioned = np.empty(n, dtype=bool)
-    for i in range(n):
-        t[i] = rng.integers(0, schedule.steps)
-        eps[i] = rng.standard_normal(cfg.concept_dim)
-        conditioned[i] = rng.random() >= guidance_p
-
+    t, eps, conditioned = _draw_items(len(batch), cfg, schedule, guidance_p, rng)
     total, g_pred, ctx, den_cache = _loss_forward(params, cfg, batch, schedule, t, eps, conditioned)
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grads: dict[str, np.ndarray] = {}
     g_c = _den_backward(params, cfg, den_cache, g_pred, grads)
-    grads["null_ctx"] += g_c[~conditioned].sum(axis=0)
+    grads["null_ctx"] = g_c[~conditioned].sum(axis=0)
     if ctx is not None:
         ctx_cache, last = ctx
         g_ctx = np.zeros((*ctx_cache.prefix.shape[:-1], cfg.ctx_width))
         g_ctx[last] = g_c[conditioned]
         _ctx_backward(params, cfg, ctx_cache, g_ctx, grads)
-    return total, grads, n - int(conditioned.sum())
+    else:
+        grads.update((k, np.zeros_like(v)) for k, v in params.items() if k.startswith("ctx."))
+    return total, {k: grads[k] for k in params}, len(batch) - int(conditioned.sum())
 
 
 @dataclass(frozen=True)
@@ -575,9 +599,9 @@ def train_lcm(
                                         step_rng)
         if not np.isfinite(loss):
             raise TrainingDivergedError(step)
-        clipped, raw_norm, clip_norm = clip_global_norm(grads, cfg.grad_clip)
+        _, raw_norm, clip_norm = clip_global_norm(grads, cfg.grad_clip)
         lr = warmup_cosine(step, cfg.max_steps, cfg.warmup_steps, cfg.lr, cfg.final_lr)
-        optimizer.step(params, clipped, lr)
+        optimizer.step(params, grads, lr)
         history.steps.append(
             LcmStepRecord(
                 step=step, lr=lr, loss=loss,

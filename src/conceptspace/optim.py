@@ -2,11 +2,22 @@
 warmup-cosine learning-rate schedule, global-norm gradient clipping and the
 divergence error both trainers raise.
 
+One step of a tensor p with gradient g, at its own step count t, is
+
+    m = beta1 m + (1 - beta1) g
+    v = beta2 v + (1 - beta2) g^2
+    p = p (1 - lr wd) - (lr / (1 - beta1^t)) m / (sqrt(v) / sqrt(1 - beta2^t) + eps)
+
+which is lr m_hat / (sqrt(v_hat) + eps) plus lr wd times the pre-step
+weights, with both bias corrections folded into scalars so that each tensor
+takes one array division (PyTorch's single-tensor order).
+
 Updates are in place: step() overwrites the passed tensors and the moment
 buffers it owns (state_tensors() returns them live), so run the backward pass
 before the step and copy whatever must outlive it. Skipping a tensor (e.g. a
 frozen adapter) leaves it and its moments untouched, exactly as if no
-gradient had ever been produced for it.
+gradient had ever been produced for it. clip_global_norm scales the given
+gradients in place too: the trainer owns them.
 """
 
 from __future__ import annotations
@@ -84,10 +95,14 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             # Decoupled decay scales the weights from before this step.
-            decay = lr * self.weight_decay * p if self.weight_decay != 0.0 else None
-            p -= lr * (m / (1.0 - self.beta1**t)) / (np.sqrt(v / (1.0 - self.beta2**t)) + self.eps)
-            if decay is not None:
-                p -= decay
+            if self.weight_decay != 0.0:
+                p *= 1.0 - lr * self.weight_decay
+            den = np.sqrt(v)
+            den *= 1.0 / math.sqrt(1.0 - self.beta2**t)
+            den += self.eps
+            np.divide(m, den, out=den)
+            den *= lr / (1.0 - self.beta1**t)
+            p -= den
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Moment buffers as named tensors (for checkpointing)."""
@@ -107,16 +122,17 @@ class AdamW:
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(g * g))
+        flat = g.reshape(-1)
+        total += float(flat @ flat)
     return math.sqrt(total)
 
 
 def clip_global_norm(
     grads: dict[str, np.ndarray], max_norm: float
 ) -> tuple[dict[str, np.ndarray], float, float]:
-    """Scale all gradients so their joint norm is at most max_norm.
+    """Scale all gradients in place so their joint norm is at most max_norm.
 
-    Returns (clipped gradients, raw norm, clipped norm).
+    Returns (`grads` itself, raw norm, clipped norm).
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
@@ -124,5 +140,6 @@ def clip_global_norm(
     if raw <= max_norm:
         return grads, raw, raw
     scale = max_norm / raw
-    clipped = {k: g * scale for k, g in grads.items()}
-    return clipped, raw, max_norm
+    for g in grads.values():
+        g *= scale
+    return grads, raw, max_norm

@@ -281,7 +281,12 @@ def test_adamw_state_round_trip():
 
 def _functional_adamw_step(state, params, grads, lr_for, skip, b1=0.9, b2=0.999,
                            eps=1e-8, wd=0.0):
-    """Reference: the out-of-place AdamW update, returning fresh tensors."""
+    """Reference: the out-of-place AdamW update, returning fresh tensors.
+
+    It takes AdamW.step's float operations in their order: decay of the
+    pre-step weights, sqrt(v) times 1/sqrt(1 - b2^t) plus eps, one division,
+    then the lr/(1 - b1^t) factor.
+    """
     m, v, steps = state
     out = {}
     for key, p in params.items():
@@ -296,12 +301,9 @@ def _functional_adamw_step(state, params, grads, lr_for, skip, b1=0.9, b2=0.999,
         t = steps[key]
         m[key] = b1 * m[key] + (1.0 - b1) * g
         v[key] = b2 * v[key] + (1.0 - b2) * g * g
-        m_hat = m[key] / (1.0 - b1**t)
-        v_hat = v[key] / (1.0 - b2**t)
-        new = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-        if wd != 0.0:
-            new = new - lr * wd * p
-        out[key] = new
+        decayed = p * (1.0 - lr * wd) if wd != 0.0 else p
+        den = np.sqrt(v[key]) * (1.0 / math.sqrt(1.0 - b2**t)) + eps
+        out[key] = decayed - m[key] / den * (lr / (1.0 - b1**t))
     return out
 
 
@@ -329,17 +331,61 @@ def test_adamw_updates_in_place_bit_for_bit_with_functional_reference():
     assert opt.t == ref_state[2] == {"w": 300, "b": 300, "frozen": 150}
 
 
+def test_adamw_matches_the_textbook_update():
+    # m_hat / (sqrt(v_hat) + eps), with decay on the pre-step weights; eps is
+    # large enough here that a misplaced eps or bias correction shows.
+    b1, b2, eps, wd = 0.9, 0.999, 1e-3, 0.05
+    rng = stream_rng(7, 1)
+    shapes = {"w": (4, 3), "b": (3,), "frozen": (2, 2)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    opt = AdamW(b1, b2, eps, wd)
+    for step in range(200):
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-3, 2) for k, s in shapes.items()}
+        lr_for = {"w": 1e-2, "b": 3e-3, "frozen": 2e-2}
+        skip = {"frozen"} if step < 100 else set()
+        expected, moments = {}, {}
+        for key, p in params.items():
+            if key in skip:
+                expected[key] = p.copy()
+                continue
+            g, lr, t = grads[key], lr_for[key], opt.t.get(key, 0) + 1
+            m = b1 * opt.m.get(key, 0.0) + (1.0 - b1) * g
+            v = b2 * opt.v.get(key, 0.0) + (1.0 - b2) * g * g
+            m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
+            expected[key] = p - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * p
+            moments[key] = (m, v)
+        opt.step(params, grads, lr_for, skip=skip)
+        for key, p in params.items():
+            if key in skip:
+                assert np.array_equal(p, expected[key]), (step, key)
+                assert key not in opt.m
+            else:
+                np.testing.assert_allclose(p, expected[key], rtol=1e-12, atol=0,
+                                           err_msg=f"{step} {key}")
+                assert np.array_equal(opt.m[key], moments[key][0])
+                assert np.array_equal(opt.v[key], moments[key][1])
+    assert opt.t == {"w": 200, "b": 200, "frozen": 100}
+
+
 def test_global_norm_and_clip():
     grads = {"a": np.array([3.0]), "b": np.array([4.0])}
     assert global_grad_norm(grads) == pytest.approx(5.0)
+    assert global_grad_norm({"w": np.arange(6.0).reshape(2, 3).T}) == pytest.approx(math.sqrt(55.0))
+    held = dict(grads)
     clipped, raw, after = clip_global_norm(grads, 2.5)
+    # Scaled in place: the same dict and the same arrays come back.
+    assert clipped is grads
+    assert all(clipped[k] is held[k] for k in held)
     assert raw == pytest.approx(5.0)
     assert after == pytest.approx(2.5)
-    np.testing.assert_allclose(clipped["a"], [1.5])
-    np.testing.assert_allclose(clipped["b"], [2.0])
-    same, raw2, after2 = clip_global_norm(grads, 10.0)
+    np.testing.assert_allclose(held["a"], [1.5])
+    np.testing.assert_allclose(held["b"], [2.0])
+
+    fresh = {"a": np.array([3.0]), "b": np.array([4.0])}
+    same, raw2, after2 = clip_global_norm(fresh, 10.0)
+    assert same is fresh
     assert raw2 == after2 == pytest.approx(5.0)
-    assert np.array_equal(same["a"], grads["a"])
+    assert fresh["a"][0] == 3.0 and fresh["b"][0] == 4.0
 
 
 # ---------------------------------------------------------------------------

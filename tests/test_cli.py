@@ -795,6 +795,11 @@ _LOADERS = {
     "checkpoint-meta": (_lcm_config_case, ("meta",), [1]),
     "lcm-schedule": (_lcm_schedule_case, ("meta", "schedule"), "abc"),
     "train-state": (_train_state_case, ("meta", "step"), [7]),
+    # The state's own max_steps is 2: a resume from step 999 would train
+    # nothing, and one from -3 has no batch stream.
+    "train-state-step-past-end": (_train_state_case, ("meta", "step"), 999),
+    "train-state-step-negative": (_train_state_case, ("meta", "step"), -3),
+    "train-state-step-bool": (_train_state_case, ("meta", "step"), True),
 }
 
 # The format names an older release wrote; each is refused by name.
@@ -811,7 +816,8 @@ _FAULTS += [(loader, fault) for loader in ("projector-config", "lcm-config", "tr
 
 _FAULTS += [("checkpoint-meta", "wrong-type"), ("lcm-schedule", "wrong-type"),
             ("lcm-schedule", "unknown-key"), ("dataset-world", "missing-key"),
-            ("dataset-world", "wrong-type")]
+            ("dataset-world", "wrong-type"), ("train-state-step-past-end", "wrong-type"),
+            ("train-state-step-negative", "wrong-type"), ("train-state-step-bool", "wrong-type")]
 # A checkpoint's index and its tensors.bin, through sample, eval --projector
 # and train-lcm --resume.
 _FAULTS += [(loader, fault) for loader in ("checkpoint", "projector-config", "train-state")
@@ -861,6 +867,8 @@ def test_malformed_manifest_exits_3(loader, fault, tmp_path, capsys):
     assert "Traceback" not in err
     if fault == "old-format":
         assert repr(_OLD_FORMATS[loader]) in err
+    if loader.startswith("train-state-step"):
+        assert "step must be an integer in [0, max_steps 2]" in err
 
 
 @pytest.mark.parametrize("stored", [[1], {"steps": "x"}, {"steps": 1}])

@@ -21,6 +21,9 @@ from conceptspace.latentdiff import (
     ScheduleConfig,
     _ctx_backward,
     _ctx_forward,
+    _draw_items,
+    _level1_log_snr,
+    _loss_forward,
     _val_loss,
     build_schedule,
     contextualize,
@@ -92,8 +95,10 @@ def test_schedule_rejects_bad_requests():
         build_schedule(10, -1.0, 1.0)
 
 
-@pytest.mark.parametrize("span", [(10.0, -10.0), (5.0, -5.0), (20.0, -20.0), (3.0, -7.5),
-                                  (800.0, -800.0)])
+_EXPIT_SPANS = [(10.0, -10.0), (5.0, -5.0), (20.0, -20.0), (3.0, -7.5), (800.0, -800.0)]
+
+
+@pytest.mark.parametrize("span", _EXPIT_SPANS)
 def test_schedule_equals_expit_bit_for_bit(span):
     # scipy's expit is the oracle: trained models and checkpoints keep their bytes.
     # At +-800 the outer levels' sigmoids underflow to 0, or overflow libm's exp.
@@ -103,6 +108,16 @@ def test_schedule_equals_expit_bit_for_bit(span):
             log_snr = np.linspace(hi, lo, steps)
             assert sched.alpha.tobytes() == np.sqrt(expit(log_snr)).tobytes(), (steps, hi, lo)
             assert sched.sigma.tobytes() == np.sqrt(expit(-log_snr)).tobytes(), (steps, hi, lo)
+
+
+def test_level1_closed_form_equals_the_built_schedule_bit_for_bit():
+    # ScheduleConfig checks level 1 without building the grid.
+    for span in _EXPIT_SPANS:
+        for steps in range(2, 201):
+            for hi, lo in (span, (-span[1], -span[0])):
+                level1 = _level1_log_snr(steps, hi, lo)
+                built = build_schedule(steps, hi, lo).log_snr[1]
+                assert np.float64(level1).tobytes() == built.tobytes(), (steps, hi, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +306,12 @@ def test_loss_guidance_extremes_and_counter():
     assert kept == 0
     assert np.all(grads_none_dropped["null_ctx"] == 0.0)
 
+    # Each gradient is its own array, in `params` order: clipping scales them in place.
+    for grads in (grads_all_dropped, grads_none_dropped):
+        assert list(grads) == list(params)
+        arrays = list(grads.values())
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
+
 
 def _mixed_batch(d=6):
     """Items with prefix lengths 1 to 5, in shuffled order."""
@@ -337,6 +358,9 @@ def test_diffusion_loss_batch_matches_per_item_calls():
 def _check_loss_grads(cfg, params, batch, sched, rng_key):
     loss, grads, _ = diffusion_loss(params, cfg, batch, sched, 0.3, stream_rng(*rng_key))
     assert loss > 0.0
+    # The finite differences run the forward pass alone, on the same draws.
+    t, eps, conditioned = _draw_items(len(batch), cfg, sched, 0.3, stream_rng(*rng_key))
+    assert _loss_forward(params, cfg, batch, sched, t, eps, conditioned)[0] == loss
 
     worst = 0.0
     for key in params:
@@ -345,8 +369,7 @@ def _check_loss_grads(cfg, params, batch, sched, rng_key):
         def f(flat, _key=key):
             p2 = dict(params)
             p2[_key] = flat.reshape(base.shape)
-            val, _, _ = diffusion_loss(p2, cfg, batch, sched, 0.3, stream_rng(*rng_key))
-            return val
+            return _loss_forward(p2, cfg, batch, sched, t, eps, conditioned)[0]
 
         err = grad_check(f, grads[key].ravel(), base.ravel(), eps=1e-5)
         worst = max(worst, err)
