@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CurriculumStage, PairedDataset
-from .numerics import stream_rng
+from .numerics import holdout_split, stream_rng
 from .optim import AdamW, TrainingDivergedError, warmup_cosine
 from .projector import (
     ADAPTER_KEY,
@@ -195,10 +195,7 @@ def train_stage(
         raise ValueError("cannot train on an empty dataset")
 
     perm = stream_rng(cfg.seed, _STREAM_VAL_SPLIT, rng_namespace).permutation(n)
-    n_val = max(1, int(round(cfg.val_fraction * n)))
-    n_val = min(n_val, n - 1) if n > 1 else 1
-    val_idx = perm[:n_val]
-    train_idx = perm[n_val:] if n > 1 else perm
+    val_idx, train_idx = holdout_split(perm, cfg.val_fraction)
     steps_per_epoch = math.ceil(len(train_idx) / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.max_epochs
 

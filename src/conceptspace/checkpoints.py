@@ -8,7 +8,9 @@ index maps each tensor name to its shape, so the offsets follow from that
 order. params.json also records the model config and whatever metadata the
 caller attaches (step counts, best-validation bookkeeping, seeds); a
 training state also records a fingerprint of its corpus, so a resume on
-other data is refused.
+other data is refused. A model load must find exactly the tensors of the
+layout of its stored config (`projector.layout`, `latentdiff.layout`), all
+finite, or it raises a format error that names the tensor.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import latentdiff, projector
 from .corpus import (
     DTYPE_F64,
     EmbeddingFormatError,
@@ -109,12 +112,30 @@ def load_tensors(in_dir: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise EmbeddingFormatError(
             f"{root}: the index covers {covered} values, {TENSOR_FILE} holds {flat.size}"
         )
+    finite = np.isfinite(flat).all()
     tensors, pos = {}, 0
     for name, shape in shapes.items():
         size = math.prod(shape)
         tensors[name] = flat[pos : pos + size].reshape(shape)
         pos += size
+        if not finite and not np.isfinite(tensors[name]).all():
+            raise EmbeddingFormatError(f"{root}: tensor {name!r} holds non-finite values")
     return tensors, meta
+
+
+def _check_layout(where, tensors: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
+    """`tensors` must hold exactly the names of `shapes`, each in its shape; the
+    format error names the first tensor that does not."""
+    for name in [*shapes, *(k for k in tensors if k not in shapes)]:
+        if name not in tensors:
+            problem = "is missing"
+        elif name not in shapes:
+            problem = "is not in the model's layout"
+        elif tensors[name].shape != shapes[name]:
+            problem = f"has shape {tensors[name].shape}, the layout needs {shapes[name]}"
+        else:
+            continue
+        raise EmbeddingFormatError(f"{where}: tensor {name!r} {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +146,13 @@ def _save_model(out_dir, kind: str, tensors: dict[str, np.ndarray], cfg, extra_m
     save_tensors(out_dir, tensors, {"kind": kind, "config": asdict(cfg), **(extra_meta or {})})
 
 
-def _load_model(in_dir, kind: str, cfg_cls, label: str):
+def _load_model(in_dir, kind: str, cfg_cls, layout, label: str):
     tensors, meta = load_tensors(in_dir)
     if meta.get("kind") != kind:
         raise EmbeddingFormatError(f"{in_dir}: not a {label} checkpoint")
     with malformed_manifest(Path(in_dir) / "params.json"):
         cfg = from_dict(cfg_cls, meta["config"])
+    _check_layout(in_dir, tensors, layout(cfg))
     return tensors, cfg, meta
 
 
@@ -142,7 +164,7 @@ def save_projector(
 
 
 def load_projector(in_dir: str | Path) -> tuple[dict[str, np.ndarray], ProjectorConfig, dict]:
-    return _load_model(in_dir, "projector", ProjectorConfig, "projector")
+    return _load_model(in_dir, "projector", ProjectorConfig, projector.layout, "projector")
 
 
 def save_lcm(
@@ -153,7 +175,7 @@ def save_lcm(
 
 
 def load_lcm(in_dir: str | Path) -> tuple[dict[str, np.ndarray], LcmModelConfig, dict]:
-    return _load_model(in_dir, "lcm", LcmModelConfig, "next-embedding model")
+    return _load_model(in_dir, "lcm", LcmModelConfig, latentdiff.layout, "next-embedding model")
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +227,9 @@ def load_lcm_train_state(
     in_dir: str | Path, optimizer: AdamW, model_cfg: LcmModelConfig, train_cfg: LcmTrainConfig,
     corpus_digest: str,
 ) -> tuple[dict[str, np.ndarray], AdamW, int, tuple[float, int, dict[str, np.ndarray]]]:
-    """Restore a training state; ValueError if the resuming run has other configs or data."""
+    """Restore a training state; ValueError if the resuming run has other configs
+    or data, a format error if the tensors or step counts do not fit the model's
+    layout."""
     tensors, meta = load_tensors(in_dir)
     if meta.get("kind") != "lcm-train-state":
         raise EmbeddingFormatError(f"{in_dir}: not a training-state checkpoint")
@@ -213,7 +237,7 @@ def load_lcm_train_state(
     opt_state = {k[len("opt."):]: v for k, v in tensors.items() if k.startswith("opt.")}
     best = {k[len("best."):]: v for k, v in tensors.items() if k.startswith("best.")}
     with malformed_manifest(Path(in_dir) / "params.json"):
-        opt_t = {k: int(v) for k, v in meta["opt_t"].items()}
+        opt_t = dict(meta["opt_t"].items())
         step = meta["step"]
         best_val, best_step = float(meta["best_val"]), int(meta["best_step"])
         stored = {"model": dict(meta["config"]), "train": dict(meta["train_config"])}
@@ -232,5 +256,16 @@ def load_lcm_train_state(
             )
     if stored_digest != corpus_digest:
         raise ValueError(f"{in_dir}: cannot resume, the training corpus differs from the checkpoint's")
+    # The stored model config equals model_cfg, so this is the layout of the saved model.
+    shapes = latentdiff.layout(model_cfg)
+    groups = ("model", "opt.m", "opt.v", "best")
+    _check_layout(in_dir, tensors, {f"{g}.{k}": s for g in groups for k, s in shapes.items()})
+    for name in [*shapes, *(k for k in opt_t if k not in shapes)]:
+        if name not in shapes or name not in opt_t:
+            problem = "is missing" if name in shapes else "is not in the layout"
+            raise EmbeddingFormatError(f"{in_dir}: opt_t key {name!r} {problem}")
+        if type(opt_t[name]) is not int or not 1 <= opt_t[name] <= step:
+            raise EmbeddingFormatError(f"{in_dir}: opt_t[{name!r}] must be an integer in "
+                                       f"[1, step {step}], got {opt_t[name]!r}")
     optimizer.load_state(opt_state, opt_t)
     return model, optimizer, step, (best_val, best_step, best)

@@ -95,6 +95,8 @@ def cmd_gen(args) -> int:
         raise CliError(2, f"--n must be >= 1, got {args.n}")
     if args.frames < 1:
         raise CliError(2, f"--frames must be >= 1, got {args.frames}")
+    if args.dim_frame < 1:
+        raise CliError(2, f"--dim-frame must be >= 1, got {args.dim_frame}")
     world = corpus.make_world(
         seed=args.seed,
         frame_dim=args.dim_frame,

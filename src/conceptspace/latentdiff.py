@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import attention_backward, attention_forward, fold_rows
-from .numerics import stream_rng
+from .numerics import holdout_split, stream_rng
 from .optim import AdamW, TrainingDivergedError, clip_global_norm, warmup_cosine
 from .projector import sinusoidal_features
 from .records import write_csv
@@ -167,31 +167,29 @@ class LcmModelConfig:
         return self.concept_dim + self.lambda_emb_dim + self.ctx_width
 
 
-def init_two_tower(cfg: LcmModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Fan-in scaled Gaussian init; denoiser output head starts at zero."""
-    d, h, f = cfg.concept_dim, cfg.ctx_width, cfg.ffn_mult * cfg.ctx_width
-    w = cfg.den_width
-    tensors: dict[str, np.ndarray] = {}
-    tensors["ctx.in_w"] = rng.standard_normal((h, d)) / math.sqrt(d)
-    tensors["ctx.in_b"] = np.zeros(h)
+def layout(cfg: LcmModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of each two-tower tensor, in init and checkpoint order."""
+    d, h, f, w = cfg.concept_dim, cfg.ctx_width, cfg.ffn_mult * cfg.ctx_width, cfg.den_width
+    shapes = {"ctx.in_w": (h, d), "ctx.in_b": (h,)}
     for layer in range(cfg.ctx_layers):
         p = f"ctx.l{layer}"
-        for name in ("wq", "wk", "wv", "wo"):
-            tensors[f"{p}.{name}"] = rng.standard_normal((h, h)) / math.sqrt(h)
-        tensors[f"{p}.ffn_w1"] = rng.standard_normal((f, h)) / math.sqrt(h)
-        tensors[f"{p}.ffn_b1"] = np.zeros(f)
-        tensors[f"{p}.ffn_w2"] = rng.standard_normal((h, f)) / math.sqrt(f)
-        tensors[f"{p}.ffn_b2"] = np.zeros(h)
-    tensors["null_ctx"] = np.zeros(h)
-    din = cfg.denoiser_input_dim
-    tensors["den.in_w"] = rng.standard_normal((w, din)) / math.sqrt(din)
-    tensors["den.in_b"] = np.zeros(w)
+        shapes |= {f"{p}.{name}": (h, h) for name in ("wq", "wk", "wv", "wo")}
+        shapes |= {f"{p}.ffn_w1": (f, h), f"{p}.ffn_b1": (f,),
+                   f"{p}.ffn_w2": (h, f), f"{p}.ffn_b2": (h,)}
+    shapes |= {"null_ctx": (h,), "den.in_w": (w, cfg.denoiser_input_dim), "den.in_b": (w,)}
     for k in range(cfg.den_depth):
-        tensors[f"den.b{k}.w"] = rng.standard_normal((w, w)) / math.sqrt(w)
-        tensors[f"den.b{k}.b"] = np.zeros(w)
-    tensors["den.out_w"] = np.zeros((d, w))
-    tensors["den.out_b"] = np.zeros(d)
-    return tensors
+        shapes |= {f"den.b{k}.w": (w, w), f"den.b{k}.b": (w,)}
+    return shapes | {"den.out_w": (d, w), "den.out_b": (d,)}
+
+
+def init_two_tower(cfg: LcmModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Fan-in scaled Gaussian weights in layout order; the biases, the null
+    context and the denoiser output head start at zero."""
+    return {
+        name: np.zeros(shape) if len(shape) == 1 or name == "den.out_w"
+        else rng.standard_normal(shape) / math.sqrt(shape[1])
+        for name, shape in layout(cfg).items()
+    }
 
 
 @dataclass
@@ -559,16 +557,9 @@ def train_lcm(
     if not sequences:
         raise ValueError("need at least one sequence")
     order = stream_rng(cfg.seed, _STREAM_SPLIT).permutation(len(sequences))
-    if len(sequences) > 1:
-        n_val = max(1, int(round(cfg.val_fraction * len(sequences))))
-        n_val = min(n_val, len(sequences) - 1)
-        val_seqs = [sequences[i] for i in order[:n_val]]
-        train_seqs = [sequences[i] for i in order[n_val:]]
-    else:
-        val_seqs = sequences
-        train_seqs = sequences
-    train_items = items_from_sequences(train_seqs)
-    val_items = items_from_sequences(val_seqs)
+    val_idx, train_idx = holdout_split(order, cfg.val_fraction)
+    train_items = items_from_sequences(sequences[i] for i in train_idx)
+    val_items = items_from_sequences(sequences[i] for i in val_idx)
     if not train_items:
         raise ValueError("sequences yield no (prefix, next) training items")
 

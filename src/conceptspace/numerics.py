@@ -1,14 +1,12 @@
-"""Shared numeric substrate: seeded streams, small statistics helpers, and
-the finite-difference oracle used to verify every hand-written backward pass.
+"""Shared numeric substrate: seeded streams, the hold-out split both trainers
+use, and small statistics helpers (covariance, log-determinant, average ranks,
+Spearman correlation).
 
 All public functions work on float64 numpy arrays and are deterministic given
 their inputs (and, where applicable, the generator passed in).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,6 +27,16 @@ def stream_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *key])))
 
 
+def holdout_split(order: np.ndarray, fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """(held-out, kept) parts of a permutation: round(fraction * n) items held
+    out, at least 1 and at most n - 1; a single item serves both sides."""
+    n = len(order)
+    if n == 1:
+        return order, order
+    n_val = min(max(1, round(fraction * n)), n - 1)
+    return order[:n_val], order[n_val:]
+
+
 def gaussian_sample(
     rng: np.random.Generator,
     shape: tuple[int, ...] | int,
@@ -41,16 +49,7 @@ def gaussian_sample(
     return np.asarray(rng.normal(mu, sigma, shape), dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class CovarianceSummary:
-    """Unbiased sample covariance together with the mean it was taken around."""
-
-    cov: np.ndarray
-    mean: np.ndarray
-    n: int
-
-
-def covariance_matrix(x: np.ndarray) -> CovarianceSummary:
+def covariance_matrix(x: np.ndarray) -> np.ndarray:
     """Unbiased (n-1) covariance of the rows of x, symmetrized exactly."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -58,11 +57,9 @@ def covariance_matrix(x: np.ndarray) -> CovarianceSummary:
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 rows for a covariance estimate, got {n}")
-    mean = x.mean(axis=0)
-    centered = x - mean
+    centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
-    cov = 0.5 * (cov + cov.T)
-    return CovarianceSummary(cov=cov, mean=mean, n=n)
+    return 0.5 * (cov + cov.T)
 
 
 def logdet_psd(cov: np.ndarray, floor: float = EIGENVALUE_FLOOR) -> float:
@@ -138,43 +135,3 @@ def spearman_rank_corr(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("rank correlation undefined for a constant input")
     ranks = average_ranks(np.stack([a, b]))
     return float(rank_corr_rows(ranks[:1], ranks[1:])[0])
-
-
-def grad_check(
-    f: Callable[[np.ndarray], float],
-    analytic_grad: np.ndarray,
-    point: np.ndarray,
-    eps: float = 1e-5,
-) -> float:
-    """Max relative error between `analytic_grad` and central finite differences.
-
-    The relative error at coordinate i is |g_i - fd_i| / max(1, |g_i|, |fd_i|),
-    so tiny gradients are judged on an absolute scale instead of blowing up.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    analytic_grad = np.asarray(analytic_grad, dtype=np.float64)
-    if analytic_grad.shape != point.shape:
-        raise ValueError(
-            f"gradient shape {analytic_grad.shape} does not match point shape {point.shape}"
-        )
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not np.isfinite(f(point)):
-        raise ValueError("f(point) is not finite")
-    worst = 0.0
-    flat = point.ravel()
-    grad_flat = analytic_grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        f_plus = f(point)
-        flat[i] = orig - eps
-        f_minus = f(point)
-        flat[i] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise ValueError(f"f is not finite near coordinate {i}")
-        fd = (f_plus - f_minus) / (2.0 * eps)
-        err = abs(grad_flat[i] - fd) / max(1.0, abs(grad_flat[i]), abs(fd))
-        if err > worst:
-            worst = err
-    return worst

@@ -62,20 +62,29 @@ class ProjectorConfig:
 ADAPTER_KEY = "adapter"
 
 
+def layout(cfg: ProjectorConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of each projector tensor, in init and checkpoint order.
+
+    Every config has the attention and pooling tensors, used or not: init draws
+    them all, so one seed gives the same weights whatever the config.
+    """
+    d_f, d_c = cfg.frame_dim, cfg.concept_dim
+    shapes = {ADAPTER_KEY: (d_f, d_f)} if cfg.use_adapter else {}
+    shapes |= {f"attn.{w}": (d_f, d_f) for w in ("wq", "wk", "wv", "wo")}
+    shapes["cls"] = (d_f,)
+    shapes |= {f"pool.{w}": (d_f, d_f) for w in ("wq", "wk", "wv", "wo")}
+    return shapes | {"out.w": (d_c, d_f), "out.b": (d_c,)}
+
+
 def init_projector(cfg: ProjectorConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Projector tensors in canonical order: Gaussian near-zero connector, identity adapter."""
-    d_f, d_c, s = cfg.frame_dim, cfg.concept_dim, cfg.init_sigma
-    tensors: dict[str, np.ndarray] = {}
-    if cfg.use_adapter:
-        tensors[ADAPTER_KEY] = np.eye(d_f)
-    for name in ("attn.wq", "attn.wk", "attn.wv", "attn.wo"):
-        tensors[name] = gaussian_sample(rng, (d_f, d_f), 0.0, s)
-    tensors["cls"] = gaussian_sample(rng, (d_f,), 0.0, s)
-    for name in ("pool.wq", "pool.wk", "pool.wv", "pool.wo"):
-        tensors[name] = gaussian_sample(rng, (d_f, d_f), 0.0, s)
-    tensors["out.w"] = gaussian_sample(rng, (d_c, d_f), 0.0, s)
-    tensors["out.b"] = np.zeros(d_c)
-    return tensors
+    """Identity adapter, zero output bias, and a Gaussian near-zero draw for
+    each other tensor, in layout order."""
+    return {
+        name: np.eye(shape[0]) if name == ADAPTER_KEY
+        else np.zeros(shape) if name == "out.b"
+        else gaussian_sample(rng, shape, 0.0, cfg.init_sigma)
+        for name, shape in layout(cfg).items()
+    }
 
 
 def sinusoidal_features(x: np.ndarray, dim: int) -> np.ndarray:
@@ -203,11 +212,9 @@ def project_backward(trace: ForwardTrace, upstream: np.ndarray) -> dict[str, np.
         grads["cls"] = fold_rows(g_q_in).sum(axis=0)
     elif cfg.pooling == "mean":
         g_hidden = np.repeat(g_pooled[..., None, :] / t, t, axis=-2)
-        _zero_pool_grads(grads, params)
     else:
         g_hidden = np.zeros_like(trace.hidden)
         np.put_along_axis(g_hidden, trace.max_indices, g_pooled[..., None, :], axis=-2)
-        _zero_pool_grads(grads, params)
 
     if cfg.use_temporal_attention:
         g_xq, g_xkv, g_wq, g_wk, g_wv, g_wo = attention_backward(trace.attn_cache, g_hidden)
@@ -219,9 +226,6 @@ def project_backward(trace: ForwardTrace, upstream: np.ndarray) -> dict[str, np.
         # the query and key/value sides.
         g_with_pe = g_hidden + g_xq + g_xkv
     else:
-        for name in ("attn.wq", "attn.wk", "attn.wv", "attn.wo"):
-            if name in params:
-                grads[name] = np.zeros_like(params[name])
         g_with_pe = g_hidden
 
     # Position codes are constant, so the gradient passes through unchanged.
@@ -230,10 +234,6 @@ def project_backward(trace: ForwardTrace, upstream: np.ndarray) -> dict[str, np.
         grads["frames"] = g_with_pe @ params[ADAPTER_KEY].T
     else:
         grads["frames"] = g_with_pe
+    # The tensors this config leaves unused get zero gradients.
+    grads.update((k, np.zeros_like(v)) for k, v in params.items() if k not in grads)
     return grads
-
-
-def _zero_pool_grads(grads: dict[str, np.ndarray], params: dict[str, np.ndarray]) -> None:
-    for name in ("pool.wq", "pool.wk", "pool.wv", "pool.wo", "cls"):
-        if name in params:
-            grads[name] = np.zeros_like(params[name])

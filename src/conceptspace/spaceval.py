@@ -212,10 +212,10 @@ class SpaceStats:
 def space_stats(z: np.ndarray) -> SpaceStats:
     """Covariance trace, floored log-determinant, and mean row norm of a set."""
     z = np.asarray(z, dtype=np.float64)
-    summary = covariance_matrix(z)
+    cov = covariance_matrix(z)
     return SpaceStats(
-        trace=float(np.trace(summary.cov)),
-        logdet=logdet_psd(summary.cov),
+        trace=float(np.trace(cov)),
+        logdet=logdet_psd(cov),
         mean_norm=float(np.mean(np.linalg.norm(z, axis=1))),
     )
 

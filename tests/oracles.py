@@ -2,14 +2,15 @@
 
 None of these runs in a command: the toolkit computes similarities in batches
 (`spaceval.similarity_matrix`), softmax inside the attention core, and keeps
-parameters as dicts. The tests use these plain forms as oracles, and to flatten
-a parameter dict into the one vector `grad_check` perturbs. Their own tests are
-in test_numerics.py.
+parameters as dicts. The tests use these plain forms as oracles, flatten a
+parameter dict into the one vector that `grad_check` perturbs, and check every
+hand-written backward pass against `grad_check`'s central finite differences.
+Their own tests are in test_numerics.py.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -53,3 +54,43 @@ def unflatten_tensors(
     if pos != vec.size:
         raise ValueError(f"vector length {vec.size} does not match shapes (consumed {pos})")
     return out
+
+
+def grad_check(
+    f: Callable[[np.ndarray], float],
+    analytic_grad: np.ndarray,
+    point: np.ndarray,
+    eps: float = 1e-5,
+) -> float:
+    """Max relative error between `analytic_grad` and central finite differences.
+
+    The relative error at coordinate i is |g_i - fd_i| / max(1, |g_i|, |fd_i|),
+    so tiny gradients are judged on an absolute scale instead of blowing up.
+    """
+    point = np.asarray(point, dtype=np.float64)
+    analytic_grad = np.asarray(analytic_grad, dtype=np.float64)
+    if analytic_grad.shape != point.shape:
+        raise ValueError(
+            f"gradient shape {analytic_grad.shape} does not match point shape {point.shape}"
+        )
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not np.isfinite(f(point)):
+        raise ValueError("f(point) is not finite")
+    worst = 0.0
+    flat = point.ravel()
+    grad_flat = analytic_grad.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        f_plus = f(point)
+        flat[i] = orig - eps
+        f_minus = f(point)
+        flat[i] = orig
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise ValueError(f"f is not finite near coordinate {i}")
+        fd = (f_plus - f_minus) / (2.0 * eps)
+        err = abs(grad_flat[i] - fd) / max(1.0, abs(grad_flat[i]), abs(fd))
+        if err > worst:
+            worst = err
+    return worst

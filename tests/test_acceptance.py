@@ -48,7 +48,7 @@ from conceptspace.latentdiff import (
     sample_next,
     train_lcm,
 )
-from conceptspace.numerics import grad_check, spearman_rank_corr, stream_rng
+from conceptspace.numerics import spearman_rank_corr, stream_rng
 from conceptspace.projector import (
     ProjectorConfig,
     init_projector,
@@ -64,7 +64,7 @@ from conceptspace.spaceval import (
     similarity_matrix,
     space_stats,
 )
-from oracles import cosine_similarity, flatten_tensors, unflatten_tensors
+from oracles import cosine_similarity, flatten_tensors, grad_check, unflatten_tensors
 
 
 def _criterion(n: int, ok: bool, detail: str) -> None:

@@ -23,7 +23,7 @@ from conceptspace.corpus import (
     gen_synthetic_pairs,
     make_world,
 )
-from conceptspace.numerics import grad_check, stream_rng
+from conceptspace.numerics import stream_rng
 from conceptspace.optim import (
     AdamW,
     TrainingDivergedError,
@@ -32,6 +32,7 @@ from conceptspace.optim import (
     warmup_cosine,
 )
 from conceptspace.projector import ADAPTER_KEY, ProjectorConfig, init_projector
+from oracles import grad_check
 
 # -log(e^2 / (e^2 + e^-2)) = log(1 + e^-4), frozen from 50-digit mpmath.
 OPPOSITE_PAIR_ROW_LOSS = 0.018149927917809740

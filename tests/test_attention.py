@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from conceptspace.attention import attention_backward, attention_forward
-from conceptspace.numerics import grad_check, stream_rng
-from oracles import softmax
+from conceptspace.numerics import stream_rng
+from oracles import grad_check, softmax
 
 
 def _weights(dim, rng, scale=0.3):

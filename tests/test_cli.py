@@ -21,7 +21,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conceptspace import checkpoints, cli, corpus, latentdiff, spaceval
+from conceptspace import checkpoints, cli, corpus, latentdiff, projector, spaceval
 from conceptspace.aligner import AlignConfig
 from conceptspace.numerics import stream_rng
 from conceptspace.projector import ProjectorConfig, init_projector, project
@@ -70,6 +70,14 @@ def test_gen_writes_complete_dataset_dir(tmp_path):
 
 def test_gen_rejects_nonpositive_n(tmp_path):
     assert cli.main(_gen_args(tmp_path / "d", n=0)) == 2
+
+
+@pytest.mark.parametrize(("flag", "value"), [("frames", 0), ("dim_frame", 0), ("dim_frame", -2)])
+def test_gen_size_below_1_exits_2_naming_the_flag(tmp_path, capsys, flag, value):
+    assert cli.main(_gen_args(tmp_path / "d", **{flag: value})) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{flag.replace('_', '-')} must be >= 1")
+    assert "Traceback" not in err and not (tmp_path / "d").exists()
 
 
 def test_gen_rerun_is_byte_identical(tmp_path):
@@ -800,6 +808,23 @@ _LOADERS = {
     "train-state-step-past-end": (_train_state_case, ("meta", "step"), 999),
     "train-state-step-negative": (_train_state_case, ("meta", "step"), -3),
     "train-state-step-bool": (_train_state_case, ("meta", "step"), True),
+    # Tensors against the model's layout (the "tensor-*" faults re-save a
+    # self-consistent index): the key names the tensor, or with "tensor-missing"
+    # a prefix of the names to drop; the value is the shape to write.
+    "projector-out-w": (_projector_config_case, ("out.w",), [3, 12]),
+    "projector-junk": (_projector_config_case, ("junk",), [2]),
+    "lcm-null-ctx": (_lcm_config_case, ("null_ctx",), None),
+    "train-state-model-out-w": (_train_state_case, ("model.den.out_w",), None),
+    "train-state-opt-v": (_train_state_case, ("opt.v.",), None),
+    "train-state-model-junk": (_train_state_case, ("model.junk",), [2]),
+    "train-state-best-null-ctx": (_train_state_case, ("best.null_ctx",), None),
+    "train-state-best-out-b": (_train_state_case, ("best.den.out_b",), [3]),
+    # The state is at step 1: each per-tensor step count must be the integer 1.
+    "train-state-opt-t": (_train_state_case, ("meta", "opt_t", "ctx.in_w"), True),
+    "train-state-opt-t-str": (_train_state_case, ("meta", "opt_t", "ctx.in_w"), "2"),
+    "train-state-opt-t-negative": (_train_state_case, ("meta", "opt_t", "ctx.in_w"), -5),
+    "train-state-opt-t-past-step": (_train_state_case, ("meta", "opt_t", "ctx.in_w"), 2),
+    "train-state-opt-t-keys": (_train_state_case, ("meta", "opt_t"), None),
 }
 
 # The format names an older release wrote; each is refused by name.
@@ -823,6 +848,36 @@ _FAULTS += [("checkpoint-meta", "wrong-type"), ("lcm-schedule", "wrong-type"),
 _FAULTS += [(loader, fault) for loader in ("checkpoint", "projector-config", "train-state")
             for fault in ("old-format", "index-short", "index-long", "negative-dim",
                           "fractional-dim", "no-payload", "short-payload")]
+_LAYOUT_FAULTS = [
+    ("projector-out-w", "tensor-missing"), ("projector-out-w", "tensor-shape"),
+    ("projector-out-w", "tensor-nan"), ("projector-junk", "tensor-shape"),
+    ("lcm-null-ctx", "tensor-missing"), ("lcm-null-ctx", "tensor-nan"),
+    ("train-state-model-out-w", "tensor-missing"), ("train-state-opt-v", "tensor-missing"),
+    ("train-state-model-junk", "tensor-shape"), ("train-state-best-null-ctx", "tensor-missing"),
+    ("train-state-best-out-b", "tensor-shape"), ("train-state-opt-t", "missing-key"),
+    ("train-state-opt-t", "wrong-type"), ("train-state-opt-t-str", "wrong-type"),
+    ("train-state-opt-t-negative", "wrong-type"), ("train-state-opt-t-past-step", "wrong-type"),
+    ("train-state-opt-t-keys", "unknown-key"),
+]
+_FAULTS += _LAYOUT_FAULTS
+
+
+def _tensor_fault(root, fault, name, shape):
+    """Drop, reshape or poison tensors of the checkpoint at `root`."""
+    tensors, meta = checkpoints.load_tensors(root)
+    if fault == "tensor-nan":
+        payload = root / checkpoints.TENSOR_FILE
+        data = bytearray(payload.read_bytes())
+        names = list(tensors)
+        tail = sum(tensors[k].size for k in names[names.index(name):])
+        data[len(data) - 8 * tail : len(data) - 8 * tail + 8] = np.float64(np.nan).tobytes()
+        payload.write_bytes(bytes(data))
+        return
+    tensors = {k: v for k, v in tensors.items() if not (fault == "tensor-missing"
+                                                        and k.startswith(name))}
+    if fault == "tensor-shape":
+        tensors[name] = np.ones(shape)
+    checkpoints.save_tensors(root, tensors, meta)
 
 
 def _first_shape(doc):
@@ -834,6 +889,8 @@ def _first_shape(doc):
 def test_malformed_manifest_exits_3(loader, fault, tmp_path, capsys):
     build, (*parents, key), bad_value = _LOADERS[loader]
     manifest, argv = build(tmp_path)
+    if fault.startswith("tensor-"):
+        _tensor_fault(manifest.parent, fault, key, bad_value)
     doc = json.loads(manifest.read_text())
     node = doc
     for name in parents:
@@ -869,6 +926,8 @@ def test_malformed_manifest_exits_3(loader, fault, tmp_path, capsys):
         assert repr(_OLD_FORMATS[loader]) in err
     if loader.startswith("train-state-step"):
         assert "step must be an integer in [0, max_steps 2]" in err
+    if (loader, fault) in _LAYOUT_FAULTS:
+        assert err.count("\n") == 1 and (key if key != "opt_t" else "use_tags") in err
 
 
 @pytest.mark.parametrize("stored", [[1], {"steps": "x"}, {"steps": 1}])
@@ -891,6 +950,36 @@ def test_sample_schedule_flags_override_the_stored_schedule(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main([*argv, "--lambda-max", "-5", "--lambda-min", "-3"]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# model layouts
+
+
+_MODELS = {
+    "projector": (projector.layout, init_projector, checkpoints.save_projector,
+                  checkpoints.load_projector),
+    "lcm": (latentdiff.layout, latentdiff.init_two_tower, checkpoints.save_lcm,
+            checkpoints.load_lcm),
+}
+
+
+@pytest.mark.parametrize(("model", "cfg"), [
+    ("projector", ProjectorConfig(frame_dim=64, concept_dim=32)),
+    ("projector", ProjectorConfig(frame_dim=64, concept_dim=32, use_adapter=False,
+                                  pooling="mean", use_temporal_attention=False)),
+    ("lcm", latentdiff.LcmModelConfig(concept_dim=32)),
+    ("lcm", latentdiff.LcmModelConfig(concept_dim=16, ctx_layers=3, den_depth=1)),
+], ids=["projector-default", "projector-bare", "lcm-default", "lcm-deep-ctx"])
+def test_layout_is_what_init_makes_and_a_checkpoint_holds(tmp_path, model, cfg):
+    layout, init, save, load = _MODELS[model]
+    shapes = list(layout(cfg).items())
+    tensors = init(cfg, stream_rng(0, 1))
+    assert [(k, v.shape) for k, v in tensors.items()] == shapes
+    save(tmp_path / "m", tensors, cfg)
+    loaded, loaded_cfg, _meta = load(tmp_path / "m")
+    assert loaded_cfg == cfg
+    assert [(k, v.shape) for k, v in loaded.items()] == shapes
 
 
 # ---------------------------------------------------------------------------

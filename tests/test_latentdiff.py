@@ -35,9 +35,10 @@ from conceptspace.latentdiff import (
     sample_next,
     train_lcm,
 )
-from conceptspace.numerics import grad_check, stream_rng
+from conceptspace.numerics import stream_rng
 from conceptspace.optim import AdamW, TrainingDivergedError, warmup_cosine
 from conceptspace.records import from_dict
+from oracles import grad_check
 
 # sqrt(sigmoid(-20)) from 50-digit mpmath: the sigma at log-SNR +20.
 SIGMA_AT_LAMBDA_20 = 4.5399929720290195e-05

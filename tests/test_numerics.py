@@ -18,16 +18,15 @@ from scipy.stats import rankdata
 
 from conceptspace.numerics import (
     EIGENVALUE_FLOOR,
-    CovarianceSummary,
     average_ranks,
     covariance_matrix,
     gaussian_sample,
-    grad_check,
+    holdout_split,
     logdet_psd,
     spearman_rank_corr,
     stream_rng,
 )
-from oracles import cosine_similarity, flatten_tensors, softmax, unflatten_tensors
+from oracles import cosine_similarity, flatten_tensors, grad_check, softmax, unflatten_tensors
 
 # softmax([1, 2, 3]) evaluated with 50-digit mpmath, rounded to float64.
 SOFTMAX_123 = np.array(
@@ -131,24 +130,21 @@ def test_cosine_bounded(a_vals, b_vals):
 
 
 def test_covariance_identical_rows_is_zero():
-    summary = covariance_matrix(np.array([[1.0, 2.0], [1.0, 2.0]]))
-    assert isinstance(summary, CovarianceSummary)
-    assert np.all(summary.cov == 0.0)
-    assert summary.n == 2
+    cov = covariance_matrix(np.array([[1.0, 2.0], [1.0, 2.0]]))
+    assert cov.shape == (2, 2) and np.all(cov == 0.0)
 
 
 def test_covariance_hand_case():
     # rows (0,0) and (2,0): var of first coordinate is (1+1)/(2-1) = 2
-    summary = covariance_matrix(np.array([[0.0, 0.0], [2.0, 0.0]]))
-    np.testing.assert_allclose(summary.cov, [[2.0, 0.0], [0.0, 0.0]])
-    np.testing.assert_allclose(summary.mean, [1.0, 0.0])
+    cov = covariance_matrix(np.array([[0.0, 0.0], [2.0, 0.0]]))
+    np.testing.assert_allclose(cov, [[2.0, 0.0], [0.0, 0.0]])
 
 
 def test_covariance_trace_is_sum_of_variances():
     x = np.random.default_rng(3).normal(size=(40, 5))
-    summary = covariance_matrix(x)
+    cov = covariance_matrix(x)
     per_dim = np.var(x, axis=0, ddof=1)
-    assert float(np.trace(summary.cov)) == pytest.approx(float(np.sum(per_dim)), abs=1e-9)
+    assert float(np.trace(cov)) == pytest.approx(float(np.sum(per_dim)), abs=1e-9)
 
 
 def test_covariance_needs_two_rows():
@@ -157,8 +153,8 @@ def test_covariance_needs_two_rows():
 
 
 def test_covariance_is_symmetric():
-    summary = covariance_matrix(np.random.default_rng(5).normal(size=(30, 6)))
-    assert np.array_equal(summary.cov, summary.cov.T)
+    cov = covariance_matrix(np.random.default_rng(5).normal(size=(30, 6)))
+    assert np.array_equal(cov, cov.T)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +334,25 @@ def test_grad_check_flags_wrong_gradient():
 def test_grad_check_rejects_non_finite_objective():
     with pytest.raises(ValueError):
         grad_check(lambda x: float("nan"), np.ones(2), np.ones(2), eps=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# holdout_split
+
+
+@pytest.mark.parametrize(("n", "fraction", "held"), [
+    (1, 0.1, 1),  # one item serves both sides
+    (2, 0.9, 1),  # at most n - 1 held out
+    (10, 0.01, 1),  # at least 1
+    (10, 0.25, 2),  # round half to even: 2.5 -> 2
+    (10, 0.35, 4),
+    (800, 0.1, 80),
+])
+def test_holdout_split_sizes(n, fraction, held):
+    order = stream_rng(3, n).permutation(n)
+    val, train = holdout_split(order, fraction)
+    assert val.tolist() == order[:held].tolist()
+    assert train.tolist() == (order if n == 1 else order[held:]).tolist()
 
 
 # ---------------------------------------------------------------------------

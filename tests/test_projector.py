@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conceptspace.checkpoints import load_projector, save_projector
-from conceptspace.numerics import grad_check, stream_rng
+from conceptspace.numerics import stream_rng
 from conceptspace.projector import (
     ADAPTER_KEY,
     ForwardTrace,
@@ -20,6 +20,7 @@ from conceptspace.projector import (
     sinusoidal_features,
 )
 from conceptspace.records import from_dict
+from oracles import grad_check
 
 
 def _cfg(**kw):
