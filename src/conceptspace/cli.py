@@ -365,6 +365,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if not (np.isfinite(args.eta) and args.eta >= 0.0):
+        raise CliError(2, f"--eta must be finite and >= 0, got {args.eta}")
+    if not np.isfinite(args.guidance):
+        raise CliError(2, f"--guidance must be finite, got {args.guidance}")
     params, model_cfg, meta = checkpoints.load_lcm(args.lcm)
     prefix = corpus.read_embeddings(args.prefix)
     if prefix.shape[1] != model_cfg.concept_dim:

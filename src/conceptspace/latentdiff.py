@@ -15,6 +15,12 @@ position from seeing a pad, and the denoiser over rows. The loss of an item is
 the plain (unsquared) Euclidean distance between the target and the
 prediction, summed over the batch. All gradients are hand-derived and verified
 against finite differences in the test suite.
+
+Sampling splits the denoiser's input layer by its columns. Of its input
+[x_t, sincos(log_snr_t), c], only x_t changes from level to level, so
+`condition` computes the rest of the layer for every level once per sample,
+and `denoise` adds x_t's product to the entry of its level before the residual
+blocks and the head.
 """
 
 from __future__ import annotations
@@ -275,12 +281,14 @@ class _DenCache:
     h_final: np.ndarray
 
 
-def _den_forward(
-    params: dict[str, np.ndarray], cfg: LcmModelConfig, xt: np.ndarray, lam: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, _DenCache]:
-    """Denoiser over rows: xt (..., d), log-SNR lam (...), context c (..., ctx_width)."""
-    inp = np.concatenate([xt, sinusoidal_features(lam, cfg.lambda_emb_dim), c], axis=-1)
-    h = inp @ params["den.in_w"].T + params["den.in_b"]
+def _den_blocks(
+    params: dict[str, np.ndarray], cfg: LcmModelConfig, h: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Residual blocks and output head over input-layer rows h (..., den_width).
+
+    Returns the prediction, the hidden state entering each block, each block's
+    pre-activation and the final hidden state.
+    """
     pre_block = []
     us = []
     for k in range(cfg.den_depth):
@@ -288,7 +296,16 @@ def _den_forward(
         u = h @ params[f"den.b{k}.w"].T + params[f"den.b{k}.b"]
         us.append(u)
         h = h + np.maximum(u, 0.0)
-    out = h @ params["den.out_w"].T + params["den.out_b"]
+    return h @ params["den.out_w"].T + params["den.out_b"], pre_block, us, h
+
+
+def _den_forward(
+    params: dict[str, np.ndarray], cfg: LcmModelConfig, xt: np.ndarray, lam: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, _DenCache]:
+    """Denoiser over rows: xt (..., d), log-SNR lam (...), context c (..., ctx_width)."""
+    inp = np.concatenate([xt, sinusoidal_features(lam, cfg.lambda_emb_dim), c], axis=-1)
+    h = inp @ params["den.in_w"].T + params["den.in_b"]
+    out, pre_block, us, h = _den_blocks(params, cfg, h)
     return out, _DenCache(inp=inp, pre_block=pre_block, us=us, h_final=h)
 
 
@@ -311,35 +328,56 @@ def _den_backward(
     return g_h @ params["den.in_w"][:, cfg.concept_dim + cfg.lambda_emb_dim :]
 
 
+def condition(
+    params: dict[str, np.ndarray],
+    cfg: LcmModelConfig,
+    c: np.ndarray,
+    conditioned: bool,
+    schedule: NoiseSchedule,
+) -> np.ndarray:
+    """The part of the denoiser's input layer that does not depend on x_t.
+
+    `den.in_w` splits by input columns into [W_x | W_lam | W_c]. Returns the
+    (steps, ..., den_width) table whose entry t is
+    sincos(log_snr_t) @ W_lam^T + c @ W_c^T + den.in_b, for every level of
+    `schedule`. `c` is (ctx_width,); leading axes are a batch of rows. With
+    conditioned=False the values of `c` are ignored and the learned null
+    context is substituted in every row.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim < 1 or c.shape[-1] != cfg.ctx_width:
+        raise ValueError(f"context must have shape (..., {cfg.ctx_width}), got {c.shape}")
+    if not conditioned:
+        c = np.broadcast_to(params["null_ctx"], c.shape)
+    d, e = cfg.concept_dim, cfg.lambda_emb_dim
+    w_in = params["den.in_w"]
+    rows = c @ w_in[:, d + e :].T + params["den.in_b"]
+    levels = sinusoidal_features(schedule.log_snr, e) @ w_in[:, d : d + e].T
+    return levels.reshape(schedule.steps, *(1,) * (c.ndim - 1), -1) + rows
+
+
 def denoise(
     params: dict[str, np.ndarray],
     cfg: LcmModelConfig,
     xt: np.ndarray,
     t: int,
-    c: np.ndarray,
-    conditioned: bool,
-    schedule: NoiseSchedule,
+    cond: np.ndarray,
 ) -> np.ndarray:
     """Predict the clean embedding from a noisy one at level t.
 
-    `xt` is (concept_dim,) and `c` is (ctx_width,); leading axes, the same on
-    both, are a batch of rows. With conditioned=False the context argument is
-    ignored entirely and the learned null context is substituted.
+    `cond` is a `condition` table, and the input layer adds its entry t to
+    xt @ W_x^T. `xt` is a float64 (concept_dim,) row shared by every row of
+    the table, or one row per table row.
     """
-    xt = np.asarray(xt, dtype=np.float64)
     if xt.ndim < 1 or xt.shape[-1] != cfg.concept_dim:
         raise ValueError(f"xt must have shape (..., {cfg.concept_dim}), got {xt.shape}")
-    if not 0 <= t < schedule.steps:
-        raise ValueError(f"t={t} outside schedule with {schedule.steps} levels")
-    c_shape = (*xt.shape[:-1], cfg.ctx_width)
-    if conditioned:
-        c_eff = np.asarray(c, dtype=np.float64)
-    else:
-        c_eff = np.broadcast_to(params["null_ctx"], c_shape)
-    if c_eff.shape != c_shape:
-        raise ValueError(f"context must have shape {c_shape}, got {c_eff.shape}")
-    out, _ = _den_forward(params, cfg, xt, np.full(xt.shape[:-1], schedule.log_snr[t]), c_eff)
-    return out
+    if xt.ndim > 1 and xt.shape[:-1] != cond.shape[1:-1]:
+        raise ValueError(f"xt rows {xt.shape[:-1]} do not match the table's rows "
+                         f"{cond.shape[1:-1]}")
+    if not 0 <= t < cond.shape[0]:
+        raise ValueError(f"t={t} outside schedule with {cond.shape[0]} levels")
+    h = xt @ params["den.in_w"][:, : cfg.concept_dim].T + cond[t]
+    return _den_blocks(params, cfg, h)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +427,8 @@ class LcmTrainConfig:
             raise ValueError("warmup_steps cannot exceed max_steps")
         if self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError("val_fraction must be in (0, 1)")
         if self.batch_size < 1 or self.val_every < 1 or self.ckpt_every < 1:
             raise ValueError("batch_size, val_every, ckpt_every must be >= 1")
 
@@ -641,6 +681,10 @@ def sample_next(
     the next level. Returns the final clean prediction. eta > 0 injects fresh
     noise at each step, scaled so eta == 1 matches ancestral sampling.
     """
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
+    if not math.isfinite(guidance_scale):
+        raise ValueError(f"guidance_scale must be finite, got {guidance_scale}")
     steps = schedule.steps
     # With eta > 0 a step divides by alpha at each level below the noisiest,
     # and alpha falls with the level: level steps-2 is the one that can be 0.
@@ -654,32 +698,34 @@ def sample_next(
     if guidance_scale != 0.0:
         # Conditional and unconditional rows go through one denoiser call.
         c = np.stack([c, params["null_ctx"]])
+    cond = condition(params, cfg, c, True, schedule)
 
     def predict(x: np.ndarray, t: int) -> np.ndarray:
-        rows = np.broadcast_to(x, (*c.shape[:-1], cfg.concept_dim))
-        pred = denoise(params, cfg, rows, t, c, True, schedule)
+        pred = denoise(params, cfg, x, t, cond)
         if guidance_scale == 0.0:
             return pred
         return (1.0 + guidance_scale) * pred[0] - guidance_scale * pred[1]
 
+    # Python floats: the same IEEE products as numpy scalars, with less overhead per level.
+    alpha, sigma = schedule.alpha.tolist(), schedule.sigma.tolist()
     x = rng.standard_normal(cfg.concept_dim)
     if steps == 1:
         return predict(x, 0)
     x_hat = None
     for t in range(steps - 1, 0, -1):
         x_hat = predict(x, t)
-        eps_hat = (x - schedule.alpha[t] * x_hat) / schedule.sigma[t]
+        eps_hat = (x - alpha[t] * x_hat) / sigma[t]
         if eta > 0.0:
-            ratio = schedule.sigma[t - 1] / schedule.sigma[t] if schedule.sigma[t - 1] > 0 else 0.0
+            ratio = sigma[t - 1] / sigma[t] if sigma[t - 1] > 0 else 0.0
             churn = eta * ratio * math.sqrt(
-                max(1.0 - (schedule.alpha[t] / schedule.alpha[t - 1]) ** 2, 0.0)
+                max(1.0 - (alpha[t] / alpha[t - 1]) ** 2, 0.0)
             )
-            keep = math.sqrt(max(schedule.sigma[t - 1] ** 2 - churn**2, 0.0))
+            keep = math.sqrt(max(sigma[t - 1] ** 2 - churn**2, 0.0))
             x = (
-                schedule.alpha[t - 1] * x_hat
+                alpha[t - 1] * x_hat
                 + keep * eps_hat
                 + churn * rng.standard_normal(cfg.concept_dim)
             )
         else:
-            x = schedule.alpha[t - 1] * x_hat + schedule.sigma[t - 1] * eps_hat
+            x = alpha[t - 1] * x_hat + sigma[t - 1] * eps_hat
     return x_hat

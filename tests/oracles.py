@@ -1,10 +1,12 @@
 """Reference implementations the tests compare the toolkit against.
 
 None of these runs in a command: the toolkit computes similarities in batches
-(`spaceval.similarity_matrix`), softmax inside the attention core, and keeps
-parameters as dicts. The tests use these plain forms as oracles, flatten a
-parameter dict into the one vector that `grad_check` perturbs, and check every
-hand-written backward pass against `grad_check`'s central finite differences.
+(`spaceval.similarity_matrix`), softmax inside the attention core, the
+sampler's denoiser input layer split into a per-call table and a per-level
+product (`latentdiff.condition`), and keeps parameters as dicts. The tests use
+these plain forms as oracles, flatten a parameter dict into the one vector
+that `grad_check` perturbs, and check every hand-written backward pass against
+`grad_check`'s central finite differences.
 Their own tests are in test_numerics.py.
 """
 
@@ -13,6 +15,8 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 import numpy as np
+
+from conceptspace.projector import sinusoidal_features
 
 
 def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -34,6 +38,26 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("cosine similarity undefined for zero-norm vector")
     # Clamp: roundoff can push |cos| a few ulp past 1 for near-parallel inputs.
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+def denoise_concat(params: dict[str, np.ndarray], cfg, xt: np.ndarray, t: int, c: np.ndarray,
+                   conditioned: bool, schedule) -> np.ndarray:
+    """The two-tower denoiser on its concatenated input [x_t, sincos(log_snr_t), c].
+
+    `xt` is (concept_dim,) and `c` is (ctx_width,); leading axes, the same on
+    both, are a batch of rows. With conditioned=False the learned null context
+    replaces `c`.
+    """
+    xt = np.asarray(xt, dtype=np.float64)
+    if not 0 <= t < schedule.steps:
+        raise ValueError(f"t={t} outside schedule with {schedule.steps} levels")
+    c = np.asarray(c, dtype=np.float64) if conditioned else np.broadcast_to(
+        params["null_ctx"], (*xt.shape[:-1], cfg.ctx_width))
+    lam = sinusoidal_features(np.full(xt.shape[:-1], schedule.log_snr[t]), cfg.lambda_emb_dim)
+    h = np.concatenate([xt, lam, c], axis=-1) @ params["den.in_w"].T + params["den.in_b"]
+    for k in range(cfg.den_depth):
+        h = h + np.maximum(h @ params[f"den.b{k}.w"].T + params[f"den.b{k}.b"], 0.0)
+    return h @ params["den.out_w"].T + params["den.out_b"]
 
 
 def flatten_tensors(tensors: dict[str, np.ndarray], order: Iterable[str]) -> np.ndarray:

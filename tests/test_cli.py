@@ -429,9 +429,12 @@ def test_train_lcm_misspelt_key_exits_2(lcm_setup, tmp_path, capsys, block):
      "ctx_width must be even"),
     (lambda doc: doc["latentdiff"]["train"].update(squared_loss=True),
      "unknown LcmTrainConfig key(s): squared_loss"),
+    *[(lambda doc, v=v: doc["latentdiff"]["train"].update(val_fraction=v),
+       "val_fraction must be in (0, 1)") for v in (5.0, -1.0, 0.0, 1.0)],
 ], ids=["latentdiff-list", "model-list", "unknown-top", "unknown-latentdiff", "ctx-width-0",
         "lambda-emb-dim-0", "ctx-heads-negative", "den-width-0", "ffn-mult-0", "ctx-width-odd",
-        "squared-loss"])
+        "squared-loss", "val-fraction-5", "val-fraction-negative", "val-fraction-0",
+        "val-fraction-1"])
 def test_train_lcm_bad_config_block_exits_2(lcm_setup, tmp_path, capsys, edit, needle):
     _root, data, config = lcm_setup
     doc = json.loads(config.read_text())
@@ -685,6 +688,35 @@ def test_sample_schedule_the_sampler_cannot_divide_by_exits_2(trained_lcm, tmp_p
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = cli.main(_sample_args(out, model, prefix, extra=extra))
+    _assert_one_line_usage_error(capsys, code, needle)
+    assert caught == []
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(("flag", "value", "needle"), [
+    ("--eta", "-1", "--eta must be finite and >= 0, got -1.0"),
+    ("--eta", "nan", "--eta must be finite and >= 0, got nan"),
+    ("--eta", "inf", "--eta must be finite and >= 0, got inf"),
+    ("--guidance", "nan", "--guidance must be finite, got nan"),
+    ("--guidance", "inf", "--guidance must be finite, got inf"),
+    ("--guidance", "-inf", "--guidance must be finite, got -inf"),
+], ids=["eta-negative", "eta-nan", "eta-inf", "guidance-nan", "guidance-inf",
+        "guidance-negative-inf"])
+def test_sample_bad_flag_exits_2_before_loading(trained_lcm, tmp_path, capsys, monkeypatch,
+                                                flag, value, needle):
+    model, data = trained_lcm
+    prefix = tmp_path / "prefix.bin"
+    _write_prefix(prefix, data)
+    out = tmp_path / "out" / "next.bin"
+
+    def no_load(*_args):
+        raise AssertionError("sample loaded the model before checking its flags")
+
+    monkeypatch.setattr(checkpoints, "load_lcm", no_load)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(_sample_args(out, model, prefix, extra=[f"{flag}={value}"]))
     _assert_one_line_usage_error(capsys, code, needle)
     assert caught == []
     assert not out.parent.exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from conceptspace.latentdiff import (
     _loss_forward,
     _val_loss,
     build_schedule,
+    condition,
     contextualize,
     denoise,
     diffusion_loss,
@@ -38,7 +40,7 @@ from conceptspace.latentdiff import (
 from conceptspace.numerics import stream_rng
 from conceptspace.optim import AdamW, TrainingDivergedError, warmup_cosine
 from conceptspace.records import from_dict
-from oracles import grad_check
+from oracles import denoise_concat, grad_check
 
 # sqrt(sigmoid(-20)) from 50-digit mpmath: the sigma at log-SNR +20.
 SIGMA_AT_LAMBDA_20 = 4.5399929720290195e-05
@@ -245,7 +247,7 @@ def test_denoiser_zero_head_at_init():
     sched = build_schedule(8)
     c = stream_rng(22, 0).normal(size=cfg.ctx_width)
     xt = stream_rng(22, 1).normal(size=6)
-    out = denoise(params, cfg, xt, 3, c, True, sched)
+    out = denoise(params, cfg, xt, 3, condition(params, cfg, c, True, sched))
     assert np.all(out == 0.0)
 
 
@@ -258,10 +260,67 @@ def test_unconditional_branch_ignores_context():
     xt = stream_rng(22, 3).normal(size=6)
     c1 = stream_rng(22, 4).normal(size=cfg.ctx_width)
     c2 = stream_rng(22, 5).normal(size=cfg.ctx_width)
-    a = denoise(params, cfg, xt, 2, c1, False, sched)
-    b = denoise(params, cfg, xt, 2, c2, False, sched)
+    a = denoise(params, cfg, xt, 2, condition(params, cfg, c1, False, sched))
+    b = denoise(params, cfg, xt, 2, condition(params, cfg, c2, False, sched))
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, denoise(params, cfg, xt, 2, c1, True, sched))
+    conditioned = denoise(params, cfg, xt, 2, condition(params, cfg, c1, True, sched))
+    assert not np.array_equal(a, conditioned)
+
+
+def _oracle_params(cfg):
+    # Every tensor random, biases and null context included, so each column
+    # block of the input layer and every bias reaches the output.
+    rng = stream_rng(23, 0)
+    return {k: rng.normal(size=v.shape) / math.sqrt(v.shape[-1])
+            for k, v in _rand_params(cfg).items()}
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one-row", "batch"])
+@pytest.mark.parametrize("conditioned", [True, False], ids=["conditioned", "null-context"])
+def test_condition_then_denoise_matches_concat_oracle(lead, conditioned):
+    cfg = _model_cfg()
+    params = _oracle_params(cfg)
+    sched = build_schedule(8)
+    c = stream_rng(23, 1).normal(size=(*lead, cfg.ctx_width))
+    xt = stream_rng(23, 2).normal(size=(*lead, cfg.concept_dim))
+    cond = condition(params, cfg, c, conditioned, sched)
+    assert cond.shape == (sched.steps, *lead, cfg.den_width)
+    for t in range(sched.steps):
+        want = denoise_concat(params, cfg, xt, t, c, conditioned, sched)
+        np.testing.assert_allclose(denoise(params, cfg, xt, t, cond), want, rtol=0, atol=1e-12)
+
+
+def test_denoise_shares_one_row_across_the_table_rows():
+    cfg = _model_cfg()
+    params = _oracle_params(cfg)
+    sched = build_schedule(8)
+    c = stream_rng(23, 3).normal(size=(2, cfg.ctx_width))
+    x = stream_rng(23, 4).normal(size=cfg.concept_dim)
+    cond = condition(params, cfg, c, True, sched)
+    want = denoise_concat(params, cfg, np.stack([x, x]), 5, c, True, sched)
+    np.testing.assert_allclose(denoise(params, cfg, x, 5, cond), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [-1, 8])
+def test_denoise_rejects_level_outside_schedule(t):
+    cfg = _model_cfg()
+    params = _rand_params(cfg)
+    cond = condition(params, cfg, np.zeros(cfg.ctx_width), True, build_schedule(8))
+    with pytest.raises(ValueError, match=f"t={t} outside schedule with 8 levels"):
+        denoise(params, cfg, np.zeros(cfg.concept_dim), t, cond)
+
+
+@pytest.mark.parametrize(("xt_shape", "c_shape", "needle"), [
+    ((5,), (16,), "xt must have shape"),
+    ((3, 6), (2, 16), "do not match the table's rows"),
+    ((6,), (15,), "context must have shape"),
+], ids=["xt-dim", "xt-rows", "context-dim"])
+def test_condition_and_denoise_reject_wrong_shapes(xt_shape, c_shape, needle):
+    cfg = _model_cfg()
+    params = _rand_params(cfg)
+    with pytest.raises(ValueError, match=needle):
+        cond = condition(params, cfg, np.zeros(c_shape), True, build_schedule(8))
+        denoise(params, cfg, np.zeros(xt_shape), 1, cond)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +468,8 @@ def test_val_loss_matches_per_item_reference(monkeypatch):
         eps = rng.standard_normal(cfg.concept_dim)
         c = contextualize(params, cfg, item.prefix)[-1]
         xt = forward_diffuse(item.target, t, eps, sched)
-        dist = float(np.linalg.norm(item.target - denoise(params, cfg, xt, t, c, True, sched)))
+        pred = denoise(params, cfg, xt, t, condition(params, cfg, c, True, sched))
+        dist = float(np.linalg.norm(item.target - pred))
         total += dist
     got = _val_loss(params, cfg, items, sched, 11)
     assert got == pytest.approx(total / len(items), rel=0, abs=1e-12)
@@ -534,7 +594,7 @@ def test_sample_single_level_collapse():
                       rng=stream_rng(28, 1))
     c = contextualize(params, cfg, prefix)[-1]
     x_noise = stream_rng(28, 1).standard_normal(6)
-    expected = denoise(params, cfg, x_noise, 0, c, True, sched)
+    expected = denoise(params, cfg, x_noise, 0, condition(params, cfg, c, True, sched))
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -549,11 +609,11 @@ def test_sample_zero_guidance_matches_conditional_loop():
     out = sample_next(params, cfg, prefix, sched, guidance_scale=0.0,
                       rng=stream_rng(28, 4))
 
-    c = contextualize(params, cfg, prefix)[-1]
+    cond = condition(params, cfg, contextualize(params, cfg, prefix)[-1], True, sched)
     x = stream_rng(28, 4).standard_normal(6)
     x_hat = None
     for t in range(sched.steps - 1, 0, -1):
-        x_hat = denoise(params, cfg, x, t, c, True, sched)
+        x_hat = denoise(params, cfg, x, t, cond)
         eps_hat = (x - sched.alpha[t] * x_hat) / sched.sigma[t]
         x = sched.alpha[t - 1] * x_hat + sched.sigma[t - 1] * eps_hat
     np.testing.assert_allclose(out, x_hat, atol=1e-12)
@@ -572,15 +632,50 @@ def test_sample_guided_matches_two_call_loop():
                       rng=stream_rng(28, 8))
 
     c = contextualize(params, cfg, prefix)[-1]
+    table_c = condition(params, cfg, c, True, sched)
+    table_u = condition(params, cfg, c, False, sched)
     x = stream_rng(28, 8).standard_normal(6)
     x_hat = None
     for t in range(sched.steps - 1, 0, -1):
-        cond = denoise(params, cfg, x, t, c, True, sched)
-        uncond = denoise(params, cfg, x, t, c, False, sched)
+        cond = denoise(params, cfg, x, t, table_c)
+        uncond = denoise(params, cfg, x, t, table_u)
         x_hat = 2.5 * cond - 1.5 * uncond
         eps_hat = (x - sched.alpha[t] * x_hat) / sched.sigma[t]
         x = sched.alpha[t - 1] * x_hat + sched.sigma[t - 1] * eps_hat
     np.testing.assert_allclose(out, x_hat, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("guidance", [0.0, 1.5])
+def test_sample_calls_denoise_once_per_level(monkeypatch, guidance):
+    # The per-level work stays in `latentdiff.denoise`, looked up at each call,
+    # so a wrapper put on the module attribute (the bench tracer's) sees it.
+    cfg = _model_cfg()
+    params = _rand_params(cfg)
+    sched = build_schedule(7)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return denoise(*args, **kwargs)
+
+    monkeypatch.setattr(latentdiff, "denoise", counted)
+    sample_next(params, cfg, stream_rng(28, 9).normal(size=(2, 6)), sched,
+                guidance_scale=guidance, rng=stream_rng(28, 10))
+    assert calls == list(range(sched.steps - 1, 0, -1))
+
+
+@pytest.mark.parametrize(("kw", "needle"), [
+    ({"eta": -1.0}, "eta must be finite and >= 0, got -1.0"),
+    ({"eta": math.nan}, "eta must be finite and >= 0, got nan"),
+    ({"eta": math.inf}, "eta must be finite and >= 0, got inf"),
+    ({"guidance_scale": math.nan}, "guidance_scale must be finite, got nan"),
+    ({"guidance_scale": -math.inf}, "guidance_scale must be finite, got -inf"),
+])
+def test_sample_rejects_bad_eta_and_guidance(kw, needle):
+    cfg = _model_cfg()
+    params = _rand_params(cfg)
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        sample_next(params, cfg, np.zeros((1, 6)), build_schedule(6), **kw)
 
 
 def test_sample_deterministic_given_seed():
