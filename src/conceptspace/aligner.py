@@ -199,10 +199,14 @@ def train_stage(
     steps_per_epoch = math.ceil(len(train_idx) / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.max_epochs
 
-    optimizer = AdamW(eps=1e-8, weight_decay=cfg.weight_decay)
-    # The optimizer updates in place; the caller's tensors must stay as given.
+    # The optimizers update in place; the caller's tensors must stay as given.
     tensors = {k: v.copy() for k, v in params.items()}
     has_adapter = ADAPTER_KEY in tensors
+    # Two parameter groups: the connector, and the adapter, which starts late.
+    connector = {k: v for k, v in tensors.items() if k != ADAPTER_KEY}
+    adapter = {k: v for k, v in tensors.items() if k == ADAPTER_KEY}
+    connector_opt = AdamW(eps=1e-8, weight_decay=cfg.weight_decay)
+    adapter_opt = AdamW(eps=1e-8, weight_decay=cfg.weight_decay)
 
     history = TrainHistory()
     val_mse, val_cos = validate(tensors, proj_cfg, dataset, val_idx)
@@ -236,11 +240,10 @@ def train_stage(
                 step, total_steps, cfg.warmup_steps, cfg.lr_encoder_adapter
             )
             frozen = has_adapter and step < cfg.freeze_steps
-            lr_map = {key: lr_proj for key in tensors}
-            if has_adapter:
-                lr_map[ADAPTER_KEY] = lr_enc
-            skip = {ADAPTER_KEY} if frozen else set()
-            optimizer.step(tensors, grads, lr_map, skip=skip)
+            # The adapter first, in layout order, as a single per-tensor loop would.
+            if has_adapter and not frozen:
+                adapter_opt.step(adapter, grads, lr_enc)
+            connector_opt.step(connector, grads, lr_proj)
             history.steps.append(
                 StepRecord(
                     step=step,

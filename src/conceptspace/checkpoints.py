@@ -6,11 +6,14 @@ float64 embedding container (see corpus.py) whose values are the tensors',
 row-major, one after another in the order of the index in params.json. The
 index maps each tensor name to its shape, so the offsets follow from that
 order. params.json also records the model config and whatever metadata the
-caller attaches (step counts, best-validation bookkeeping, seeds); a
-training state also records a fingerprint of its corpus, so a resume on
-other data is refused. A model load must find exactly the tensors of the
-layout of its stored config (`projector.layout`, `latentdiff.layout`), all
-finite, or it raises a format error that names the tensor.
+caller attaches (best-validation bookkeeping, seeds). A training state holds
+the model, the AdamW moments (`opt.m.*`, `opt.v.*`) and the best tensors,
+and records its step and a fingerprint of its corpus, so a resume on other
+data is refused. Its one AdamW group steps once per training step, so the
+optimizer's step count is the state's step and is not stored apart. A
+model load must find exactly the tensors of the layout of its stored config
+(`projector.layout`, `latentdiff.layout`), all finite, or it raises a format
+error that names the tensor.
 """
 
 from __future__ import annotations
@@ -203,13 +206,11 @@ def save_lcm_train_state(
     best_tensors: dict[str, np.ndarray],
     corpus_digest: str,
 ) -> None:
-    tensors: dict[str, np.ndarray] = {}
-    for name, tensor in params.items():
-        tensors[f"model.{name}"] = tensor
-    for name, tensor in optimizer.state_tensors().items():
-        tensors[f"opt.{name}"] = tensor
-    for name, tensor in best_tensors.items():
-        tensors[f"best.{name}"] = tensor
+    tensors = {f"model.{name}": tensor for name, tensor in params.items()}
+    for name in optimizer.m:
+        tensors[f"opt.m.{name}"] = optimizer.m[name]
+        tensors[f"opt.v.{name}"] = optimizer.v[name]
+    tensors |= {f"best.{name}": tensor for name, tensor in best_tensors.items()}
     meta = {
         "kind": "lcm-train-state",
         "config": asdict(model_cfg),
@@ -217,7 +218,6 @@ def save_lcm_train_state(
         "step": step,
         "best_val": best_val,
         "best_step": best_step,
-        "opt_t": optimizer.t,
         "corpus_sha256": corpus_digest,
     }
     save_tensors(out_dir, tensors, meta)
@@ -228,16 +228,12 @@ def load_lcm_train_state(
     corpus_digest: str,
 ) -> tuple[dict[str, np.ndarray], AdamW, int, tuple[float, int, dict[str, np.ndarray]]]:
     """Restore a training state; ValueError if the resuming run has other configs
-    or data, a format error if the tensors or step counts do not fit the model's
-    layout."""
+    or data, a format error if the tensors do not fit the model's layout or the
+    step lies outside [0, max_steps]."""
     tensors, meta = load_tensors(in_dir)
     if meta.get("kind") != "lcm-train-state":
         raise EmbeddingFormatError(f"{in_dir}: not a training-state checkpoint")
-    model = {k[len("model."):]: v for k, v in tensors.items() if k.startswith("model.")}
-    opt_state = {k[len("opt."):]: v for k, v in tensors.items() if k.startswith("opt.")}
-    best = {k[len("best."):]: v for k, v in tensors.items() if k.startswith("best.")}
     with malformed_manifest(Path(in_dir) / "params.json"):
-        opt_t = dict(meta["opt_t"].items())
         step = meta["step"]
         best_val, best_step = float(meta["best_val"]), int(meta["best_step"])
         stored = {"model": dict(meta["config"]), "train": dict(meta["train_config"])}
@@ -258,14 +254,12 @@ def load_lcm_train_state(
         raise ValueError(f"{in_dir}: cannot resume, the training corpus differs from the checkpoint's")
     # The stored model config equals model_cfg, so this is the layout of the saved model.
     shapes = latentdiff.layout(model_cfg)
-    groups = ("model", "opt.m", "opt.v", "best")
-    _check_layout(in_dir, tensors, {f"{g}.{k}": s for g in groups for k, s in shapes.items()})
-    for name in [*shapes, *(k for k in opt_t if k not in shapes)]:
-        if name not in shapes or name not in opt_t:
-            problem = "is missing" if name in shapes else "is not in the layout"
-            raise EmbeddingFormatError(f"{in_dir}: opt_t key {name!r} {problem}")
-        if type(opt_t[name]) is not int or not 1 <= opt_t[name] <= step:
-            raise EmbeddingFormatError(f"{in_dir}: opt_t[{name!r}] must be an integer in "
-                                       f"[1, step {step}], got {opt_t[name]!r}")
-    optimizer.load_state(opt_state, opt_t)
+    sections = ("model", "opt.m", "opt.v", "best")
+    _check_layout(in_dir, tensors, {f"{g}.{k}": s for g in sections for k, s in shapes.items()})
+    model, optimizer.m, optimizer.v, best = (
+        {k: tensors[f"{g}.{k}"] for k in shapes} for g in sections
+    )
+    # One parameter group, stepped once per training step. The moments are
+    # writable views into the loaded array: steps update them without a copy.
+    optimizer.t = step
     return model, optimizer, step, (best_val, best_step, best)

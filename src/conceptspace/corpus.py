@@ -18,12 +18,13 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .numerics import gaussian_sample, stream_rng
+from .records import from_dict
 
 MAGIC = b"CEMB0001"
 DTYPE_F32 = 1
@@ -56,6 +57,13 @@ def malformed_manifest(where: str | Path):
         raise EmbeddingFormatError(
             f"{where}: malformed manifest ({type(exc).__name__}: {exc})"
         ) from exc
+
+
+def _count(key: str, value, low: int) -> int:
+    """`value` if it is a JSON integer >= low, else a TypeError naming `key`."""
+    if type(value) is not int or value < low:
+        raise TypeError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def write_embeddings(path: str | Path, x: np.ndarray, dtype_code: int = DTYPE_F32) -> None:
@@ -208,16 +216,21 @@ def world_config(world: SyntheticWorld, bank_size: int | None = None) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class WorldConfig:
+    """The world block of a dataset manifest: the arguments of make_world."""
+
+    seed: int
+    frame_dim: int
+    concept_dim: int
+    frames: int
+    bank_size: int
+    noise_sigma: float
+    drift_scale: float
+
+
 def world_from_config(cfg: dict) -> SyntheticWorld:
-    return make_world(
-        seed=int(cfg["seed"]),
-        frame_dim=int(cfg["frame_dim"]),
-        concept_dim=int(cfg["concept_dim"]),
-        frames=int(cfg["frames"]),
-        bank_size=int(cfg["bank_size"]),
-        noise_sigma=float(cfg["noise_sigma"]),
-        drift_scale=float(cfg["drift_scale"]),
-    )
+    return make_world(**asdict(from_dict(WorldConfig, cfg)))
 
 
 @dataclass
@@ -267,8 +280,8 @@ class PairedDataset:
                 raise EmbeddingFormatError(
                     f"{root}: unexpected dataset format {manifest.get('format')!r}"
                 )
-            n = int(manifest["n"])
-            t = int(manifest["frames"])
+            n = _count("n", manifest["n"], 1)
+            t = _count("frames", manifest["frames"], 1)
             files = {key: root / manifest["files"][key] for key in ("frames", "targets", "ids")}
             meta = {"world": manifest.get("world"), "sample_seed": manifest.get("sample_seed")}
         frames_flat = read_embeddings(files["frames"])
@@ -409,9 +422,16 @@ def load_sequences(in_dir: str | Path) -> tuple[list[EmbeddingSequence], dict]:
                 f"expected {SEQUENCE_FORMAT!r}"
             )
         embeddings_path = root / manifest["files"]["embeddings"]
-        lengths = [int(x) for x in manifest["lengths"]]
+        lengths = [_count(f"lengths[{i}]", x, 1) for i, x in enumerate(manifest["lengths"])]
+        count = _count("count", manifest["count"], 1)
+        if count != len(lengths):
+            raise ValueError(f"count {count} does not match the {len(lengths)} lengths")
+        dim = _count("dim", manifest["dim"], 1)
         meta = manifest.get("meta", {})
     stacked = read_embeddings(embeddings_path)
+    if dim != stacked.shape[1]:
+        raise EmbeddingFormatError(f"{manifest_path}: dim {dim} does not match the "
+                                   f"{stacked.shape[1]} columns of {embeddings_path.name}")
     if sum(lengths) != stacked.shape[0]:
         raise EmbeddingFormatError(f"{root}: lengths do not match stored rows")
     sequences = []

@@ -332,7 +332,6 @@ def condition(
     params: dict[str, np.ndarray],
     cfg: LcmModelConfig,
     c: np.ndarray,
-    conditioned: bool,
     schedule: NoiseSchedule,
 ) -> np.ndarray:
     """The part of the denoiser's input layer that does not depend on x_t.
@@ -340,15 +339,12 @@ def condition(
     `den.in_w` splits by input columns into [W_x | W_lam | W_c]. Returns the
     (steps, ..., den_width) table whose entry t is
     sincos(log_snr_t) @ W_lam^T + c @ W_c^T + den.in_b, for every level of
-    `schedule`. `c` is (ctx_width,); leading axes are a batch of rows. With
-    conditioned=False the values of `c` are ignored and the learned null
-    context is substituted in every row.
+    `schedule`. `c` is (ctx_width,); leading axes are a batch of rows. For
+    the unconditional prediction, pass the learned `null_ctx` as the row.
     """
     c = np.asarray(c, dtype=np.float64)
     if c.ndim < 1 or c.shape[-1] != cfg.ctx_width:
         raise ValueError(f"context must have shape (..., {cfg.ctx_width}), got {c.shape}")
-    if not conditioned:
-        c = np.broadcast_to(params["null_ctx"], c.shape)
     d, e = cfg.concept_dim, cfg.lambda_emb_dim
     w_in = params["den.in_w"]
     rows = c @ w_in[:, d + e :].T + params["den.in_b"]
@@ -602,6 +598,8 @@ def train_lcm(
     val_items = items_from_sequences(sequences[i] for i in val_idx)
     if not train_items:
         raise ValueError("sequences yield no (prefix, next) training items")
+    if not val_items:
+        raise ValueError("the held-out sequences yield no (prefix, next) validation items")
 
     optimizer = AdamW(eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
     history = LcmHistory()
@@ -630,7 +628,7 @@ def train_lcm(
                                         step_rng)
         if not np.isfinite(loss):
             raise TrainingDivergedError(step)
-        _, raw_norm, clip_norm = clip_global_norm(grads, cfg.grad_clip)
+        raw_norm, clip_norm = clip_global_norm(grads, cfg.grad_clip)
         lr = warmup_cosine(step, cfg.max_steps, cfg.warmup_steps, cfg.lr, cfg.final_lr)
         optimizer.step(params, grads, lr)
         history.steps.append(
@@ -698,7 +696,7 @@ def sample_next(
     if guidance_scale != 0.0:
         # Conditional and unconditional rows go through one denoiser call.
         c = np.stack([c, params["null_ctx"]])
-    cond = condition(params, cfg, c, True, schedule)
+    cond = condition(params, cfg, c, schedule)
 
     def predict(x: np.ndarray, t: int) -> np.ndarray:
         pred = denoise(params, cfg, x, t, cond)

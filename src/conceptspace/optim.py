@@ -1,23 +1,24 @@
-"""AdamW with decoupled weight decay over named tensors, plus the
+"""AdamW with decoupled weight decay over one group of named tensors, plus the
 warmup-cosine learning-rate schedule, global-norm gradient clipping and the
 divergence error both trainers raise.
 
-One step of a tensor p with gradient g, at its own step count t, is
+One AdamW is one parameter group: one learning rate and one step count t
+for every tensor it is given. One step of a tensor p with gradient g is
 
     m = beta1 m + (1 - beta1) g
     v = beta2 v + (1 - beta2) g^2
     p = p (1 - lr wd) - (lr / (1 - beta1^t)) m / (sqrt(v) / sqrt(1 - beta2^t) + eps)
 
 which is lr m_hat / (sqrt(v_hat) + eps) plus lr wd times the pre-step
-weights, with both bias corrections folded into scalars so that each tensor
-takes one array division (PyTorch's single-tensor order).
+weights, with both bias corrections folded into scalars, computed once per
+step, so that each tensor takes one array division (PyTorch's single-tensor
+order). A model whose tensors train at different rates or from different
+steps (the projector's adapter) uses one AdamW per group.
 
 Updates are in place: step() overwrites the passed tensors and the moment
-buffers it owns (state_tensors() returns them live), so run the backward pass
-before the step and copy whatever must outlive it. Skipping a tensor (e.g. a
-frozen adapter) leaves it and its moments untouched, exactly as if no
-gradient had ever been produced for it. clip_global_norm scales the given
-gradients in place too: the trainer owns them.
+buffers m and v it owns, so run the backward pass before the step and copy
+whatever must outlive it. clip_global_norm scales the given gradients in
+place too: the trainer owns them.
 """
 
 from __future__ import annotations
@@ -68,27 +69,21 @@ class AdamW:
         self.weight_decay = weight_decay
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self.t: dict[str, int] = {}
+        self.t = 0
 
     def step(
-        self,
-        params: dict[str, np.ndarray],
-        grads: dict[str, np.ndarray],
-        lr_for: dict[str, float] | float,
-        skip: frozenset[str] | set[str] = frozenset(),
+        self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float
     ) -> None:
-        """Apply one update to `params` in place; skipped keys stay untouched."""
+        """Apply one update at rate `lr` to every tensor of `params`, in place."""
+        self.t += 1
+        decay = 1.0 - lr * self.weight_decay
+        v_scale = 1.0 / math.sqrt(1.0 - self.beta2**self.t)
+        m_scale = lr / (1.0 - self.beta1**self.t)
         for key, p in params.items():
-            if key in skip or key not in grads:
-                continue
             g = grads[key]
-            lr = lr_for[key] if isinstance(lr_for, dict) else lr_for
             if key not in self.m:
                 self.m[key] = np.zeros_like(p)
                 self.v[key] = np.zeros_like(p)
-                self.t[key] = 0
-            self.t[key] += 1
-            t = self.t[key]
             m, v = self.m[key], self.v[key]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
@@ -96,27 +91,13 @@ class AdamW:
             v += (1.0 - self.beta2) * g * g
             # Decoupled decay scales the weights from before this step.
             if self.weight_decay != 0.0:
-                p *= 1.0 - lr * self.weight_decay
+                p *= decay
             den = np.sqrt(v)
-            den *= 1.0 / math.sqrt(1.0 - self.beta2**t)
+            den *= v_scale
             den += self.eps
             np.divide(m, den, out=den)
-            den *= lr / (1.0 - self.beta1**t)
+            den *= m_scale
             p -= den
-
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        """Moment buffers as named tensors (for checkpointing)."""
-        state: dict[str, np.ndarray] = {}
-        for key in self.m:
-            state[f"m.{key}"] = self.m[key]
-            state[f"v.{key}"] = self.v[key]
-        return state
-
-    def load_state(self, state: dict[str, np.ndarray], t: dict[str, int]) -> None:
-        """Take `state`'s writable buffers as the moments, without a copy: steps update them."""
-        self.m = {k[2:]: v for k, v in state.items() if k.startswith("m.")}
-        self.v = {k[2:]: v for k, v in state.items() if k.startswith("v.")}
-        self.t = dict(t)
 
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
@@ -127,19 +108,17 @@ def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     return math.sqrt(total)
 
 
-def clip_global_norm(
-    grads: dict[str, np.ndarray], max_norm: float
-) -> tuple[dict[str, np.ndarray], float, float]:
+def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[float, float]:
     """Scale all gradients in place so their joint norm is at most max_norm.
 
-    Returns (`grads` itself, raw norm, clipped norm).
+    Returns (raw norm, clipped norm).
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     raw = global_grad_norm(grads)
     if raw <= max_norm:
-        return grads, raw, raw
+        return raw, raw
     scale = max_norm / raw
     for g in grads.values():
         g *= scale
-    return grads, raw, max_norm
+    return raw, max_norm

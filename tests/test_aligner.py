@@ -242,24 +242,36 @@ def test_adamw_decoupled_weight_decay():
 
 
 def test_adamw_skip_leaves_tensor_and_moments_alone():
-    opt = AdamW()
+    # A tensor skipped for a while is its own group, whose AdamW is not stepped.
+    opt_a, opt_b = AdamW(), AdamW()
     params = {"a": np.array([1.0]), "b": np.array([1.0])}
     grads = {"a": np.array([1.0]), "b": np.array([1.0])}
-    opt.step(params, grads, 0.1, skip={"b"})
-    assert params["b"][0] == 1.0
+    group_a, group_b = {"a": params["a"]}, {"b": params["b"]}
+    opt_a.step(group_a, grads, 0.1)
+    assert params["b"][0] == 1.0 and not opt_b.m and opt_b.t == 0
     assert params["a"][0] != 1.0
-    opt.step(params, grads, 0.1, skip=set())
-    # b's first real update must look like a fresh first step, not a third one
+    opt_a.step(group_a, grads, 0.1)
+    opt_b.step(group_b, grads, 0.1)
+    # b's first real update must look like a fresh first step, not a second one
     assert params["b"][0] == pytest.approx(1.0 - 0.1, abs=1e-8)
+    assert (opt_a.t, opt_b.t) == (2, 1)
 
 
 def test_adamw_per_key_learning_rates():
-    opt = AdamW()
+    # A tensor with a rate of its own is a group of its own.
     params = {"a": np.array([0.0]), "b": np.array([0.0])}
     grads = {"a": np.array([1.0]), "b": np.array([1.0])}
-    opt.step(params, grads, {"a": 0.1, "b": 0.2})
+    AdamW().step({"a": params["a"]}, grads, 0.1)
+    AdamW().step({"b": params["b"]}, grads, 0.2)
     assert params["a"][0] == pytest.approx(-0.1, abs=1e-8)
     assert params["b"][0] == pytest.approx(-0.2, abs=1e-8)
+
+
+def test_adamw_steps_every_tensor_it_is_given():
+    opt = AdamW()
+    params = {"a": np.array([1.0]), "b": np.array([1.0])}
+    with pytest.raises(KeyError, match="'b'"):
+        opt.step(params, {"a": np.array([1.0])}, 0.1)
 
 
 def test_adamw_state_round_trip():
@@ -268,38 +280,34 @@ def test_adamw_state_round_trip():
     opt = AdamW()
     for k in range(4):
         opt.step(params, {"w": rng.normal(size=(3,))}, 0.05)
-    saved_state = {k: v.copy() for k, v in opt.state_tensors().items()}
-    saved_t = dict(opt.t)
+    saved = ({k: v.copy() for k, v in opt.m.items()}, {k: v.copy() for k, v in opt.v.items()},
+             opt.t)
     next_grad = rng.normal(size=(3,))
     expected = {k: v.copy() for k, v in params.items()}
     opt.step(expected, {"w": next_grad}, 0.05)
 
     fresh = AdamW()
-    fresh.load_state(saved_state, saved_t)
+    fresh.m, fresh.v, fresh.t = saved
     fresh.step(params, {"w": next_grad}, 0.05)
     assert np.array_equal(params["w"], expected["w"])
+    assert fresh.t == opt.t == 5
 
 
-def _functional_adamw_step(state, params, grads, lr_for, skip, b1=0.9, b2=0.999,
-                           eps=1e-8, wd=0.0):
-    """Reference: the out-of-place AdamW update, returning fresh tensors.
+def _functional_adamw_step(state, params, grads, lr, b1=0.9, b2=0.999, eps=1e-8, wd=0.0):
+    """Reference: the out-of-place AdamW update of one group, returning fresh tensors.
 
     It takes AdamW.step's float operations in their order: decay of the
     pre-step weights, sqrt(v) times 1/sqrt(1 - b2^t) plus eps, one division,
-    then the lr/(1 - b1^t) factor.
+    then the lr/(1 - b1^t) factor. `state` is the group's (m, v, [t]).
     """
     m, v, steps = state
+    steps[0] += 1
+    t = steps[0]
     out = {}
     for key, p in params.items():
-        if key in skip or key not in grads:
-            out[key] = p.copy()
-            continue
         g = grads[key]
-        lr = lr_for[key] if isinstance(lr_for, dict) else lr_for
         if key not in m:
-            m[key], v[key], steps[key] = np.zeros_like(p), np.zeros_like(p), 0
-        steps[key] += 1
-        t = steps[key]
+            m[key], v[key] = np.zeros_like(p), np.zeros_like(p)
         m[key] = b1 * m[key] + (1.0 - b1) * g
         v[key] = b2 * v[key] + (1.0 - b2) * g * g
         decayed = p * (1.0 - lr * wd) if wd != 0.0 else p
@@ -308,28 +316,37 @@ def _functional_adamw_step(state, params, grads, lr_for, skip, b1=0.9, b2=0.999,
     return out
 
 
+# Two parameter groups, as the aligner has: "frozen" starts late, at its own rate.
+_GROUPS = {"main": ("w", "b"), "frozen": ("frozen",)}
+
+
 def test_adamw_updates_in_place_bit_for_bit_with_functional_reference():
     rng = stream_rng(7, 0)
     shapes = {"w": (4, 3), "b": (3,), "frozen": (2, 2)}
     params = {k: rng.normal(size=s) for k, s in shapes.items()}
     ref = {k: v.copy() for k, v in params.items()}
-    ref_state = ({}, {}, {})
-    opt = AdamW(weight_decay=0.05)
+    lrs = {"main": 1e-2, "frozen": 3e-3}
+    opts = {g: AdamW(weight_decay=0.05) for g in _GROUPS}
+    ref_states = {g: ({}, {}, [0]) for g in _GROUPS}
     held = dict(params)
     for step in range(300):
         grads = {k: rng.normal(size=s) for k, s in shapes.items()}
-        lr_for = {"w": 1e-2, "b": 3e-3, "frozen": 1e-2}
-        skip = {"frozen"} if step < 150 else set()
-        assert opt.step(params, grads, lr_for, skip=skip) is None
-        ref = _functional_adamw_step(ref_state, ref, grads, lr_for, skip, wd=0.05)
+        for g, keys in _GROUPS.items():
+            if g == "frozen" and step < 150:
+                continue
+            assert opts[g].step({k: params[k] for k in keys}, grads, lrs[g]) is None
+            ref |= _functional_adamw_step(ref_states[g], {k: ref[k] for k in keys}, grads,
+                                          lrs[g], wd=0.05)
         for key in shapes:
             assert np.shares_memory(params[key], held[key])
             assert np.array_equal(params[key], ref[key]), (step, key)
-    for key in shapes:
-        assert np.array_equal(opt.m[key], ref_state[0][key])
-        assert np.array_equal(opt.v[key], ref_state[1][key])
-        assert np.shares_memory(opt.state_tensors()[f"m.{key}"], opt.m[key])
-    assert opt.t == ref_state[2] == {"w": 300, "b": 300, "frozen": 150}
+    for g, keys in _GROUPS.items():
+        assert list(opts[g].m) == list(keys)
+        for key in keys:
+            assert np.array_equal(opts[g].m[key], ref_states[g][0][key])
+            assert np.array_equal(opts[g].v[key], ref_states[g][1][key])
+    assert (opts["main"].t, opts["frozen"].t) == (300, 150)
+    assert (ref_states["main"][2], ref_states["frozen"][2]) == ([300], [150])
 
 
 def test_adamw_matches_the_textbook_update():
@@ -339,33 +356,40 @@ def test_adamw_matches_the_textbook_update():
     rng = stream_rng(7, 1)
     shapes = {"w": (4, 3), "b": (3,), "frozen": (2, 2)}
     params = {k: rng.normal(size=s) for k, s in shapes.items()}
-    opt = AdamW(b1, b2, eps, wd)
+    lrs = {"main": 1e-2, "frozen": 2e-2}
+    opts = {g: AdamW(b1, b2, eps, wd) for g in _GROUPS}
     for step in range(200):
         grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-3, 2) for k, s in shapes.items()}
-        lr_for = {"w": 1e-2, "b": 3e-3, "frozen": 2e-2}
         skip = {"frozen"} if step < 100 else set()
         expected, moments = {}, {}
-        for key, p in params.items():
-            if key in skip:
-                expected[key] = p.copy()
-                continue
-            g, lr, t = grads[key], lr_for[key], opt.t.get(key, 0) + 1
-            m = b1 * opt.m.get(key, 0.0) + (1.0 - b1) * g
-            v = b2 * opt.v.get(key, 0.0) + (1.0 - b2) * g * g
-            m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
-            expected[key] = p - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * p
-            moments[key] = (m, v)
-        opt.step(params, grads, lr_for, skip=skip)
-        for key, p in params.items():
-            if key in skip:
-                assert np.array_equal(p, expected[key]), (step, key)
-                assert key not in opt.m
-            else:
-                np.testing.assert_allclose(p, expected[key], rtol=1e-12, atol=0,
-                                           err_msg=f"{step} {key}")
-                assert np.array_equal(opt.m[key], moments[key][0])
-                assert np.array_equal(opt.v[key], moments[key][1])
-    assert opt.t == {"w": 200, "b": 200, "frozen": 100}
+        for g, keys in _GROUPS.items():
+            opt = opts[g]
+            for key in keys:
+                p = params[key]
+                if g in skip:
+                    expected[key] = p.copy()
+                    continue
+                grad, lr, t = grads[key], lrs[g], opt.t + 1
+                m = b1 * opt.m.get(key, 0.0) + (1.0 - b1) * grad
+                v = b2 * opt.v.get(key, 0.0) + (1.0 - b2) * grad * grad
+                m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
+                expected[key] = p - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * p
+                moments[key] = (m, v)
+        for g, keys in _GROUPS.items():
+            if g not in skip:
+                opts[g].step({k: params[k] for k in keys}, grads, lrs[g])
+        for g, keys in _GROUPS.items():
+            for key in keys:
+                p = params[key]
+                if g in skip:
+                    assert np.array_equal(p, expected[key]), (step, key)
+                    assert key not in opts[g].m
+                else:
+                    np.testing.assert_allclose(p, expected[key], rtol=1e-12, atol=0,
+                                               err_msg=f"{step} {key}")
+                    assert np.array_equal(opts[g].m[key], moments[key][0])
+                    assert np.array_equal(opts[g].v[key], moments[key][1])
+    assert (opts["main"].t, opts["frozen"].t) == (200, 100)
 
 
 def test_global_norm_and_clip():
@@ -373,18 +397,16 @@ def test_global_norm_and_clip():
     assert global_grad_norm(grads) == pytest.approx(5.0)
     assert global_grad_norm({"w": np.arange(6.0).reshape(2, 3).T}) == pytest.approx(math.sqrt(55.0))
     held = dict(grads)
-    clipped, raw, after = clip_global_norm(grads, 2.5)
-    # Scaled in place: the same dict and the same arrays come back.
-    assert clipped is grads
-    assert all(clipped[k] is held[k] for k in held)
+    raw, after = clip_global_norm(grads, 2.5)
+    # Scaled in place: the dict holds the same arrays.
+    assert all(grads[k] is held[k] for k in held)
     assert raw == pytest.approx(5.0)
     assert after == pytest.approx(2.5)
     np.testing.assert_allclose(held["a"], [1.5])
     np.testing.assert_allclose(held["b"], [2.0])
 
     fresh = {"a": np.array([3.0]), "b": np.array([4.0])}
-    same, raw2, after2 = clip_global_norm(fresh, 10.0)
-    assert same is fresh
+    raw2, after2 = clip_global_norm(fresh, 10.0)
     assert raw2 == after2 == pytest.approx(5.0)
     assert fresh["a"][0] == 3.0 and fresh["b"][0] == 4.0
 
@@ -464,11 +486,12 @@ def test_train_stage_and_curriculum_leave_initial_tensors_alone(monkeypatch):
     class RecordingAdamW(AdamW):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.live = {}
             made.append(self)
 
-        def step(self, params, grads, lr_for, skip=frozenset()):
+        def step(self, params, grads, lr):
             self.live = params
-            super().step(params, grads, lr_for, skip=skip)
+            super().step(params, grads, lr)
 
     monkeypatch.setattr(aligner, "AdamW", RecordingAdamW)
     _, s1, s2 = _world_and_stages()
@@ -480,11 +503,14 @@ def test_train_stage_and_curriculum_leave_initial_tensors_alone(monkeypatch):
     best_curriculum, _ = run_curriculum([s1, s2], proj_cfg, cfg, initial=initial)
     for key in before:
         assert initial[key].tobytes() == before[key].tobytes(), key
-    assert len(made) == 3
+    # Two parameter groups, so two optimizers, per stage trained.
+    assert len(made) == 6
+    assert all(opt.t > 0 for opt in made)
     assert any(not np.array_equal(best[k], before[k]) for k in before)
-    # What a trainer returns is a copy, never the optimizer's live weights or moments.
-    for result, opt in ((best, made[0]), (best_curriculum, made[2])):
-        live = [*opt.live.values(), *opt.state_tensors().values()]
+    # What a trainer returns is a copy, never the optimizers' live weights or moments.
+    for result, opts in ((best, made[:2]), (best_curriculum, made[4:])):
+        live = [a for opt in opts for a in (*opt.live.values(), *opt.m.values(),
+                                            *opt.v.values())]
         assert not any(np.shares_memory(r, a) for r in result.values() for a in live)
 
 

@@ -382,6 +382,43 @@ def test_train_lcm_resume_reproduces_history(lcm_setup, tmp_path):
     assert res_rows == full_rows[30:]
 
 
+def test_train_lcm_resumes_a_state_with_per_tensor_step_counts(lcm_setup, tmp_path):
+    # Older training states also stored each tensor's AdamW step count as
+    # meta "opt_t", always equal to "step": such a state resumes as before.
+    _root, data, config = lcm_setup
+    full = tmp_path / "full"
+    assert cli.main(_train_args(full, data, config)) == 0
+    ckpt = full / "checkpoints" / "step-000030"
+    doc = json.loads((ckpt / "params.json").read_text())
+    assert "opt_t" not in doc["meta"]
+    doc["meta"]["opt_t"] = {name[len("model."):]: 30 for name in doc["tensors"]
+                            if name.startswith("model.")}
+    (ckpt / "params.json").write_text(json.dumps(doc, indent=2) + "\n")
+    resumed = tmp_path / "resumed"
+    assert cli.main(_train_args(resumed, data, config, extra=["--resume", str(ckpt)])) == 0
+    assert _hash_dir(resumed / "model") == _hash_dir(full / "model")
+
+
+@pytest.mark.parametrize(("seed", "code"), [(0, 2), (1, 2), (2, 0)])
+def test_train_lcm_itemless_validation_split_exits_2(tmp_path, capsys, seed, code):
+    # Ten sequences, five of one embedding: a held-out single gives no item.
+    rng = stream_rng(9, 0)
+    seqs = [corpus.EmbeddingSequence(rng.normal(size=(n, 4))) for n in [1] * 5 + [4] * 5]
+    corpus.save_sequences(tmp_path / "s", seqs)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"latentdiff": {
+        "model": {"ctx_width": 8, "ctx_heads": 2, "ctx_layers": 1, "den_width": 8,
+                  "den_depth": 1, "lambda_emb_dim": 4},
+        "train": {"max_steps": 2, "warmup_steps": 1, "batch_size": 2, "seed": seed},
+    }, "schedule": {"steps": 3}}))
+    capsys.readouterr()
+    assert cli.main(_train_args(tmp_path / "o", tmp_path / "s", config)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "no (prefix, next) validation items" in err
+
+
 def test_train_lcm_divergence_exits_4(lcm_setup, tmp_path, capsys):
     _root, data, config = lcm_setup
     with np.errstate(all="ignore"):
@@ -829,6 +866,23 @@ _LOADERS = {
     "dataset": (_dataset_case, ("n",), [7]),
     "dataset-world": (_dataset_case, ("world", "seed"), "abc"),
     "sequences": (_sequences_case, ("lengths",), 7),
+    # A callable value maps the valid value to one that was once cast, not
+    # checked, and so accepted.
+    "dataset-n-str": (_dataset_case, ("n",), str),
+    "dataset-n-float": (_dataset_case, ("n",), float),
+    "dataset-frames-float": (_dataset_case, ("frames",), float),
+    "dataset-world-seed-bool": (_dataset_case, ("world", "seed"), True),
+    "dataset-world-seed-float": (_dataset_case, ("world", "seed"), lambda v: v + 0.9),
+    "dataset-world-frames-float": (_dataset_case, ("world", "frames"), lambda v: v + 0.7),
+    "dataset-world-bank-str": (_dataset_case, ("world", "bank_size"), str),
+    "dataset-world-sigma-str": (_dataset_case, ("world", "noise_sigma"), str),
+    "sequences-length-float": (_sequences_case, ("lengths", 0), float),
+    "sequences-lengths-zero": (_sequences_case, ("lengths",),
+                               lambda ls: [sum(ls)] + [0] * (len(ls) - 1)),
+    "sequences-lengths-negative": (_sequences_case, ("lengths",),
+                                   lambda ls: [sum(ls) + 1, -1] + [0] * (len(ls) - 2)),
+    "sequences-count": (_sequences_case, ("count",), lambda v: v + 1),
+    "sequences-dim": (_sequences_case, ("dim",), lambda v: v + 1),
     "checkpoint": (_checkpoint_case, ("tensors",), 7),
     "projector-config": (_projector_config_case, ("meta", "config"), 7),
     "lcm-config": (_lcm_config_case, ("meta", "config"), 7),
@@ -851,12 +905,6 @@ _LOADERS = {
     "train-state-model-junk": (_train_state_case, ("model.junk",), [2]),
     "train-state-best-null-ctx": (_train_state_case, ("best.null_ctx",), None),
     "train-state-best-out-b": (_train_state_case, ("best.den.out_b",), [3]),
-    # The state is at step 1: each per-tensor step count must be the integer 1.
-    "train-state-opt-t": (_train_state_case, ("meta", "opt_t", "ctx.in_w"), True),
-    "train-state-opt-t-str": (_train_state_case, ("meta", "opt_t", "ctx.in_w"), "2"),
-    "train-state-opt-t-negative": (_train_state_case, ("meta", "opt_t", "ctx.in_w"), -5),
-    "train-state-opt-t-past-step": (_train_state_case, ("meta", "opt_t", "ctx.in_w"), 2),
-    "train-state-opt-t-keys": (_train_state_case, ("meta", "opt_t"), None),
 }
 
 # The format names an older release wrote; each is refused by name.
@@ -875,6 +923,20 @@ _FAULTS += [("checkpoint-meta", "wrong-type"), ("lcm-schedule", "wrong-type"),
             ("lcm-schedule", "unknown-key"), ("dataset-world", "missing-key"),
             ("dataset-world", "wrong-type"), ("train-state-step-past-end", "wrong-type"),
             ("train-state-step-negative", "wrong-type"), ("train-state-step-bool", "wrong-type")]
+# Manifest numbers that were cast, not checked; the error names the key.
+_NAMED_KEYS = {
+    "dataset-n-str": "n must be an integer", "dataset-n-float": "n must be an integer",
+    "dataset-frames-float": "frames must be an integer",
+    "dataset-world-seed-bool": "WorldConfig seed", "dataset-world-seed-float": "WorldConfig seed",
+    "dataset-world-frames-float": "WorldConfig frames",
+    "dataset-world-bank-str": "WorldConfig bank_size",
+    "dataset-world-sigma-str": "WorldConfig noise_sigma",
+    "sequences-length-float": "lengths[0] must be an integer >= 1",
+    "sequences-lengths-zero": "lengths[1] must be an integer >= 1",
+    "sequences-lengths-negative": "lengths[1] must be an integer >= 1",
+    "sequences-count": "count", "sequences-dim": "dim",
+}
+_FAULTS += [(loader, "wrong-type") for loader in _NAMED_KEYS]
 # A checkpoint's index and its tensors.bin, through sample, eval --projector
 # and train-lcm --resume.
 _FAULTS += [(loader, fault) for loader in ("checkpoint", "projector-config", "train-state")
@@ -886,10 +948,7 @@ _LAYOUT_FAULTS = [
     ("lcm-null-ctx", "tensor-missing"), ("lcm-null-ctx", "tensor-nan"),
     ("train-state-model-out-w", "tensor-missing"), ("train-state-opt-v", "tensor-missing"),
     ("train-state-model-junk", "tensor-shape"), ("train-state-best-null-ctx", "tensor-missing"),
-    ("train-state-best-out-b", "tensor-shape"), ("train-state-opt-t", "missing-key"),
-    ("train-state-opt-t", "wrong-type"), ("train-state-opt-t-str", "wrong-type"),
-    ("train-state-opt-t-negative", "wrong-type"), ("train-state-opt-t-past-step", "wrong-type"),
-    ("train-state-opt-t-keys", "unknown-key"),
+    ("train-state-best-out-b", "tensor-shape"),
 ]
 _FAULTS += _LAYOUT_FAULTS
 
@@ -931,7 +990,7 @@ def test_malformed_manifest_exits_3(loader, fault, tmp_path, capsys):
     if fault == "missing-key":
         del node[key]
     elif fault == "wrong-type":
-        node[key] = bad_value
+        node[key] = bad_value(node[key]) if callable(bad_value) else bad_value
     elif fault == "unknown-key":
         node[key]["use_tags"] = True
     elif fault == "old-format":
@@ -959,7 +1018,9 @@ def test_malformed_manifest_exits_3(loader, fault, tmp_path, capsys):
     if loader.startswith("train-state-step"):
         assert "step must be an integer in [0, max_steps 2]" in err
     if (loader, fault) in _LAYOUT_FAULTS:
-        assert err.count("\n") == 1 and (key if key != "opt_t" else "use_tags") in err
+        assert err.count("\n") == 1 and key in err
+    if loader in _NAMED_KEYS:
+        assert _NAMED_KEYS[loader] in err
 
 
 @pytest.mark.parametrize("stored", [[1], {"steps": "x"}, {"steps": 1}])

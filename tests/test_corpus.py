@@ -129,7 +129,7 @@ def test_loaded_train_state_takes_an_in_place_adamw_step(tmp_path):
     save_lcm_train_state(tmp_path / "ck", params, mcfg, tcfg, opt, 1, 0.5, 1, params, "digest")
     loaded, loaded_opt, step, _best = load_lcm_train_state(tmp_path / "ck", AdamW(), mcfg,
                                                            tcfg, "digest")
-    assert step == 1
+    assert step == loaded_opt.t == 1
     assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
     # Read-only views would make the in-place step raise.
     opt.step(params, grads, 1e-2)

@@ -247,7 +247,7 @@ def test_denoiser_zero_head_at_init():
     sched = build_schedule(8)
     c = stream_rng(22, 0).normal(size=cfg.ctx_width)
     xt = stream_rng(22, 1).normal(size=6)
-    out = denoise(params, cfg, xt, 3, condition(params, cfg, c, True, sched))
+    out = denoise(params, cfg, xt, 3, condition(params, cfg, c, sched))
     assert np.all(out == 0.0)
 
 
@@ -260,11 +260,13 @@ def test_unconditional_branch_ignores_context():
     xt = stream_rng(22, 3).normal(size=6)
     c1 = stream_rng(22, 4).normal(size=cfg.ctx_width)
     c2 = stream_rng(22, 5).normal(size=cfg.ctx_width)
-    a = denoise(params, cfg, xt, 2, condition(params, cfg, c1, False, sched))
-    b = denoise(params, cfg, xt, 2, condition(params, cfg, c2, False, sched))
-    assert np.array_equal(a, b)
-    conditioned = denoise(params, cfg, xt, 2, condition(params, cfg, c1, True, sched))
-    assert not np.array_equal(a, conditioned)
+    # The guided pair: the conditional row, then the learned null context.
+    null = params["null_ctx"]
+    a = denoise(params, cfg, xt, 2, condition(params, cfg, np.stack([c1, null]), sched))
+    b = denoise(params, cfg, xt, 2, condition(params, cfg, np.stack([c2, null]), sched))
+    assert np.array_equal(a[1], b[1])
+    assert not np.array_equal(a[0], a[1])
+    assert not np.array_equal(a[0], b[0])
 
 
 def _oracle_params(cfg):
@@ -283,7 +285,10 @@ def test_condition_then_denoise_matches_concat_oracle(lead, conditioned):
     sched = build_schedule(8)
     c = stream_rng(23, 1).normal(size=(*lead, cfg.ctx_width))
     xt = stream_rng(23, 2).normal(size=(*lead, cfg.concept_dim))
-    cond = condition(params, cfg, c, conditioned, sched)
+    # The unconditional rows are the learned null context; the oracle puts it
+    # in place of `c` itself.
+    rows = c if conditioned else np.broadcast_to(params["null_ctx"], c.shape)
+    cond = condition(params, cfg, rows, sched)
     assert cond.shape == (sched.steps, *lead, cfg.den_width)
     for t in range(sched.steps):
         want = denoise_concat(params, cfg, xt, t, c, conditioned, sched)
@@ -296,7 +301,7 @@ def test_denoise_shares_one_row_across_the_table_rows():
     sched = build_schedule(8)
     c = stream_rng(23, 3).normal(size=(2, cfg.ctx_width))
     x = stream_rng(23, 4).normal(size=cfg.concept_dim)
-    cond = condition(params, cfg, c, True, sched)
+    cond = condition(params, cfg, c, sched)
     want = denoise_concat(params, cfg, np.stack([x, x]), 5, c, True, sched)
     np.testing.assert_allclose(denoise(params, cfg, x, 5, cond), want, rtol=0, atol=1e-12)
 
@@ -305,7 +310,7 @@ def test_denoise_shares_one_row_across_the_table_rows():
 def test_denoise_rejects_level_outside_schedule(t):
     cfg = _model_cfg()
     params = _rand_params(cfg)
-    cond = condition(params, cfg, np.zeros(cfg.ctx_width), True, build_schedule(8))
+    cond = condition(params, cfg, np.zeros(cfg.ctx_width), build_schedule(8))
     with pytest.raises(ValueError, match=f"t={t} outside schedule with 8 levels"):
         denoise(params, cfg, np.zeros(cfg.concept_dim), t, cond)
 
@@ -319,7 +324,7 @@ def test_condition_and_denoise_reject_wrong_shapes(xt_shape, c_shape, needle):
     cfg = _model_cfg()
     params = _rand_params(cfg)
     with pytest.raises(ValueError, match=needle):
-        cond = condition(params, cfg, np.zeros(c_shape), True, build_schedule(8))
+        cond = condition(params, cfg, np.zeros(c_shape), build_schedule(8))
         denoise(params, cfg, np.zeros(xt_shape), 1, cond)
 
 
@@ -468,7 +473,7 @@ def test_val_loss_matches_per_item_reference(monkeypatch):
         eps = rng.standard_normal(cfg.concept_dim)
         c = contextualize(params, cfg, item.prefix)[-1]
         xt = forward_diffuse(item.target, t, eps, sched)
-        pred = denoise(params, cfg, xt, t, condition(params, cfg, c, True, sched))
+        pred = denoise(params, cfg, xt, t, condition(params, cfg, c, sched))
         dist = float(np.linalg.norm(item.target - pred))
         total += dist
     got = _val_loss(params, cfg, items, sched, 11)
@@ -555,9 +560,9 @@ def test_train_lcm_best_tensors_are_not_the_live_weights(tmp_path, monkeypatch):
     live = []
 
     class RecordingAdamW(AdamW):
-        def step(self, params, grads, lr_for, skip=frozenset()):
-            live[:] = [*params.values(), *self.state_tensors().values()]
-            super().step(params, grads, lr_for, skip=skip)
+        def step(self, params, grads, lr):
+            live[:] = [*params.values(), *self.m.values(), *self.v.values()]
+            super().step(params, grads, lr)
 
     monkeypatch.setattr(latentdiff, "AdamW", RecordingAdamW)
     seq, mcfg, sched = _memorize_setup()
@@ -594,7 +599,7 @@ def test_sample_single_level_collapse():
                       rng=stream_rng(28, 1))
     c = contextualize(params, cfg, prefix)[-1]
     x_noise = stream_rng(28, 1).standard_normal(6)
-    expected = denoise(params, cfg, x_noise, 0, condition(params, cfg, c, True, sched))
+    expected = denoise(params, cfg, x_noise, 0, condition(params, cfg, c, sched))
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -609,7 +614,7 @@ def test_sample_zero_guidance_matches_conditional_loop():
     out = sample_next(params, cfg, prefix, sched, guidance_scale=0.0,
                       rng=stream_rng(28, 4))
 
-    cond = condition(params, cfg, contextualize(params, cfg, prefix)[-1], True, sched)
+    cond = condition(params, cfg, contextualize(params, cfg, prefix)[-1], sched)
     x = stream_rng(28, 4).standard_normal(6)
     x_hat = None
     for t in range(sched.steps - 1, 0, -1):
@@ -632,8 +637,8 @@ def test_sample_guided_matches_two_call_loop():
                       rng=stream_rng(28, 8))
 
     c = contextualize(params, cfg, prefix)[-1]
-    table_c = condition(params, cfg, c, True, sched)
-    table_u = condition(params, cfg, c, False, sched)
+    table_c = condition(params, cfg, c, sched)
+    table_u = condition(params, cfg, params["null_ctx"], sched)
     x = stream_rng(28, 8).standard_normal(6)
     x_hat = None
     for t in range(sched.steps - 1, 0, -1):
