@@ -178,6 +178,11 @@ def validate(
     return mse, _safe_mean_cos(zv, zt)
 
 
+def _total_steps(n_train: int, cfg: AlignConfig) -> int:
+    """Optimizer steps over n_train training samples if no epoch stops early."""
+    return math.ceil(n_train / cfg.batch_size) * cfg.max_epochs
+
+
 def train_stage(
     dataset: PairedDataset,
     params: dict[str, np.ndarray],
@@ -196,8 +201,7 @@ def train_stage(
 
     perm = stream_rng(cfg.seed, _STREAM_VAL_SPLIT, rng_namespace).permutation(n)
     val_idx, train_idx = holdout_split(perm, cfg.val_fraction)
-    steps_per_epoch = math.ceil(len(train_idx) / cfg.batch_size)
-    total_steps = steps_per_epoch * cfg.max_epochs
+    total_steps = _total_steps(len(train_idx), cfg)
 
     # The optimizers update in place; the caller's tensors must stay as given.
     tensors = {k: v.copy() for k, v in params.items()}
@@ -233,7 +237,6 @@ def train_stage(
             if not np.isfinite(loss):
                 raise TrainingDivergedError(step)
             grads = project_backward(trace, g_zv)
-            del grads["frames"]
 
             lr_proj = warmup_cosine(step, total_steps, cfg.warmup_steps, cfg.lr_projector)
             lr_enc = 0.0 if step < cfg.freeze_steps else warmup_cosine(
@@ -294,11 +297,18 @@ def run_curriculum(
     params = initial if initial is not None else init_projector(
         proj_cfg, stream_rng(cfg.seed, _STREAM_INIT)
     )
-    # Every stage's overrides are checked before the first stage trains.
+    # Every stage's overrides, then its warmup against its own step count, are
+    # checked before the first stage trains.
     stage_cfgs = [apply_stage_overrides(cfg, stage) for stage in stages]
+    datasets = [stage.load_dataset() for stage in stages]
+    for stage, stage_cfg, dataset in zip(stages, stage_cfgs, datasets):
+        n_train = len(holdout_split(np.arange(len(dataset)), stage_cfg.val_fraction)[1])
+        total = _total_steps(n_train, stage_cfg)
+        if stage_cfg.warmup_steps > total:
+            raise ValueError(f"stage {stage.name!r}: warmup_steps {stage_cfg.warmup_steps} "
+                             f"exceeds the stage's {total} steps")
     histories = []
-    for idx, (stage, stage_cfg) in enumerate(zip(stages, stage_cfgs)):
-        dataset = stage.load_dataset()
+    for idx, (stage_cfg, dataset) in enumerate(zip(stage_cfgs, datasets)):
         params, history = train_stage(
             dataset, params, proj_cfg, stage_cfg, rng_namespace=idx
         )

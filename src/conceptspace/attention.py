@@ -1,10 +1,11 @@
 """Multi-head scaled dot-product attention with a hand-derived backward pass.
 
-One core serves three call sites: bidirectional self-attention over frame
-rows, single-query attention pooling, and causal self-attention inside the
-next-embedding contextualizer. Forward caches every intermediate the backward
-needs; dropout (applied to the attention weights after the row softmax) records
-its mask so backward replays it exactly.
+One core serves two call sites: bidirectional self-attention over frame rows
+in the projector, and causal self-attention inside the next-embedding
+contextualizer; the projector's single-query pooling has its own closed form.
+Forward caches every intermediate the backward needs; dropout (applied to the
+attention weights after the row softmax) records its mask so backward replays
+it exactly.
 
 Row convention throughout: inputs are (..., T, E) with linear maps applied on
 the right, e.g. Q = Xq @ Wq; any leading axes are a batch that rides along.
@@ -38,6 +39,7 @@ class AttentionCache:
     v: np.ndarray  # (..., H, Tk, dk) head-major
     probs: np.ndarray  # (..., H, Tq, Tk) post-softmax, pre-dropout
     kept: np.ndarray | None  # dropout keep mask scaled by 1/(1-p), or None
+    weights: np.ndarray  # probs * kept, or probs itself without dropout
     concat: np.ndarray  # (..., Tq, E) input to the output projection
 
 
@@ -93,7 +95,12 @@ def attention_forward(
         t = scores.shape[-1]
         mask = np.triu(np.ones((t, t), dtype=bool), k=1)
         scores = np.where(mask, -np.inf, scores)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
+    # The row max slice by slice: a reduction over a short last axis costs
+    # several times more, and max is order-free, so the result is the same.
+    row_max = scores[..., 0].copy()
+    for j in range(1, scores.shape[-1]):
+        np.maximum(row_max, scores[..., j], out=row_max)
+    shifted = scores - row_max[..., None]
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=-1, keepdims=True)
 
@@ -112,7 +119,7 @@ def attention_forward(
     out = concat @ wo
     cache = AttentionCache(
         xq=xq, xkv=xkv, wq=wq, wk=wk, wv=wv, wo=wo,
-        heads=heads, q=q, k=k, v=v, probs=probs, kept=kept, concat=concat,
+        heads=heads, q=q, k=k, v=v, probs=probs, kept=kept, weights=weights, concat=concat,
     )
     return out, cache
 
@@ -135,9 +142,8 @@ def attention_backward(
     g_concat = g_out @ cache.wo.T
     g_per_head = _split_heads(g_concat, heads)
 
-    weights = cache.probs if cache.kept is None else cache.probs * cache.kept
     g_weights = g_per_head @ cache.v.swapaxes(-1, -2)
-    g_v = weights.swapaxes(-1, -2) @ g_per_head
+    g_v = cache.weights.swapaxes(-1, -2) @ g_per_head
     if cache.kept is not None:
         g_probs = g_weights * cache.kept
     else:

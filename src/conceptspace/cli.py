@@ -296,6 +296,16 @@ def cmd_eval(args) -> int:
         raise CliError(2, f"dataset {args.data} has no world metadata; cannot rebuild its caption bank")
     with corpus.malformed_manifest(Path(args.data) / "manifest.json"):
         world = corpus.world_from_config(world_cfg)
+        t, frame_dim = dataset.frames.shape[1:]
+        stored = {"frame_dim": frame_dim, "concept_dim": dataset.targets.shape[1], "frames": t}
+        for key, value in stored.items():
+            if getattr(world, key) != value:
+                raise ValueError(f"world {key} {getattr(world, key)} does not match "
+                                 f"the dataset's {value}")
+        top_id = int(dataset.caption_ids.max())
+        if world.bank_size <= top_id:
+            raise ValueError(f"world bank_size {world.bank_size} does not cover "
+                             f"caption id {top_id}")
 
     zt = dataset.targets
     if args.oracle:

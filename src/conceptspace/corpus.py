@@ -282,6 +282,7 @@ class PairedDataset:
                 )
             n = _count("n", manifest["n"], 1)
             t = _count("frames", manifest["frames"], 1)
+            dims = {key: _count(key, manifest[key], 1) for key in ("frame_dim", "concept_dim")}
             files = {key: root / manifest["files"][key] for key in ("frames", "targets", "ids")}
             meta = {"world": manifest.get("world"), "sample_seed": manifest.get("sample_seed")}
         frames_flat = read_embeddings(files["frames"])
@@ -294,6 +295,13 @@ class PairedDataset:
             raise EmbeddingFormatError(
                 f"{root}: target row count {targets.shape[0]} != n {n}"
             )
+        for key, file_key, stored in (("frame_dim", "frames", frames_flat),
+                                      ("concept_dim", "targets", targets)):
+            if dims[key] != stored.shape[1]:
+                raise EmbeddingFormatError(
+                    f"{manifest_path}: {key} {dims[key]} does not match the "
+                    f"{stored.shape[1]} columns of {files[file_key].name}"
+                )
         caption_ids = read_ids(files["ids"], n)
         return cls(
             frames=frames_flat.reshape(n, t, frames_flat.shape[1]),

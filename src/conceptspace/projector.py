@@ -5,7 +5,12 @@ additive sinusoidal position codes, one residual block of temporal multi-head
 self-attention (no layer norm), a pooling step (learned-query attention, mean,
 or max) and a final linear map into concept space. Forward returns a trace
 holding every intermediate; the backward pass consumes the trace and produces
-analytic gradients for all parameters plus the input frames.
+analytic gradients for all parameters (none for the input frames, which are
+data).
+
+Learned-query pooling has one query, the `cls` vector, shared by every sample,
+so it runs in closed form (`attention_pool`) with no key or value projection
+of the frames.
 
 The adapter is initialized to the identity: it stands in for fine-tuning an
 upstream frozen encoder, so at init it must pass features through unchanged.
@@ -104,6 +109,88 @@ def sinusoidal_features(x: np.ndarray, dim: int) -> np.ndarray:
 
 
 @dataclass
+class PoolCache:
+    """What attention_pool_backward needs, captured at forward time.
+
+    Leading axes are folded into one batch axis N.
+    """
+
+    params: dict[str, np.ndarray]
+    hidden: np.ndarray  # (N, T, E) the rows being pooled
+    q: np.ndarray  # (H, dk) the query per head, times 1/sqrt(dk)
+    a: np.ndarray  # (H, E) score map: scores = hidden @ a.T
+    probs: np.ndarray  # (N, T, H) softmax over T
+    pooled_in: np.ndarray  # (H, N, E) probs^T @ hidden, head-major
+    concat: np.ndarray  # (N, E) input to the output projection
+
+
+def _head_blocks(w: np.ndarray, heads: int) -> np.ndarray:
+    """(E, E) weight -> (H, E, dk) column blocks, one per head."""
+    return w.reshape(w.shape[0], heads, -1).swapaxes(0, 1)
+
+
+def attention_pool(
+    params: dict[str, np.ndarray], heads: int, hidden: np.ndarray
+) -> tuple[np.ndarray, PoolCache]:
+    """Multi-head attention from the learned `cls` query over (..., T, E) rows.
+
+    Returns the (..., E) pooled rows. Per head h the scores are
+    `hidden @ A[:, h]` with `A[:, h] = wk_h @ q_h / sqrt(dk)`, the softmax over
+    T weights the rows, and their weighted sum goes through `wv_h`; the heads
+    then go through `pool.wo` together. No (E, E) product touches a frame
+    row, only one row per sample.
+    """
+    *lead, t, e = hidden.shape
+    hidden = hidden.reshape(-1, t, e)
+    q = ((params["cls"] @ params["pool.wq"]) * (1.0 / np.sqrt(e // heads))).reshape(heads, -1)
+    a = (_head_blocks(params["pool.wk"], heads) @ q[:, :, None])[..., 0]
+    scores = (hidden.reshape(-1, e) @ a.T).reshape(-1, t, heads)
+    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    pooled_in = (probs.swapaxes(1, 2) @ hidden).swapaxes(0, 1)
+    concat = (pooled_in @ _head_blocks(params["pool.wv"], heads)).swapaxes(0, 1).reshape(-1, e)
+    cache = PoolCache(params=params, hidden=hidden, q=q, a=a, probs=probs,
+                      pooled_in=pooled_in, concat=concat)
+    return (concat @ params["pool.wo"]).reshape(*lead, e), cache
+
+
+def attention_pool_backward(
+    cache: PoolCache, g_out: np.ndarray
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Gradients through attention_pool: the (..., T, E) hidden gradient and
+    the `cls` and `pool.*` gradients, summed over the leading axes."""
+    params, hidden, q, probs = cache.params, cache.hidden, cache.q, cache.probs
+    n, t, e = hidden.shape
+    heads = q.shape[0]
+    lead = g_out.shape[:-1]
+    g_out = g_out.reshape(n, e)
+    g_wo = cache.concat.T @ g_out
+    g_concat = (g_out @ params["pool.wo"].T).reshape(n, heads, -1).swapaxes(0, 1)
+    wv_heads = _head_blocks(params["pool.wv"], heads)
+    g_wv = cache.pooled_in.swapaxes(1, 2) @ g_concat
+    g_pooled_in = (g_concat @ wv_heads.swapaxes(1, 2)).swapaxes(0, 1)
+
+    g_probs = hidden @ g_pooled_in.swapaxes(1, 2)
+    # Softmax over T (axis 1): dS = P * (dP - sum_T(dP * P)).
+    inner = (g_probs * probs).sum(axis=1, keepdims=True)
+    g_scores = (probs * (g_probs - inner)).reshape(-1, heads)
+    g_hidden = probs @ g_pooled_in
+    g_hidden += (g_scores @ cache.a).reshape(n, t, e)
+
+    g_a = g_scores.T @ hidden.reshape(-1, e)
+    wk_heads = _head_blocks(params["pool.wk"], heads)
+    g_q = (g_a[:, None, :] @ wk_heads).reshape(e) * (1.0 / np.sqrt(e // heads))
+    grads = {
+        "cls": params["pool.wq"] @ g_q,
+        "pool.wq": np.outer(params["cls"], g_q),
+        "pool.wk": (g_a.T[:, :, None] * q).reshape(e, e),
+        "pool.wv": g_wv.swapaxes(0, 1).reshape(e, e),
+        "pool.wo": g_wo,
+    }
+    return g_hidden.reshape(*lead, t, e), grads
+
+
+@dataclass
 class ForwardTrace:
     """Everything the backward pass needs, captured at forward time."""
 
@@ -113,7 +200,7 @@ class ForwardTrace:
     with_pe: np.ndarray
     attn_cache: AttentionCache | None
     hidden: np.ndarray  # (..., T, frame_dim) after the temporal block
-    pool_cache: AttentionCache | None
+    pool_cache: PoolCache | None
     max_indices: np.ndarray | None  # (..., 1, frame_dim) argmax over frames
     pooled: np.ndarray  # (..., frame_dim)
     params: dict[str, np.ndarray]
@@ -158,13 +245,7 @@ def project(
     pool_cache = None
     max_indices = None
     if cfg.pooling == "attention":
-        cls = np.broadcast_to(params["cls"], (*hidden.shape[:-2], 1, cfg.frame_dim))
-        pool_out, pool_cache = attention_forward(
-            cls, hidden,
-            params["pool.wq"], params["pool.wk"], params["pool.wv"], params["pool.wo"],
-            cfg.heads,
-        )
-        pooled = pool_out[..., 0, :]
+        pooled, pool_cache = attention_pool(params, cfg.heads, hidden)
     elif cfg.pooling == "mean":
         pooled = hidden.mean(axis=-2)
     else:
@@ -184,8 +265,8 @@ def project_backward(trace: ForwardTrace, upstream: np.ndarray) -> dict[str, np.
     """Gradients of a scalar loss through project().
 
     `upstream` is dLoss/dOutput, shaped like the output. Returns gradients
-    keyed like the parameter tensors, summed over the batch, plus "frames"
-    for the input in its own shape.
+    keyed like the parameter tensors, summed over the batch; the input frames
+    get none.
     """
     cfg = trace.cfg
     params = trace.params
@@ -202,14 +283,8 @@ def project_backward(trace: ForwardTrace, upstream: np.ndarray) -> dict[str, np.
 
     t = trace.hidden.shape[-2]
     if cfg.pooling == "attention":
-        g_q_in, g_hidden, g_wq, g_wk, g_wv, g_wo = attention_backward(
-            trace.pool_cache, g_pooled[..., None, :]
-        )
-        grads["pool.wq"] = g_wq
-        grads["pool.wk"] = g_wk
-        grads["pool.wv"] = g_wv
-        grads["pool.wo"] = g_wo
-        grads["cls"] = fold_rows(g_q_in).sum(axis=0)
+        g_hidden, pool_grads = attention_pool_backward(trace.pool_cache, g_pooled)
+        grads.update(pool_grads)
     elif cfg.pooling == "mean":
         g_hidden = np.repeat(g_pooled[..., None, :] / t, t, axis=-2)
     else:
@@ -231,9 +306,6 @@ def project_backward(trace: ForwardTrace, upstream: np.ndarray) -> dict[str, np.
     # Position codes are constant, so the gradient passes through unchanged.
     if cfg.use_adapter:
         grads[ADAPTER_KEY] = fold_rows(trace.frames).T @ fold_rows(g_with_pe)
-        grads["frames"] = g_with_pe @ params[ADAPTER_KEY].T
-    else:
-        grads["frames"] = g_with_pe
     # The tensors this config leaves unused get zero gradients.
     grads.update((k, np.zeros_like(v)) for k, v in params.items() if k not in grads)
     return grads

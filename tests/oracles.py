@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the toolkit against.
 
 None of these runs in a command: the toolkit computes similarities in batches
-(`spaceval.similarity_matrix`), softmax inside the attention core, the
+(`spaceval.similarity_matrix`), softmax inside the attention core,
+learned-query pooling in closed form (`projector.attention_pool`), the
 sampler's denoiser input layer split into a per-call table and a per-level
 product (`latentdiff.condition`), and keeps parameters as dicts. The tests use
 these plain forms as oracles, flatten a parameter dict into the one vector
@@ -16,6 +17,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from conceptspace.attention import attention_backward, attention_forward, fold_rows
 from conceptspace.projector import sinusoidal_features
 
 
@@ -58,6 +60,24 @@ def denoise_concat(params: dict[str, np.ndarray], cfg, xt: np.ndarray, t: int, c
     for k in range(cfg.den_depth):
         h = h + np.maximum(h @ params[f"den.b{k}.w"].T + params[f"den.b{k}.b"], 0.0)
     return h @ params["den.out_w"].T + params["den.out_b"]
+
+
+def attention_pool(
+    params: dict[str, np.ndarray], heads: int, hidden: np.ndarray, g_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Learned-query pooling through the general attention core.
+
+    The `cls` vector is the one query row of every sample. Returns the
+    (..., E) pooled rows, the gradient for `hidden` given `g_out`, and the
+    `cls`/`pool.*` gradients summed over the leading axes.
+    """
+    weights = [params[f"pool.{w}"] for w in ("wq", "wk", "wv", "wo")]
+    cls = np.broadcast_to(params["cls"], (*hidden.shape[:-2], 1, hidden.shape[-1]))
+    out, cache = attention_forward(cls, hidden, *weights, heads)
+    g_cls, g_hidden, g_wq, g_wk, g_wv, g_wo = attention_backward(cache, g_out[..., None, :])
+    grads = {"cls": fold_rows(g_cls).sum(axis=0), "pool.wq": g_wq, "pool.wk": g_wk,
+             "pool.wv": g_wv, "pool.wo": g_wo}
+    return out[..., 0, :], g_hidden, grads
 
 
 def flatten_tensors(tensors: dict[str, np.ndarray], order: Iterable[str]) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -618,6 +619,24 @@ def test_curriculum_checks_every_stage_before_training(tmp_path):
     later = CurriculumStage(name="later", dataset_path=tmp_path / "missing", epochs="3")
     with pytest.raises(ValueError, match="bad overrides in stage 'later'"):
         run_curriculum([first, later], proj_cfg, _align_cfg())
+
+
+@pytest.mark.parametrize(("warmup", "trained"), [(12, 2), (13, 0)])
+def test_curriculum_checks_every_stage_warmup_before_training(monkeypatch, warmup, trained):
+    _, s1, s2 = _world_and_stages()
+    # 96 samples: 10 held out, 86 in batches of 16 make 6 steps an epoch, 12 in 2.
+    later = replace(s2, epochs=2, lr_overrides={"warmup_steps": warmup})
+    calls = []
+    monkeypatch.setattr(aligner, "train_stage",
+                        lambda _ds, params, *_args, **_kw: calls.append(1) or (params, None))
+    proj_cfg = _proj_cfg(dim=16, concept_dim=8)
+    if trained:
+        run_curriculum([s1, later], proj_cfg, _align_cfg())
+    else:
+        with pytest.raises(ValueError,
+                           match="stage 'fine': warmup_steps 13 exceeds the stage's 12 steps"):
+            run_curriculum([s1, later], proj_cfg, _align_cfg())
+    assert len(calls) == trained
 
 
 def test_empty_curriculum_rejected():

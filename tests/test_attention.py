@@ -108,7 +108,7 @@ def test_dropout_only_in_training_and_uses_inverted_scaling():
     eval_out, eval_cache = attention_forward(
         x, x, *w, heads=2, dropout_p=0.5, training=False
     )
-    assert eval_cache.kept is None
+    assert eval_cache.kept is None and eval_cache.weights is eval_cache.probs
     ref, _ = attention_forward(x, x, *w, heads=2)
     np.testing.assert_allclose(eval_out, ref, atol=1e-12)
 
@@ -119,10 +119,26 @@ def test_dropout_only_in_training_and_uses_inverted_scaling():
     # inverted dropout: surviving cells carry the 1/(1-p) scale in the mask
     assert set(np.unique(cache.kept)) <= {0.0, 2.0}
     assert np.any(cache.kept == 0.0)
+    assert np.array_equal(cache.weights, cache.probs * cache.kept)
     again, _ = attention_forward(
         x, x, *w, heads=2, dropout_p=0.5, rng=stream_rng(9, 0), training=True
     )
     assert np.array_equal(train_out, again)
+
+
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("t", range(1, 10))
+def test_sliced_row_max_gives_the_reduction_probs(t, causal):
+    # The softmax shift takes its row max slice by slice; a whole-row
+    # reduction must give the same bits.
+    rng = stream_rng(0, 30, t)
+    x = rng.normal(scale=3.0, size=(2, t, 8))
+    _, cache = attention_forward(x, x, *_weights(8, rng), heads=2, causal=causal)
+    scores = (cache.q @ cache.k.swapaxes(-1, -2)) * (1.0 / np.sqrt(4))
+    if causal:
+        scores = np.where(np.triu(np.ones((t, t), dtype=bool), k=1), -np.inf, scores)
+    exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    assert np.array_equal(cache.probs, exp / exp.sum(axis=-1, keepdims=True))
 
 
 def test_dropout_rate_matches_probability():

@@ -288,6 +288,20 @@ def test_align_malformed_input_exits_2(align_setup, tmp_path, capsys, case):
     assert not (tmp_path / "run").exists()
 
 
+def test_align_warmup_past_a_later_stages_steps_exits_2_before_training(align_setup, tmp_path,
+                                                                         capsys):
+    # 48 samples: 5 held out, 43 in batches of 16 make 3 steps an epoch.
+    _root, data, stage, config = align_setup
+    later = tmp_path / "later.json"
+    later.write_text(json.dumps({"dataset": str(data), "epochs": 2,
+                                 "lr_overrides": {"warmup_steps": 40}}))
+    capsys.readouterr()
+    code = cli.main(_align_args(tmp_path / "run", f"{stage},{later}", config))
+    _assert_one_line_usage_error(capsys, code,
+                                 "stage 'later': warmup_steps 40 exceeds the stage's 6 steps")
+    assert not (tmp_path / "run").exists()
+
+
 def test_align_bad_override_in_a_later_stage_exits_2_before_training(align_setup, tmp_path,
                                                                     capsys):
     _root, data, stage, config = align_setup
@@ -876,6 +890,13 @@ _LOADERS = {
     "dataset-world-frames-float": (_dataset_case, ("world", "frames"), lambda v: v + 0.7),
     "dataset-world-bank-str": (_dataset_case, ("world", "bank_size"), str),
     "dataset-world-sigma-str": (_dataset_case, ("world", "noise_sigma"), str),
+    # Dims that disagree with the stored files or with each other.
+    "dataset-frame-dim": (_dataset_case, ("frame_dim",), lambda v: v + 2),
+    "dataset-concept-dim": (_dataset_case, ("concept_dim",), lambda v: v + 93),
+    "dataset-world-frame-dim": (_dataset_case, ("world", "frame_dim"), 5),
+    "dataset-world-concept-dim": (_dataset_case, ("world", "concept_dim"), lambda v: v + 1),
+    "dataset-world-frames": (_dataset_case, ("world", "frames"), lambda v: v + 1),
+    "dataset-world-bank-size": (_dataset_case, ("world", "bank_size"), 2),
     "sequences-length-float": (_sequences_case, ("lengths", 0), float),
     "sequences-lengths-zero": (_sequences_case, ("lengths",),
                                lambda ls: [sum(ls)] + [0] * (len(ls) - 1)),
@@ -923,7 +944,8 @@ _FAULTS += [("checkpoint-meta", "wrong-type"), ("lcm-schedule", "wrong-type"),
             ("lcm-schedule", "unknown-key"), ("dataset-world", "missing-key"),
             ("dataset-world", "wrong-type"), ("train-state-step-past-end", "wrong-type"),
             ("train-state-step-negative", "wrong-type"), ("train-state-step-bool", "wrong-type")]
-# Manifest numbers that were cast, not checked; the error names the key.
+# Manifest numbers that were cast or never read, and dims that disagree with
+# the stored files; the error names the key.
 _NAMED_KEYS = {
     "dataset-n-str": "n must be an integer", "dataset-n-float": "n must be an integer",
     "dataset-frames-float": "frames must be an integer",
@@ -931,6 +953,12 @@ _NAMED_KEYS = {
     "dataset-world-frames-float": "WorldConfig frames",
     "dataset-world-bank-str": "WorldConfig bank_size",
     "dataset-world-sigma-str": "WorldConfig noise_sigma",
+    "dataset-frame-dim": "frame_dim 14 does not match the 12 columns of frames.bin",
+    "dataset-concept-dim": "concept_dim 99 does not match the 6 columns of targets.bin",
+    "dataset-world-frame-dim": "world frame_dim 5 does not match the dataset's 12",
+    "dataset-world-concept-dim": "world concept_dim 7 does not match the dataset's 6",
+    "dataset-world-frames": "world frames 5 does not match the dataset's 4",
+    "dataset-world-bank-size": "world bank_size 2 does not cover caption id",
     "sequences-length-float": "lengths[0] must be an integer >= 1",
     "sequences-lengths-zero": "lengths[1] must be an integer >= 1",
     "sequences-lengths-negative": "lengths[1] must be an integer >= 1",

@@ -8,12 +8,17 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import oracles
+from conceptspace import projector
 from conceptspace.checkpoints import load_projector, save_projector
 from conceptspace.numerics import stream_rng
 from conceptspace.projector import (
     ADAPTER_KEY,
+    POOLING_MODES,
     ForwardTrace,
     ProjectorConfig,
+    attention_pool,
+    attention_pool_backward,
     init_projector,
     project,
     project_backward,
@@ -252,21 +257,15 @@ def _grad_check_all(pooling, frames):
     cfg = _cfg(pooling=pooling)
     params = init_projector(cfg, stream_rng(4, 0))
     _, grads = _loss_and_grads(params, cfg, frames)
+    assert set(grads) == set(params)
 
-    for key in list(params.keys()) + ["frames"]:
-        base = frames if key == "frames" else params[key]
-
+    for key in params.keys():
         def f(flat, _key=key):
-            p2 = dict(params)
-            fr = frames
-            if _key == "frames":
-                fr = flat.reshape(frames.shape)
-            else:
-                p2[_key] = flat.reshape(base.shape)
-            loss, _ = _loss_and_grads(p2, cfg, fr)
+            loss, _ = _loss_and_grads(params | {_key: flat.reshape(params[_key].shape)},
+                                      cfg, frames)
             return loss
 
-        err = grad_check(f, grads[key].ravel(), base.ravel(), eps=1e-5)
+        err = grad_check(f, grads[key].ravel(), params[key].ravel(), eps=1e-5)
         assert err < 1e-6, f"{pooling}/{key}: {err}"
 
 
@@ -297,13 +296,51 @@ def test_project_batch_matches_per_sample_loop(pooling):
         out_i, trace_i = project(params, cfg, frames[i], training=True, rng=loop_rng)
         np.testing.assert_allclose(out[i], out_i, rtol=0, atol=1e-12)
         assert np.array_equal(trace.attn_cache.kept[i], trace_i.attn_cache.kept)
-        grads_i = project_backward(trace_i, upstream[i])
-        np.testing.assert_allclose(grads["frames"][i], grads_i.pop("frames"), rtol=0, atol=1e-12)
-        for key, g in grads_i.items():
+        for key, g in project_backward(trace_i, upstream[i]).items():
             loop_grads[key] = loop_grads.get(key, 0.0) + g
-    assert set(loop_grads) == set(grads) - {"frames"}
+    assert set(loop_grads) == set(grads)
     for key, g in loop_grads.items():
         np.testing.assert_allclose(grads[key], g, rtol=0, atol=1e-12, err_msg=key)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=str)
+@pytest.mark.parametrize("t", [1, 5, 8])
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+def test_attention_pool_matches_the_core(heads, t, lead):
+    cfg = _cfg(frame_dim=16, heads=heads, init_sigma=0.5)
+    params = init_projector(cfg, stream_rng(4, 20, heads))
+    rng = stream_rng(4, 21, t)
+    hidden = rng.normal(size=(*lead, t, 16))
+    g_out = rng.normal(size=(*lead, 16))
+
+    want_out, want_g_hidden, want = oracles.attention_pool(params, heads, hidden, g_out)
+    out, cache = attention_pool(params, heads, hidden)
+    g_hidden, grads = attention_pool_backward(cache, g_out)
+    assert out.shape == want_out.shape and g_hidden.shape == hidden.shape
+    np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g_hidden, want_g_hidden, rtol=0, atol=1e-12)
+    assert set(grads) == set(want)
+    for key, g in want.items():
+        assert grads[key].shape == params[key].shape, key
+        np.testing.assert_allclose(grads[key], g, rtol=0, atol=1e-12, err_msg=key)
+
+
+@pytest.mark.parametrize("pooling", POOLING_MODES)
+@pytest.mark.parametrize("temporal", [True, False])
+def test_core_runs_once_per_pass_only_for_temporal_attention(monkeypatch, temporal, pooling):
+    # The benchmark's per-layer attention counts rest on these call counts.
+    calls = []
+    for name in ("attention_forward", "attention_backward"):
+        def counted(*args, _real=getattr(projector, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(projector, name, counted)
+    cfg = _cfg(pooling=pooling, use_temporal_attention=temporal)
+    params = init_projector(cfg, stream_rng(4, 22))
+    out, trace = project(params, cfg, stream_rng(4, 23).normal(size=(3, 5, 8)))
+    assert calls == ["attention_forward"] * temporal
+    project_backward(trace, np.ones_like(out))
+    assert calls == ["attention_forward", "attention_backward"] * temporal
 
 
 def test_project_backward_with_dropout_mask_replayed():
