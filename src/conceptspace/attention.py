@@ -1,21 +1,22 @@
-"""Multi-head scaled dot-product attention with a hand-derived backward pass.
+"""Residual multi-head self-attention with a hand-derived backward pass.
 
-One core serves two call sites: bidirectional self-attention over frame rows
-in the projector, and causal self-attention inside the next-embedding
-contextualizer; the projector's single-query pooling has its own closed form.
-Forward caches every intermediate the backward needs; dropout (applied to the
-attention weights after the row softmax) records its mask so backward replays
-it exactly.
+One core serves two call sites, each a residual self-attention block: the
+bidirectional block over frame rows in the projector, and the causal blocks
+inside the next-embedding contextualizer. It returns `x + attention(x)`, so
+the callers keep no residual of their own; the projector's single-query
+pooling has its own closed form. Forward caches every intermediate the
+backward needs; dropout (applied to the attention weights after the row
+softmax) records its mask so backward replays it exactly.
 
 Row convention throughout: inputs are (..., T, E) with linear maps applied on
-the right, e.g. Q = Xq @ Wq; any leading axes are a batch that rides along.
+the right, e.g. Q = X @ Wq; any leading axes are a batch that rides along.
 
 Inside the core everything is head-major: the projected q, k and v are split
 once into (..., H, T, dk) views, so the score, weighting and gradient products
 are stacked matrix products (``@``) that numpy hands to BLAS, with the heads as
 one more batch axis. Scores, probabilities and the dropout mask are
-(..., H, Tq, Tk); heads are merged back to (..., T, E) only for the output
-projection and the input gradients.
+(..., H, T, T); heads are merged back to (..., T, E) only for the output
+projection and the input gradient.
 """
 
 from __future__ import annotations
@@ -27,20 +28,19 @@ import numpy as np
 
 @dataclass
 class AttentionCache:
-    xq: np.ndarray
-    xkv: np.ndarray
+    x: np.ndarray
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
     wo: np.ndarray
     heads: int
-    q: np.ndarray  # (..., H, Tq, dk) head-major
-    k: np.ndarray  # (..., H, Tk, dk) head-major
-    v: np.ndarray  # (..., H, Tk, dk) head-major
-    probs: np.ndarray  # (..., H, Tq, Tk) post-softmax, pre-dropout
+    q: np.ndarray  # (..., H, T, dk) head-major
+    k: np.ndarray  # (..., H, T, dk) head-major
+    v: np.ndarray  # (..., H, T, dk) head-major
+    probs: np.ndarray  # (..., H, T, T) post-softmax, pre-dropout
     kept: np.ndarray | None  # dropout keep mask scaled by 1/(1-p), or None
     weights: np.ndarray  # probs * kept, or probs itself without dropout
-    concat: np.ndarray  # (..., Tq, E) input to the output projection
+    concat: np.ndarray  # (..., T, E) input to the output projection
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -60,8 +60,7 @@ def fold_rows(x: np.ndarray) -> np.ndarray:
 
 
 def attention_forward(
-    xq: np.ndarray,
-    xkv: np.ndarray,
+    x: np.ndarray,
     wq: np.ndarray,
     wk: np.ndarray,
     wv: np.ndarray,
@@ -72,23 +71,20 @@ def attention_forward(
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> tuple[np.ndarray, AttentionCache]:
-    """Attend from the rows of xq over the rows of xkv.
+    """The residual block `x + attention(x)` over the rows of x, (..., T, E).
 
-    Inputs are (..., Tq, E) and (..., Tk, E) with the same leading axes.
-    Returns the (..., Tq, E) output and a cache sufficient for
+    Returns the (..., T, E) output and a cache sufficient for
     attention_backward.
     """
-    e = xq.shape[-1]
+    e = x.shape[-1]
     if e % heads != 0:
         raise ValueError(f"model width {e} not divisible by heads {heads}")
-    if causal and xq.shape[-2] != xkv.shape[-2]:
-        raise ValueError("causal masking requires matching query/key lengths")
     dk = e // heads
     scale = 1.0 / np.sqrt(dk)
 
-    q = _split_heads(xq @ wq, heads)
-    k = _split_heads(xkv @ wk, heads)
-    v = _split_heads(xkv @ wv, heads)
+    q = _split_heads(x @ wq, heads)
+    k = _split_heads(x @ wk, heads)
+    v = _split_heads(x @ wv, heads)
 
     scores = (q @ k.swapaxes(-1, -2)) * scale
     if causal:
@@ -110,15 +106,15 @@ def attention_forward(
         if rng is None:
             raise ValueError("dropout in training mode needs an rng")
         # One draw over the whole batch consumes the stream in the same order
-        # as one (H, Tq, Tk) draw per sample.
+        # as one (H, T, T) draw per sample.
         keep = rng.random(probs.shape) >= dropout_p
         kept = keep / (1.0 - dropout_p)
         weights = probs * kept
 
     concat = _merge_heads(weights @ v)
-    out = concat @ wo
+    out = x + concat @ wo
     cache = AttentionCache(
-        xq=xq, xkv=xkv, wq=wq, wk=wk, wv=wv, wo=wo,
+        x=x, wq=wq, wk=wk, wv=wv, wo=wo,
         heads=heads, q=q, k=k, v=v, probs=probs, kept=kept, weights=weights, concat=concat,
     )
     return out, cache
@@ -126,12 +122,11 @@ def attention_forward(
 
 def attention_backward(
     cache: AttentionCache, g_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through attention_forward.
 
-    Returns (g_xq, g_xkv, g_wq, g_wk, g_wv, g_wo); input gradients keep the
-    input shapes and weight gradients are summed over the leading axes. For
-    self-attention the caller adds g_xq + g_kv itself.
+    Returns (g_x, g_wq, g_wk, g_wv, g_wo); g_x has the input's shape, residual
+    path included, and the weight gradients are summed over the leading axes.
     """
     e = cache.concat.shape[-1]
     heads = cache.heads
@@ -157,9 +152,10 @@ def attention_backward(
     g_k_full = _merge_heads((g_scores.swapaxes(-1, -2) @ cache.q) * scale)
     g_v_full = _merge_heads(g_v)
 
-    g_wq = fold_rows(cache.xq).T @ fold_rows(g_q_full)
-    g_wk = fold_rows(cache.xkv).T @ fold_rows(g_k_full)
-    g_wv = fold_rows(cache.xkv).T @ fold_rows(g_v_full)
-    g_xq = g_q_full @ cache.wq.T
-    g_xkv = g_k_full @ cache.wk.T + g_v_full @ cache.wv.T
-    return g_xq, g_xkv, g_wq, g_wk, g_wv, g_wo
+    g_wq = fold_rows(cache.x).T @ fold_rows(g_q_full)
+    g_wk = fold_rows(cache.x).T @ fold_rows(g_k_full)
+    g_wv = fold_rows(cache.x).T @ fold_rows(g_v_full)
+    # x feeds the residual and all three projections. The order of this sum
+    # fixes the gradient's last bits, and with them every trained byte.
+    g_x = g_out + g_q_full @ cache.wq.T + (g_k_full @ cache.wk.T + g_v_full @ cache.wv.T)
+    return g_x, g_wq, g_wk, g_wv, g_wo

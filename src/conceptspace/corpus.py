@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import gaussian_sample, stream_rng
+from .numerics import stream_rng
 from .records import from_dict
 
 MAGIC = b"CEMB0001"
@@ -204,13 +204,13 @@ def make_world(
     )
 
 
-def world_config(world: SyntheticWorld, bank_size: int | None = None) -> dict:
+def world_config(world: SyntheticWorld) -> dict:
     return {
         "seed": world.seed,
         "frame_dim": world.frame_dim,
         "concept_dim": world.concept_dim,
         "frames": world.frames,
-        "bank_size": bank_size if bank_size is not None else world.bank_size,
+        "bank_size": world.bank_size,
         "noise_sigma": world.noise_sigma,
         "drift_scale": world.drift_scale,
     }
@@ -322,9 +322,7 @@ def gen_synthetic_pairs(
     clean = targets @ world.w.T  # (n, frame_dim)
     frames = clean[:, None, :] + world.drift[None, :, :]
     if world.noise_sigma > 0:
-        frames = frames + gaussian_sample(
-            rng, (n, world.frames, world.frame_dim), 0.0, world.noise_sigma
-        )
+        frames = frames + rng.normal(0.0, world.noise_sigma, (n, world.frames, world.frame_dim))
     return PairedDataset(
         frames=np.ascontiguousarray(frames, dtype=np.float64),
         targets=np.ascontiguousarray(targets, dtype=np.float64),

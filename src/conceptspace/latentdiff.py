@@ -219,12 +219,10 @@ def _ctx_forward(
     cache = _CtxCache(prefix=prefix, layer_caches=[])
     for layer in range(cfg.ctx_layers):
         p = f"ctx.l{layer}"
-        attn_out, attn_cache = attention_forward(
-            x, x,
-            params[f"{p}.wq"], params[f"{p}.wk"], params[f"{p}.wv"], params[f"{p}.wo"],
+        x_attn, attn_cache = attention_forward(
+            x, params[f"{p}.wq"], params[f"{p}.wk"], params[f"{p}.wv"], params[f"{p}.wo"],
             cfg.ctx_heads, causal=True,
         )
-        x_attn = x + attn_out
         u = x_attn @ params[f"{p}.ffn_w1"].T + params[f"{p}.ffn_b1"]
         relu_u = np.maximum(u, 0.0)
         x = x_attn + relu_u @ params[f"{p}.ffn_w2"].T + params[f"{p}.ffn_b2"]
@@ -248,14 +246,9 @@ def _ctx_backward(
         g_u = g_relu * (u > 0.0)
         grads[f"{p}.ffn_w1"] = fold_rows(g_u).T @ fold_rows(x_attn)
         grads[f"{p}.ffn_b1"] = fold_rows(g_u).sum(axis=0)
-        g_attn_out = g + g_u @ params[f"{p}.ffn_w1"]
-        # Attention residual.
-        g_xq, g_xkv, g_wq, g_wk, g_wv, g_wo = attention_backward(attn_cache, g_attn_out)
-        grads[f"{p}.wq"] = g_wq
-        grads[f"{p}.wk"] = g_wk
-        grads[f"{p}.wv"] = g_wv
-        grads[f"{p}.wo"] = g_wo
-        g = g_attn_out + g_xq + g_xkv
+        g_x_attn = g + g_u @ params[f"{p}.ffn_w1"]
+        g, grads[f"{p}.wq"], grads[f"{p}.wk"], grads[f"{p}.wv"], grads[f"{p}.wo"] = (
+            attention_backward(attn_cache, g_x_attn))
     grads["ctx.in_w"] = fold_rows(g).T @ fold_rows(cache.prefix)
     grads["ctx.in_b"] = fold_rows(g).sum(axis=0)
 

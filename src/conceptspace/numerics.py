@@ -37,18 +37,6 @@ def holdout_split(order: np.ndarray, fraction: float) -> tuple[np.ndarray, np.nd
     return order[:n_val], order[n_val:]
 
 
-def gaussian_sample(
-    rng: np.random.Generator,
-    shape: tuple[int, ...] | int,
-    mu: float = 0.0,
-    sigma: float = 1.0,
-) -> np.ndarray:
-    """Draw N(mu, sigma^2) samples; sigma == 0 returns mu exactly."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return np.asarray(rng.normal(mu, sigma, shape), dtype=np.float64)
-
-
 def covariance_matrix(x: np.ndarray) -> np.ndarray:
     """Unbiased (n-1) covariance of the rows of x, symmetrized exactly."""
     x = np.asarray(x, dtype=np.float64)

@@ -1,9 +1,10 @@
 """Trainable projector from per-frame features to the text concept space.
 
 Pipeline per frame stack: optional square adapter on the raw frame features,
-additive sinusoidal position codes, one residual block of temporal multi-head
-self-attention (no layer norm), a pooling step (learned-query attention, mean,
-or max) and a final linear map into concept space. Forward returns a trace
+additive sinusoidal position codes, an optional residual block of temporal
+multi-head self-attention (no layer norm), a pooling step (learned-query
+attention, mean, or max) and a final linear map into concept space. A model
+holds only the tensors its config reads (`layout`). Forward returns a trace
 holding every intermediate; the backward pass consumes the trace and produces
 analytic gradients for all parameters (none for the input frames, which are
 data).
@@ -21,12 +22,11 @@ biases, which makes the initial projector output vanishingly small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attention import AttentionCache, attention_backward, attention_forward, fold_rows
-from .numerics import gaussian_sample
 
 POOLING_MODES = ("attention", "mean", "max")
 
@@ -68,28 +68,38 @@ ADAPTER_KEY = "adapter"
 
 
 def layout(cfg: ProjectorConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of each projector tensor, in init and checkpoint order.
+    """Name -> shape of each tensor the config reads, in init and checkpoint order.
 
-    Every config has the attention and pooling tensors, used or not: init draws
-    them all, so one seed gives the same weights whatever the config.
+    `attn.*` only with temporal attention, `cls` and `pool.*` only with
+    attention pooling; `adapter`, if any, comes first and `out.*` last.
     """
     d_f, d_c = cfg.frame_dim, cfg.concept_dim
     shapes = {ADAPTER_KEY: (d_f, d_f)} if cfg.use_adapter else {}
-    shapes |= {f"attn.{w}": (d_f, d_f) for w in ("wq", "wk", "wv", "wo")}
-    shapes["cls"] = (d_f,)
-    shapes |= {f"pool.{w}": (d_f, d_f) for w in ("wq", "wk", "wv", "wo")}
+    if cfg.use_temporal_attention:
+        shapes |= {f"attn.{w}": (d_f, d_f) for w in ("wq", "wk", "wv", "wo")}
+    if cfg.pooling == "attention":
+        shapes["cls"] = (d_f,)
+        shapes |= {f"pool.{w}": (d_f, d_f) for w in ("wq", "wk", "wv", "wo")}
     return shapes | {"out.w": (d_c, d_f), "out.b": (d_c,)}
 
 
 def init_projector(cfg: ProjectorConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Identity adapter, zero output bias, and a Gaussian near-zero draw for
-    each other tensor, in layout order."""
-    return {
+    each other tensor, in layout order.
+
+    The draws are those of the full config (temporal attention and attention
+    pooling) in its layout order, and only the tensors of `cfg`'s layout are
+    kept, so one seed gives each kept tensor the same values in every
+    ablation.
+    """
+    full = replace(cfg, pooling="attention", use_temporal_attention=True)
+    drawn = {
         name: np.eye(shape[0]) if name == ADAPTER_KEY
         else np.zeros(shape) if name == "out.b"
-        else gaussian_sample(rng, shape, 0.0, cfg.init_sigma)
-        for name, shape in layout(cfg).items()
+        else rng.normal(0.0, cfg.init_sigma, shape)
+        for name, shape in layout(full).items()
     }
+    return {name: drawn[name] for name in layout(cfg)}
 
 
 def sinusoidal_features(x: np.ndarray, dim: int) -> np.ndarray:
@@ -196,7 +206,6 @@ class ForwardTrace:
 
     cfg: ProjectorConfig
     frames: np.ndarray
-    adapted: np.ndarray
     with_pe: np.ndarray
     attn_cache: AttentionCache | None
     hidden: np.ndarray  # (..., T, frame_dim) after the temporal block
@@ -232,13 +241,10 @@ def project(
 
     attn_cache = None
     if cfg.use_temporal_attention:
-        attn_out, attn_cache = attention_forward(
-            with_pe, with_pe,
-            params["attn.wq"], params["attn.wk"], params["attn.wv"], params["attn.wo"],
-            cfg.heads,
-            dropout_p=cfg.dropout_p, rng=rng, training=training,
+        hidden, attn_cache = attention_forward(
+            with_pe, params["attn.wq"], params["attn.wk"], params["attn.wv"], params["attn.wo"],
+            cfg.heads, dropout_p=cfg.dropout_p, rng=rng, training=training,
         )
-        hidden = with_pe + attn_out
     else:
         hidden = with_pe
 
@@ -254,7 +260,7 @@ def project(
 
     output = pooled @ params["out.w"].T + params["out.b"]
     trace = ForwardTrace(
-        cfg=cfg, frames=frames, adapted=adapted, with_pe=with_pe,
+        cfg=cfg, frames=frames, with_pe=with_pe,
         attn_cache=attn_cache, hidden=hidden, pool_cache=pool_cache,
         max_indices=max_indices, pooled=pooled, params=params, output=output,
     )
@@ -292,20 +298,12 @@ def project_backward(trace: ForwardTrace, upstream: np.ndarray) -> dict[str, np.
         np.put_along_axis(g_hidden, trace.max_indices, g_pooled[..., None, :], axis=-2)
 
     if cfg.use_temporal_attention:
-        g_xq, g_xkv, g_wq, g_wk, g_wv, g_wo = attention_backward(trace.attn_cache, g_hidden)
-        grads["attn.wq"] = g_wq
-        grads["attn.wk"] = g_wk
-        grads["attn.wv"] = g_wv
-        grads["attn.wo"] = g_wo
-        # Residual: hidden = with_pe + attn(with_pe), and with_pe feeds both
-        # the query and key/value sides.
-        g_with_pe = g_hidden + g_xq + g_xkv
+        (g_with_pe, grads["attn.wq"], grads["attn.wk"], grads["attn.wv"],
+         grads["attn.wo"]) = attention_backward(trace.attn_cache, g_hidden)
     else:
         g_with_pe = g_hidden
 
     # Position codes are constant, so the gradient passes through unchanged.
     if cfg.use_adapter:
         grads[ADAPTER_KEY] = fold_rows(trace.frames).T @ fold_rows(g_with_pe)
-    # The tensors this config leaves unused get zero gradients.
-    grads.update((k, np.zeros_like(v)) for k, v in params.items() if k not in grads)
     return grads

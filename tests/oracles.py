@@ -1,14 +1,18 @@
 """Reference implementations the tests compare the toolkit against.
 
 None of these runs in a command: the toolkit computes similarities in batches
-(`spaceval.similarity_matrix`), softmax inside the attention core,
+(`spaceval.similarity_matrix`), softmax inside the attention core, residual
+self-attention in a head-major matmul core (`attention.attention_forward`),
 learned-query pooling in closed form (`projector.attention_pool`), the
 sampler's denoiser input layer split into a per-call table and a per-level
 product (`latentdiff.condition`), and keeps parameters as dicts. The tests use
 these plain forms as oracles, flatten a parameter dict into the one vector
 that `grad_check` perturbs, and check every hand-written backward pass against
-`grad_check`'s central finite differences.
-Their own tests are in test_numerics.py.
+`grad_check`'s central finite differences. `einsum_attention` is general
+cross-attention, from one set of rows over another: the self-attention core
+is checked against it with the same rows on both sides, and pooling with the
+`cls` row as the one query.
+The other oracles' own tests are in test_numerics.py.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from conceptspace.attention import attention_backward, attention_forward, fold_rows
+from conceptspace.attention import fold_rows
 from conceptspace.projector import sinusoidal_features
 
 
@@ -62,10 +66,65 @@ def denoise_concat(params: dict[str, np.ndarray], cfg, xt: np.ndarray, t: int, c
     return h @ params["den.out_w"].T + params["den.out_b"]
 
 
+def einsum_attention(xq, xkv, wq, wk, wv, wo, g_out, heads, causal=False,
+                     dropout_p=0.0, rng=None):
+    """Multi-head attention from the rows of xq over the rows of xkv, no
+    residual, forward and backward written with sequence-major (..., T, H, dk)
+    einsums.
+
+    xq is (..., Tq, E) and xkv (..., Tk, E); `g_out` is the (..., Tq, E)
+    output gradient. Dropout draws its keep mask from `rng` over the whole
+    (..., H, Tq, Tk) weights at once. Returns (out, kept, grads) with
+    grads = (g_xq, g_xkv, g_wq, g_wk, g_wv, g_wo).
+    """
+    e = xq.shape[-1]
+    dk = e // heads
+    scale = 1.0 / np.sqrt(dk)
+
+    def split(x):
+        return x.reshape(*x.shape[:-1], heads, dk)
+
+    q, k, v = split(xq @ wq), split(xkv @ wk), split(xkv @ wv)
+    scores = np.einsum("...qhd,...khd->...hqk", q, k) * scale
+    if causal:
+        t = scores.shape[-1]
+        scores = np.where(np.triu(np.ones((t, t), dtype=bool), k=1), -np.inf, scores)
+    exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = exp / exp.sum(axis=-1, keepdims=True)
+    kept = None
+    weights = probs
+    if dropout_p > 0.0:
+        kept = (rng.random(probs.shape) >= dropout_p) / (1.0 - dropout_p)
+        weights = probs * kept
+    per_head = np.einsum("...hqk,...khd->...qhd", weights, v)
+    concat = per_head.reshape(*per_head.shape[:-2], e)
+    out = concat @ wo
+
+    g_wo = fold_rows(concat).T @ fold_rows(g_out)
+    g_per_head = split(g_out @ wo.T)
+    g_weights = np.einsum("...qhd,...khd->...hqk", g_per_head, v)
+    g_v = np.einsum("...hqk,...qhd->...khd", weights, g_per_head)
+    g_probs = g_weights if kept is None else g_weights * kept
+    inner = (g_probs * probs).sum(axis=-1, keepdims=True)
+    g_scores = probs * (g_probs - inner)
+    g_q = np.einsum("...hqk,...khd->...qhd", g_scores, k) * scale
+    g_k = np.einsum("...hqk,...qhd->...khd", g_scores, q) * scale
+    g_q, g_k, g_v = (g.reshape(*g.shape[:-2], e) for g in (g_q, g_k, g_v))
+    grads = (
+        g_q @ wq.T,
+        g_k @ wk.T + g_v @ wv.T,
+        fold_rows(xq).T @ fold_rows(g_q),
+        fold_rows(xkv).T @ fold_rows(g_k),
+        fold_rows(xkv).T @ fold_rows(g_v),
+        g_wo,
+    )
+    return out, kept, grads
+
+
 def attention_pool(
     params: dict[str, np.ndarray], heads: int, hidden: np.ndarray, g_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Learned-query pooling through the general attention core.
+    """Learned-query pooling as cross-attention through `einsum_attention`.
 
     The `cls` vector is the one query row of every sample. Returns the
     (..., E) pooled rows, the gradient for `hidden` given `g_out`, and the
@@ -73,8 +132,8 @@ def attention_pool(
     """
     weights = [params[f"pool.{w}"] for w in ("wq", "wk", "wv", "wo")]
     cls = np.broadcast_to(params["cls"], (*hidden.shape[:-2], 1, hidden.shape[-1]))
-    out, cache = attention_forward(cls, hidden, *weights, heads)
-    g_cls, g_hidden, g_wq, g_wk, g_wv, g_wo = attention_backward(cache, g_out[..., None, :])
+    out, _, (g_cls, g_hidden, g_wq, g_wk, g_wv, g_wo) = einsum_attention(
+        cls, hidden, *weights, g_out[..., None, :], heads)
     grads = {"cls": fold_rows(g_cls).sum(axis=0), "pool.wq": g_wq, "pool.wk": g_wk,
              "pool.wv": g_wv, "pool.wo": g_wo}
     return out[..., 0, :], g_hidden, grads

@@ -14,7 +14,7 @@ import subprocess
 import sys
 import typing
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -179,6 +179,20 @@ def test_align_smoke_trains_and_saves(align_setup, tmp_path):
     last = float(rows[-1].split(",")[1])
     assert last < first  # validation loss falls over the run
     assert (out / "resolved-config.json").exists()
+
+
+def test_ablated_align_saves_only_the_tensors_it_reads(align_setup, tmp_path):
+    # With weight decay, a stored tensor no forward pass reads would still shrink.
+    _root, _data, stage, config = align_setup
+    doc = json.loads(config.read_text())
+    doc["projector"] |= {"pooling": "mean", "use_temporal_attention": False}
+    doc["aligner"]["weight_decay"] = 0.1
+    ablated = tmp_path / "ablated.json"
+    ablated.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert cli.main(_align_args(out, stage, ablated)) == 0
+    index = json.loads((out / "projector" / "params.json").read_text())["tensors"]
+    assert list(index) == ["adapter", "out.w", "out.b"]
 
 
 def test_align_missing_stage_file_exits_2(tmp_path, align_setup):
@@ -835,13 +849,17 @@ def _checkpoint_case(root):
                                         "--out", str(root / "n.bin")]
 
 
-def _projector_config_case(root):
+def _projector_config_case(root, **config):
     assert cli.main(_gen_args(root / "d", n=4)) == 0
-    cfg = ProjectorConfig(frame_dim=12, concept_dim=6, heads=2)
+    cfg = ProjectorConfig(frame_dim=12, concept_dim=6, heads=2, **config)
     checkpoints.save_projector(root / "m", init_projector(cfg, stream_rng(0, 1)), cfg)
     argv = ["eval", "--projector", str(root / "m"), "--data", str(root / "d"),
             "--out", str(root / "r.json")]
     return root / "m" / "params.json", argv
+
+
+def _ablated_projector_case(root):
+    return _projector_config_case(root, pooling="mean", use_temporal_attention=False)
 
 
 def _lcm_config_case(root):
@@ -920,6 +938,9 @@ _LOADERS = {
     # a prefix of the names to drop; the value is the shape to write.
     "projector-out-w": (_projector_config_case, ("out.w",), [3, 12]),
     "projector-junk": (_projector_config_case, ("junk",), [2]),
+    # An ablated projector; its "tensor-full-layout" fault rewrites it the way
+    # a release that stored every config's attention and pooling tensors wrote it.
+    "projector-ablated": (_ablated_projector_case, ("attn.wq",), None),
     "lcm-null-ctx": (_lcm_config_case, ("null_ctx",), None),
     "train-state-model-out-w": (_train_state_case, ("model.den.out_w",), None),
     "train-state-opt-v": (_train_state_case, ("opt.v.",), None),
@@ -973,6 +994,7 @@ _FAULTS += [(loader, fault) for loader in ("checkpoint", "projector-config", "tr
 _LAYOUT_FAULTS = [
     ("projector-out-w", "tensor-missing"), ("projector-out-w", "tensor-shape"),
     ("projector-out-w", "tensor-nan"), ("projector-junk", "tensor-shape"),
+    ("projector-ablated", "tensor-full-layout"),
     ("lcm-null-ctx", "tensor-missing"), ("lcm-null-ctx", "tensor-nan"),
     ("train-state-model-out-w", "tensor-missing"), ("train-state-opt-v", "tensor-missing"),
     ("train-state-model-junk", "tensor-shape"), ("train-state-best-null-ctx", "tensor-missing"),
@@ -984,6 +1006,12 @@ _FAULTS += _LAYOUT_FAULTS
 def _tensor_fault(root, fault, name, shape):
     """Drop, reshape or poison tensors of the checkpoint at `root`."""
     tensors, meta = checkpoints.load_tensors(root)
+    if fault == "tensor-full-layout":
+        # Every tensor of the full config, in its order, under the stored config.
+        cfg = from_dict(ProjectorConfig, meta["config"])
+        full = replace(cfg, pooling="attention", use_temporal_attention=True)
+        checkpoints.save_tensors(root, init_projector(full, stream_rng(0, 1)), meta)
+        return
     if fault == "tensor-nan":
         payload = root / checkpoints.TENSOR_FILE
         data = bytearray(payload.read_bytes())
@@ -1089,9 +1117,12 @@ _MODELS = {
     ("projector", ProjectorConfig(frame_dim=64, concept_dim=32)),
     ("projector", ProjectorConfig(frame_dim=64, concept_dim=32, use_adapter=False,
                                   pooling="mean", use_temporal_attention=False)),
+    ("projector", ProjectorConfig(frame_dim=64, concept_dim=32, pooling="max")),
+    ("projector", ProjectorConfig(frame_dim=64, concept_dim=32, use_temporal_attention=False)),
     ("lcm", latentdiff.LcmModelConfig(concept_dim=32)),
     ("lcm", latentdiff.LcmModelConfig(concept_dim=16, ctx_layers=3, den_depth=1)),
-], ids=["projector-default", "projector-bare", "lcm-default", "lcm-deep-ctx"])
+], ids=["projector-default", "projector-bare", "projector-max", "projector-no-temporal",
+        "lcm-default", "lcm-deep-ctx"])
 def test_layout_is_what_init_makes_and_a_checkpoint_holds(tmp_path, model, cfg):
     layout, init, save, load = _MODELS[model]
     shapes = list(layout(cfg).items())

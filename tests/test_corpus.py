@@ -194,6 +194,14 @@ def test_world_generation_deterministic():
     assert np.array_equal(a.caption_ids, b.caption_ids)
 
 
+def test_world_rejects_negative_noise_sigma():
+    # The frame noise is drawn as rng.normal(0, noise_sigma), which would
+    # raise mid-generation on a negative scale.
+    with pytest.raises(ValueError, match="noise_sigma"):
+        make_world(seed=3, frame_dim=4, concept_dim=2, frames=2, bank_size=8,
+                   noise_sigma=-0.1)
+
+
 def test_world_targets_live_in_bank():
     world = make_world(seed=5, frame_dim=10, concept_dim=5, frames=3,
                       bank_size=32, noise_sigma=0.1)

@@ -20,7 +20,6 @@ from conceptspace.numerics import (
     EIGENVALUE_FLOOR,
     average_ranks,
     covariance_matrix,
-    gaussian_sample,
     holdout_split,
     logdet_psd,
     spearman_rank_corr,
@@ -32,33 +31,6 @@ from oracles import cosine_similarity, flatten_tensors, grad_check, softmax, unf
 SOFTMAX_123 = np.array(
     [0.09003057317038046, 0.2447284710547977, 0.6652409557748219]
 )
-
-
-# ---------------------------------------------------------------------------
-# gaussian_sample
-
-
-def test_gaussian_sigma_zero_is_exact_mean():
-    out = gaussian_sample(np.random.default_rng(0), (2, 2), mu=0.5, sigma=0.0)
-    assert out.shape == (2, 2)
-    assert np.all(out == 0.5)
-
-
-def test_gaussian_same_seed_same_draws():
-    a = gaussian_sample(np.random.default_rng(7), (3, 4), mu=0.0, sigma=1.0)
-    b = gaussian_sample(np.random.default_rng(7), (3, 4), mu=0.0, sigma=1.0)
-    assert np.array_equal(a, b)
-
-
-def test_gaussian_law_of_large_numbers():
-    x = gaussian_sample(np.random.default_rng(7), (10**5,), mu=0.0, sigma=1.0)
-    assert abs(float(np.mean(x))) < 0.02
-    assert abs(float(np.var(x)) - 1.0) < 0.02
-
-
-def test_gaussian_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        gaussian_sample(np.random.default_rng(0), (2,), mu=0.0, sigma=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,16 @@ def _cfg(**kw):
     return ProjectorConfig(**base)
 
 
+# Every pooling mode with and without temporal attention and the adapter; the
+# full config's id is its pooling mode alone.
+_CONFIGS = [
+    pytest.param(dict(pooling=pooling, use_temporal_attention=temporal, use_adapter=adapter),
+                 id="-".join([pooling] + ["no-temporal"] * (not temporal)
+                             + ["no-adapter"] * (not adapter)))
+    for pooling in POOLING_MODES for temporal in (True, False) for adapter in (True, False)
+]
+
+
 # ---------------------------------------------------------------------------
 # config and init
 
@@ -49,6 +59,11 @@ def test_config_rejects_bad_dropout():
         _cfg(dropout_p=1.0)
     with pytest.raises(ValueError):
         _cfg(dropout_p=-0.1)
+
+
+def test_config_rejects_negative_init_sigma():
+    with pytest.raises(ValueError, match="init_sigma"):
+        _cfg(init_sigma=-1e-5)
 
 
 def test_config_rejects_unknown_pooling():
@@ -86,6 +101,17 @@ def test_init_same_seed_identical():
     b = init_projector(cfg, stream_rng(4, 2))
     for key in a.keys():
         assert np.array_equal(a[key], b[key])
+
+
+@pytest.mark.parametrize("config", _CONFIGS)
+def test_init_keeps_the_full_configs_draws(config):
+    # Same-seed ablations start from the same weights wherever they share one.
+    cfg = _cfg(**config)
+    full = init_projector(_cfg(use_adapter=cfg.use_adapter), stream_rng(4, 3))
+    params = init_projector(cfg, stream_rng(4, 3))
+    assert list(params) == list(projector.layout(cfg))
+    for key, value in params.items():
+        assert np.array_equal(value, full[key]), key
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +279,11 @@ def _loss_and_grads(params, cfg, frames, rng_key=None):
     return loss, grads
 
 
-def _grad_check_all(pooling, frames):
-    cfg = _cfg(pooling=pooling)
+def _grad_check_all(config, frames):
+    cfg = _cfg(**config)
     params = init_projector(cfg, stream_rng(4, 0))
     _, grads = _loss_and_grads(params, cfg, frames)
-    assert set(grads) == set(params)
+    assert set(grads) == set(projector.layout(cfg))
 
     for key in params.keys():
         def f(flat, _key=key):
@@ -266,17 +292,17 @@ def _grad_check_all(pooling, frames):
             return loss
 
         err = grad_check(f, grads[key].ravel(), params[key].ravel(), eps=1e-5)
-        assert err < 1e-6, f"{pooling}/{key}: {err}"
+        assert err < 1e-6, f"{cfg}/{key}: {err}"
 
 
-@pytest.mark.parametrize("pooling", ["attention", "mean", "max"])
-def test_project_backward_grad_check(pooling):
-    _grad_check_all(pooling, stream_rng(4, 1).normal(size=(5, 8)))
+@pytest.mark.parametrize("config", _CONFIGS)
+def test_project_backward_grad_check(config):
+    _grad_check_all(config, stream_rng(4, 1).normal(size=(5, 8)))
 
 
-@pytest.mark.parametrize("pooling", ["attention", "mean", "max"])
-def test_project_backward_grad_check_batched(pooling):
-    _grad_check_all(pooling, stream_rng(4, 10).normal(size=(3, 5, 8)))
+@pytest.mark.parametrize("config", _CONFIGS)
+def test_project_backward_grad_check_batched(config):
+    _grad_check_all(config, stream_rng(4, 10).normal(size=(3, 5, 8)))
 
 
 @pytest.mark.parametrize("pooling", ["attention", "mean", "max"])
