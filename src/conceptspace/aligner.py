@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import CurriculumStage, PairedDataset
 from .numerics import holdout_split, stream_rng
-from .optim import AdamW, TrainingDivergedError, warmup_cosine
+from .optim import AdamW, TrainingDivergedError, flat_copy, warmup_cosine
 from .projector import (
     ADAPTER_KEY,
     ProjectorConfig,
@@ -204,9 +204,10 @@ def train_stage(
     total_steps = _total_steps(len(train_idx), cfg)
 
     # The optimizers update in place; the caller's tensors must stay as given.
-    tensors = {k: v.copy() for k, v in params.items()}
+    tensors = flat_copy(params)
     has_adapter = ADAPTER_KEY in tensors
     # Two parameter groups: the connector, and the adapter, which starts late.
+    # Each is one run of the copy's vector, as the adapter comes first.
     connector = {k: v for k, v in tensors.items() if k != ADAPTER_KEY}
     adapter = {k: v for k, v in tensors.items() if k == ADAPTER_KEY}
     connector_opt = AdamW(eps=1e-8, weight_decay=cfg.weight_decay)
@@ -216,7 +217,7 @@ def train_stage(
     val_mse, val_cos = validate(tensors, proj_cfg, dataset, val_idx)
     history.epochs.append(EpochRecord(epoch=0, val_mse=val_mse, val_cos=val_cos))
 
-    best_tensors = {k: v.copy() for k, v in tensors.items()}
+    best_tensors = flat_copy(tensors)
     best_val = val_mse
     best_epoch = 0
     stall = 0
@@ -263,7 +264,7 @@ def train_stage(
         if val_mse < best_val:
             best_val = val_mse
             best_epoch = epoch
-            best_tensors = {k: v.copy() for k, v in tensors.items()}
+            best_tensors = flat_copy(tensors)
             stall = 0
         else:
             stall += 1

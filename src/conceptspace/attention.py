@@ -17,6 +17,12 @@ are stacked matrix products (``@``) that numpy hands to BLAS, with the heads as
 one more batch axis. Scores, probabilities and the dropout mask are
 (..., H, T, T); heads are merged back to (..., T, E) only for the output
 projection and the input gradient.
+
+A (B, T, E) call may instead name one query row per item (`last`): keys and
+values are still every row, but only that row is queried and returned, so the
+query side of every product has one row where it would have T. The
+contextualizer's last layer runs this way, since the denoiser reads only the
+row after each prefix.
 """
 
 from __future__ import annotations
@@ -34,10 +40,12 @@ class AttentionCache:
     wv: np.ndarray
     wo: np.ndarray
     heads: int
-    q: np.ndarray  # (..., H, T, dk) head-major
+    last: np.ndarray | None  # (B,) query row per item, or None for every row
+    xq: np.ndarray  # the query rows: x, or (B, 1, E) with `last`
+    q: np.ndarray  # (..., H, T, dk) head-major; T is 1 with `last`
     k: np.ndarray  # (..., H, T, dk) head-major
     v: np.ndarray  # (..., H, T, dk) head-major
-    probs: np.ndarray  # (..., H, T, T) post-softmax, pre-dropout
+    probs: np.ndarray  # (..., H, T, T) post-softmax, pre-dropout; (B, H, 1, T) with `last`
     kept: np.ndarray | None  # dropout keep mask scaled by 1/(1-p), or None
     weights: np.ndarray  # probs * kept, or probs itself without dropout
     concat: np.ndarray  # (..., T, E) input to the output projection
@@ -70,11 +78,14 @@ def attention_forward(
     dropout_p: float = 0.0,
     rng: np.random.Generator | None = None,
     training: bool = False,
+    last: np.ndarray | None = None,
 ) -> tuple[np.ndarray, AttentionCache]:
     """The residual block `x + attention(x)` over the rows of x, (..., T, E).
 
     Returns the (..., T, E) output and a cache sufficient for
-    attention_backward.
+    attention_backward. With `last`, a (B,) row index into a (B, T, E) x,
+    row last[b] of item b is the only query, and the output is those rows,
+    (B, E); the causal mask then hides the keys after that row.
     """
     e = x.shape[-1]
     if e % heads != 0:
@@ -82,15 +93,22 @@ def attention_forward(
     dk = e // heads
     scale = 1.0 / np.sqrt(dk)
 
-    q = _split_heads(x @ wq, heads)
+    if last is None:
+        xq = x
+    else:
+        if x.ndim != 3 or np.shape(last) != x.shape[:1]:
+            raise ValueError(f"one query row per item needs a (B, T, E) input and (B,) "
+                             f"rows, got {x.shape} and {np.shape(last)}")
+        xq = x[np.arange(x.shape[0]), last][:, None]
+    q = _split_heads(xq @ wq, heads)
     k = _split_heads(x @ wk, heads)
     v = _split_heads(x @ wv, heads)
 
     scores = (q @ k.swapaxes(-1, -2)) * scale
     if causal:
         t = scores.shape[-1]
-        mask = np.triu(np.ones((t, t), dtype=bool), k=1)
-        scores = np.where(mask, -np.inf, scores)
+        query_row = np.arange(t)[:, None] if last is None else last[:, None, None, None]
+        scores = np.where(np.arange(t) > query_row, -np.inf, scores)
     # The row max slice by slice: a reduction over a short last axis costs
     # several times more, and max is order-free, so the result is the same.
     row_max = scores[..., 0].copy()
@@ -112,12 +130,12 @@ def attention_forward(
         weights = probs * kept
 
     concat = _merge_heads(weights @ v)
-    out = x + concat @ wo
+    out = xq + concat @ wo
     cache = AttentionCache(
-        x=x, wq=wq, wk=wk, wv=wv, wo=wo,
-        heads=heads, q=q, k=k, v=v, probs=probs, kept=kept, weights=weights, concat=concat,
+        x=x, wq=wq, wk=wk, wv=wv, wo=wo, heads=heads, last=last, xq=xq,
+        q=q, k=k, v=v, probs=probs, kept=kept, weights=weights, concat=concat,
     )
-    return out, cache
+    return (out if last is None else out[:, 0]), cache
 
 
 def attention_backward(
@@ -127,11 +145,15 @@ def attention_backward(
 
     Returns (g_x, g_wq, g_wk, g_wv, g_wo); g_x has the input's shape, residual
     path included, and the weight gradients are summed over the leading axes.
+    With `last`, g_out is (B, E) and only the query rows get the residual and
+    query-projection terms of g_x.
     """
     e = cache.concat.shape[-1]
     heads = cache.heads
     dk = e // heads
     scale = 1.0 / np.sqrt(dk)
+    if cache.last is not None:
+        g_out = g_out[:, None]
 
     g_wo = fold_rows(cache.concat).T @ fold_rows(g_out)
     g_concat = g_out @ cache.wo.T
@@ -152,10 +174,16 @@ def attention_backward(
     g_k_full = _merge_heads((g_scores.swapaxes(-1, -2) @ cache.q) * scale)
     g_v_full = _merge_heads(g_v)
 
-    g_wq = fold_rows(cache.x).T @ fold_rows(g_q_full)
+    g_wq = fold_rows(cache.xq).T @ fold_rows(g_q_full)
     g_wk = fold_rows(cache.x).T @ fold_rows(g_k_full)
     g_wv = fold_rows(cache.x).T @ fold_rows(g_v_full)
-    # x feeds the residual and all three projections. The order of this sum
-    # fixes the gradient's last bits, and with them every trained byte.
-    g_x = g_out + g_q_full @ cache.wq.T + (g_k_full @ cache.wk.T + g_v_full @ cache.wv.T)
-    return g_x, g_wq, g_wk, g_wv, g_wo
+    # x feeds the residual and all three projections. The order of this sum,
+    # (query terms) + (key and value terms), fixes the gradient's last bits,
+    # and with them every trained byte.
+    g_kv = g_k_full @ cache.wk.T + g_v_full @ cache.wv.T
+    g_query = g_out + g_q_full @ cache.wq.T
+    if cache.last is None:
+        return g_query + g_kv, g_wq, g_wk, g_wv, g_wo
+    rows = (np.arange(g_kv.shape[0]), cache.last)
+    g_kv[rows] = g_query[:, 0] + g_kv[rows]
+    return g_kv, g_wq, g_wk, g_wv, g_wo

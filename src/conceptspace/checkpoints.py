@@ -7,13 +7,17 @@ row-major, one after another in the order of the index in params.json. The
 index maps each tensor name to its shape, so the offsets follow from that
 order. params.json also records the model config and whatever metadata the
 caller attaches (best-validation bookkeeping, seeds). A training state holds
-the model, the AdamW moments (`opt.m.*`, `opt.v.*`) and the best tensors,
-and records its step and a fingerprint of its corpus, so a resume on other
-data is refused. Its one AdamW group steps once per training step, so the
-optimizer's step count is the state's step and is not stored apart. A
-model load must find exactly the tensors of the layout of its stored config
-(`projector.layout`, `latentdiff.layout`), all finite, or it raises a format
-error that names the tensor.
+the model, the AdamW moments (all of `opt.m.*`, then all of `opt.v.*`) and
+the best tensors, and records its step, its noise schedule and a fingerprint
+of its corpus, so a resume with other configs or on other data is refused.
+Older states interleave `opt.m.*` and `opt.v.*` tensor by tensor, and record
+no `schedule`: they resume with the schedule unchecked. Its one AdamW group
+steps once per training step, so the optimizer's step count is the state's
+step and is not stored apart. A model load must find exactly the tensors of
+the layout of its stored config (`projector.layout`, `latentdiff.layout`),
+all finite, or it raises a format error that names the tensor. Every load
+returns the tensors as views into the one array read from tensors.bin, so a
+loaded model is one vector in layout order, the form `optim.AdamW` steps.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .corpus import (
     read_embeddings,
 )
 from .latentdiff import LcmModelConfig, LcmTrainConfig
-from .optim import AdamW
+from .optim import AdamW, flat_copy, flat_span, tensor_views
 from .projector import ProjectorConfig
 from .records import from_dict
 
@@ -115,14 +119,10 @@ def load_tensors(in_dir: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise EmbeddingFormatError(
             f"{root}: the index covers {covered} values, {TENSOR_FILE} holds {flat.size}"
         )
-    finite = np.isfinite(flat).all()
-    tensors, pos = {}, 0
-    for name, shape in shapes.items():
-        size = math.prod(shape)
-        tensors[name] = flat[pos : pos + size].reshape(shape)
-        pos += size
-        if not finite and not np.isfinite(tensors[name]).all():
-            raise EmbeddingFormatError(f"{root}: tensor {name!r} holds non-finite values")
+    tensors = tensor_views(flat, shapes)
+    if not np.isfinite(flat).all():
+        name = next(name for name, t in tensors.items() if not np.isfinite(t).all())
+        raise EmbeddingFormatError(f"{root}: tensor {name!r} holds non-finite values")
     return tensors, meta
 
 
@@ -205,16 +205,18 @@ def save_lcm_train_state(
     best_step: int,
     best_tensors: dict[str, np.ndarray],
     corpus_digest: str,
+    schedule: dict,
 ) -> None:
+    """Write a training state; `schedule` is the noise schedule's config block."""
     tensors = {f"model.{name}": tensor for name, tensor in params.items()}
-    for name in optimizer.m:
-        tensors[f"opt.m.{name}"] = optimizer.m[name]
-        tensors[f"opt.v.{name}"] = optimizer.v[name]
+    tensors |= {f"opt.m.{name}": tensor for name, tensor in optimizer.m.items()}
+    tensors |= {f"opt.v.{name}": tensor for name, tensor in optimizer.v.items()}
     tensors |= {f"best.{name}": tensor for name, tensor in best_tensors.items()}
     meta = {
         "kind": "lcm-train-state",
         "config": asdict(model_cfg),
         "train_config": asdict(train_cfg),
+        "schedule": schedule,
         "step": step,
         "best_val": best_val,
         "best_step": best_step,
@@ -223,27 +225,39 @@ def save_lcm_train_state(
     save_tensors(out_dir, tensors, meta)
 
 
+def _one_vector(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """`tensors` if they fill one vector in order, else a copy that does: a state
+    stores opt.m and opt.v as two blocks, but older states interleave them."""
+    try:
+        flat_span(tensors)
+    except ValueError:
+        return flat_copy(tensors)
+    return tensors
+
+
 def load_lcm_train_state(
     in_dir: str | Path, optimizer: AdamW, model_cfg: LcmModelConfig, train_cfg: LcmTrainConfig,
-    corpus_digest: str,
+    corpus_digest: str, schedule: dict,
 ) -> tuple[dict[str, np.ndarray], AdamW, int, tuple[float, int, dict[str, np.ndarray]]]:
-    """Restore a training state; ValueError if the resuming run has other configs
-    or data, a format error if the tensors do not fit the model's layout or the
-    step lies outside [0, max_steps]."""
+    """Restore a training state; ValueError if the resuming run has other configs,
+    another noise schedule or other data, a format error if the tensors do not
+    fit the model's layout or the step lies outside [0, max_steps]."""
     tensors, meta = load_tensors(in_dir)
     if meta.get("kind") != "lcm-train-state":
         raise EmbeddingFormatError(f"{in_dir}: not a training-state checkpoint")
     with malformed_manifest(Path(in_dir) / "params.json"):
         step = meta["step"]
         best_val, best_step = float(meta["best_val"]), int(meta["best_step"])
-        stored = {"model": dict(meta["config"]), "train": dict(meta["train_config"])}
+        stored = {"model": dict(meta["config"]), "train": dict(meta["train_config"]),
+                  "schedule": dict(meta["schedule"]) if "schedule" in meta else schedule}
         stored_digest = str(meta["corpus_sha256"])
         max_steps = stored["train"]["max_steps"]
         # A step past the end would train nothing; a negative one has no batch stream.
         if type(step) is not int or not 0 <= step <= max_steps:
             raise EmbeddingFormatError(f"{in_dir}: step must be an integer in [0, max_steps "
                                        f"{max_steps}], got {step!r}")
-    for label, current in (("model", asdict(model_cfg)), ("train", asdict(train_cfg))):
+    for label, current in (("model", asdict(model_cfg)), ("train", asdict(train_cfg)),
+                           ("schedule", schedule)):
         saved = stored[label]
         differ = sorted(k for k in saved.keys() | current.keys() if saved.get(k) != current.get(k))
         if differ:
@@ -256,10 +270,7 @@ def load_lcm_train_state(
     shapes = latentdiff.layout(model_cfg)
     sections = ("model", "opt.m", "opt.v", "best")
     _check_layout(in_dir, tensors, {f"{g}.{k}": s for g in sections for k, s in shapes.items()})
-    model, optimizer.m, optimizer.v, best = (
-        {k: tensors[f"{g}.{k}"] for k in shapes} for g in sections
-    )
-    # One parameter group, stepped once per training step. The moments are
-    # writable views into the loaded array: steps update them without a copy.
-    optimizer.t = step
+    model, m, v, best = ({k: tensors[f"{g}.{k}"] for k in shapes} for g in sections)
+    # One parameter group, stepped once per training step.
+    optimizer.m, optimizer.v, optimizer.t = _one_vector(m), _one_vector(v), step
     return model, optimizer, step, (best_val, best_step, best)

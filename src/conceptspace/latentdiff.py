@@ -11,10 +11,17 @@ classifier-free guidance possible at sampling time.
 
 A training step runs each tower once over the whole batch: the context tower
 over right-padded prefixes, where the causal mask already keeps every real
-position from seeing a pad, and the denoiser over rows. The loss of an item is
-the plain (unsquared) Euclidean distance between the target and the
-prediction, summed over the batch. All gradients are hand-derived and verified
-against finite differences in the test suite.
+position from seeing a pad, and the denoiser over rows. The denoiser is
+conditioned only on the context after each whole prefix, so the tower's last
+layer computes that one row per prefix (`attention_forward`'s `last`), and
+every earlier layer all rows, which the last layer's keys and values need.
+The loss of an item is the plain (unsquared) Euclidean distance between the
+target and the prediction, summed over the batch. All gradients are
+hand-derived and verified against finite differences in the test suite.
+
+A model's tensors are views into one float64 vector, in layout order, from
+`init_two_tower`, from a checkpoint load and in every copy the trainer makes:
+AdamW steps that vector in chunks.
 
 Sampling splits the denoiser's input layer by its columns. Of its input
 [x_t, sincos(log_snr_t), c], only x_t changes from level to level, so
@@ -33,7 +40,7 @@ import numpy as np
 
 from .attention import attention_backward, attention_forward, fold_rows
 from .numerics import holdout_split, stream_rng
-from .optim import AdamW, TrainingDivergedError, clip_global_norm, warmup_cosine
+from .optim import AdamW, TrainingDivergedError, clip_global_norm, flat_copy, warmup_cosine
 from .projector import sinusoidal_features
 from .records import write_csv
 
@@ -190,12 +197,13 @@ def layout(cfg: LcmModelConfig) -> dict[str, tuple[int, ...]]:
 
 def init_two_tower(cfg: LcmModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Fan-in scaled Gaussian weights in layout order; the biases, the null
-    context and the denoiser output head start at zero."""
-    return {
+    context and the denoiser output head start at zero. The tensors are views
+    into one vector."""
+    return flat_copy({
         name: np.zeros(shape) if len(shape) == 1 or name == "den.out_w"
         else rng.standard_normal(shape) / math.sqrt(shape[1])
         for name, shape in layout(cfg).items()
-    }
+    })
 
 
 @dataclass
@@ -205,23 +213,19 @@ class _CtxCache:
 
 
 def _ctx_forward(
-    params: dict[str, np.ndarray], cfg: LcmModelConfig, prefix: np.ndarray
+    params: dict[str, np.ndarray], cfg: LcmModelConfig, padded: np.ndarray, lengths: np.ndarray
 ) -> tuple[np.ndarray, _CtxCache]:
-    prefix = np.asarray(prefix, dtype=np.float64)
-    if prefix.ndim < 2 or prefix.shape[-1] != cfg.concept_dim:
-        raise ValueError(
-            f"prefix must be (..., L, {cfg.concept_dim}), got shape {prefix.shape}"
-        )
-    if prefix.shape[-2] < 1:
-        raise ValueError("prefix must be non-empty")
-    x = prefix @ params["ctx.in_w"].T + params["ctx.in_b"]
-    x = x + sinusoidal_features(np.arange(prefix.shape[-2]), cfg.ctx_width)
-    cache = _CtxCache(prefix=prefix, layer_caches=[])
+    """The (B, ctx_width) context after each of B right-padded prefixes
+    (B, L, concept_dim) of the given (B,) lengths, and the cache for
+    `_ctx_backward`. The last layer queries only row lengths - 1 of each prefix."""
+    x = padded @ params["ctx.in_w"].T + params["ctx.in_b"]
+    x = x + sinusoidal_features(np.arange(padded.shape[-2]), cfg.ctx_width)
+    cache = _CtxCache(prefix=padded, layer_caches=[])
     for layer in range(cfg.ctx_layers):
         p = f"ctx.l{layer}"
         x_attn, attn_cache = attention_forward(
             x, params[f"{p}.wq"], params[f"{p}.wk"], params[f"{p}.wv"], params[f"{p}.wo"],
-            cfg.ctx_heads, causal=True,
+            cfg.ctx_heads, causal=True, last=lengths - 1 if layer == cfg.ctx_layers - 1 else None,
         )
         u = x_attn @ params[f"{p}.ffn_w1"].T + params[f"{p}.ffn_b1"]
         relu_u = np.maximum(u, 0.0)
@@ -234,7 +238,8 @@ def _ctx_backward(
     params: dict[str, np.ndarray], cfg: LcmModelConfig, cache: _CtxCache, g_out: np.ndarray,
     grads: dict[str, np.ndarray],
 ) -> None:
-    """Write the context-tower grads into `grads`, each once, as a new array."""
+    """Write the context-tower grads into `grads`, each once, as a new array;
+    `g_out` is the (B, ctx_width) gradient of `_ctx_forward`'s output."""
     g = g_out
     for layer in reversed(range(cfg.ctx_layers)):
         p = f"ctx.l{layer}"
@@ -256,14 +261,23 @@ def _ctx_backward(
 def contextualize(
     params: dict[str, np.ndarray], cfg: LcmModelConfig, prefix: np.ndarray
 ) -> np.ndarray:
-    """Causal context vectors, one per prefix position.
+    """The causal context vector after a whole prefix, the one the denoiser reads.
 
-    `prefix` is (L, concept_dim); leading axes are a batch of prefixes. Row i
-    depends only on positions <= i, so appending to the prefix, or padding it
-    on the right, never changes earlier rows.
+    `prefix` is (L, concept_dim) and the context (ctx_width,); leading axes are
+    a batch of prefixes of one length. The context after the first i positions
+    of a prefix is `contextualize` of `prefix[:i]`: the causal mask keeps every
+    position from seeing later ones, and right padding from being seen.
     """
-    out, _ = _ctx_forward(params, cfg, prefix)
-    return out
+    prefix = np.asarray(prefix, dtype=np.float64)
+    if prefix.ndim < 2 or prefix.shape[-1] != cfg.concept_dim:
+        raise ValueError(
+            f"prefix must be (..., L, {cfg.concept_dim}), got shape {prefix.shape}"
+        )
+    if prefix.shape[-2] < 1:
+        raise ValueError("prefix must be non-empty")
+    batch = prefix.reshape(-1, *prefix.shape[-2:])
+    out, _ = _ctx_forward(params, cfg, batch, np.full(batch.shape[0], prefix.shape[-2]))
+    return out.reshape(*prefix.shape[:-2], cfg.ctx_width)
 
 
 @dataclass
@@ -433,11 +447,11 @@ def _loss_forward(
 ):
     """Summed loss of items noised to levels t with noise eps.
 
-    Conditioned items take the context row at their last prefix position, from
-    one context-tower call over their right-padded prefixes; the others take
-    the null context. Returns the loss, its (N, d) gradient for the predictions,
-    the context-tower cache with the index of each last row (None when no item
-    is conditioned), and the denoiser cache.
+    Conditioned items take the context after their whole prefix, from one
+    context-tower call over their right-padded prefixes; the others take the
+    null context. Returns the loss, its (N, d) gradient for the predictions,
+    the context-tower cache (None when no item is conditioned), and the
+    denoiser cache.
     """
     targets = np.stack([item.target for item in items])
     c = np.tile(params["null_ctx"], (len(items), 1))
@@ -451,10 +465,7 @@ def _loss_forward(
         padded[np.arange(lengths.max()) < lengths[:, None]] = np.concatenate(
             [items[i].prefix for i in rows]
         )
-        ctx_out, ctx_cache = _ctx_forward(params, cfg, padded)
-        last = (np.arange(rows.size), lengths - 1)
-        c[rows] = ctx_out[last]
-        ctx = (ctx_cache, last)
+        c[rows], ctx = _ctx_forward(params, cfg, padded, lengths)
     xt = forward_diffuse(targets, t, eps, schedule)
     pred, den_cache = _den_forward(params, cfg, xt, schedule.log_snr[t], c)
     residual = targets - pred
@@ -503,10 +514,7 @@ def diffusion_loss(
     g_c = _den_backward(params, cfg, den_cache, g_pred, grads)
     grads["null_ctx"] = g_c[~conditioned].sum(axis=0)
     if ctx is not None:
-        ctx_cache, last = ctx
-        g_ctx = np.zeros((*ctx_cache.prefix.shape[:-1], cfg.ctx_width))
-        g_ctx[last] = g_c[conditioned]
-        _ctx_backward(params, cfg, ctx_cache, g_ctx, grads)
+        _ctx_backward(params, cfg, ctx, g_c[conditioned], grads)
     else:
         grads.update((k, np.zeros_like(v)) for k, v in params.items() if k.startswith("ctx."))
     return total, {k: grads[k] for k in params}, len(batch) - int(conditioned.sum())
@@ -597,10 +605,13 @@ def train_lcm(
     optimizer = AdamW(eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
     history = LcmHistory()
     corpus_digest = corpus_sha256(sequences)
+    # The `schedule` config block that builds this grid: np.linspace keeps both ends exact.
+    schedule_doc = {"steps": schedule.steps, "lambda_max": float(schedule.log_snr[0]),
+                    "lambda_min": float(schedule.log_snr[-1])}
 
     if resume is not None:
         params, optimizer, start_step, best = load_lcm_train_state(
-            resume, optimizer, model_cfg, cfg, corpus_digest
+            resume, optimizer, model_cfg, cfg, corpus_digest, schedule_doc
         )
         best_val, best_step, best_tensors = best
     else:
@@ -608,7 +619,7 @@ def train_lcm(
         start_step = 0
         best_val = _val_loss(params, model_cfg, val_items, schedule, cfg.seed)
         best_step = 0
-        best_tensors = {k: v.copy() for k, v in params.items()}
+        best_tensors = flat_copy(params)
         history.vals.append(LcmValRecord(step=0, val_loss=best_val))
 
     for step in range(start_step, cfg.max_steps):
@@ -638,12 +649,12 @@ def train_lcm(
             if val < best_val:
                 best_val = val
                 best_step = done
-                best_tensors = {k: v.copy() for k, v in params.items()}
+                best_tensors = flat_copy(params)
         if out_dir is not None and done % cfg.ckpt_every == 0:
             ckpt_dir = Path(out_dir) / "checkpoints" / f"step-{done:06d}"
             save_lcm_train_state(
                 ckpt_dir, params, model_cfg, cfg, optimizer,
-                done, best_val, best_step, best_tensors, corpus_digest,
+                done, best_val, best_step, best_tensors, corpus_digest, schedule_doc,
             )
 
     history.best_step = best_step
@@ -685,7 +696,7 @@ def sample_next(
                          f"(below about -709.78)")
     if rng is None:
         rng = stream_rng(0, _STREAM_SAMPLE)
-    c = contextualize(params, cfg, prefix)[-1]
+    c = contextualize(params, cfg, prefix)
     if guidance_scale != 0.0:
         # Conditional and unconditional rows go through one denoiser call.
         c = np.stack([c, params["null_ctx"]])

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attention import AttentionCache, attention_backward, attention_forward, fold_rows
+from .optim import flat_copy
 
 POOLING_MODES = ("attention", "mean", "max")
 
@@ -90,7 +91,7 @@ def init_projector(cfg: ProjectorConfig, rng: np.random.Generator) -> dict[str, 
     The draws are those of the full config (temporal attention and attention
     pooling) in its layout order, and only the tensors of `cfg`'s layout are
     kept, so one seed gives each kept tensor the same values in every
-    ablation.
+    ablation. The kept tensors are views into one vector.
     """
     full = replace(cfg, pooling="attention", use_temporal_attention=True)
     drawn = {
@@ -99,7 +100,7 @@ def init_projector(cfg: ProjectorConfig, rng: np.random.Generator) -> dict[str, 
         else rng.normal(0.0, cfg.init_sigma, shape)
         for name, shape in layout(full).items()
     }
-    return {name: drawn[name] for name in layout(cfg)}
+    return flat_copy({name: drawn[name] for name in layout(cfg)})
 
 
 def sinusoidal_features(x: np.ndarray, dim: int) -> np.ndarray:

@@ -5,7 +5,8 @@ None of these runs in a command: the toolkit computes similarities in batches
 self-attention in a head-major matmul core (`attention.attention_forward`),
 learned-query pooling in closed form (`projector.attention_pool`), the
 sampler's denoiser input layer split into a per-call table and a per-level
-product (`latentdiff.condition`), and keeps parameters as dicts. The tests use
+product (`latentdiff.condition`), the context tower's last layer for one row
+per prefix (`latentdiff.contextualize`), and keeps parameters as dicts. The tests use
 these plain forms as oracles, flatten a parameter dict into the one vector
 that `grad_check` perturbs, and check every hand-written backward pass against
 `grad_check`'s central finite differences. `einsum_attention` is general
@@ -21,7 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from conceptspace.attention import fold_rows
+from conceptspace.attention import attention_forward, fold_rows
 from conceptspace.projector import sinusoidal_features
 
 
@@ -64,6 +65,23 @@ def denoise_concat(params: dict[str, np.ndarray], cfg, xt: np.ndarray, t: int, c
     for k in range(cfg.den_depth):
         h = h + np.maximum(h @ params[f"den.b{k}.w"].T + params[f"den.b{k}.b"], 0.0)
     return h @ params["den.out_w"].T + params["den.out_b"]
+
+
+def context_tower(params: dict[str, np.ndarray], cfg, prefix: np.ndarray) -> np.ndarray:
+    """The two-tower model's context tower over every row: (..., L, ctx_width)
+    context vectors for a (..., L, concept_dim) prefix, row i the context
+    after positions 0..i."""
+    x = prefix @ params["ctx.in_w"].T + params["ctx.in_b"]
+    x = x + sinusoidal_features(np.arange(prefix.shape[-2]), cfg.ctx_width)
+    for layer in range(cfg.ctx_layers):
+        p = f"ctx.l{layer}"
+        x_attn, _ = attention_forward(
+            x, params[f"{p}.wq"], params[f"{p}.wk"], params[f"{p}.wv"], params[f"{p}.wo"],
+            cfg.ctx_heads, causal=True,
+        )
+        relu_u = np.maximum(x_attn @ params[f"{p}.ffn_w1"].T + params[f"{p}.ffn_b1"], 0.0)
+        x = x_attn + relu_u @ params[f"{p}.ffn_w2"].T + params[f"{p}.ffn_b2"]
+    return x
 
 
 def einsum_attention(xq, xkv, wq, wk, wv, wo, g_out, heads, causal=False,

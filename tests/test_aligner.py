@@ -26,13 +26,18 @@ from conceptspace.corpus import (
 )
 from conceptspace.numerics import stream_rng
 from conceptspace.optim import (
+    CHUNK,
     AdamW,
     TrainingDivergedError,
     clip_global_norm,
+    flat_copy,
+    flat_span,
     global_grad_norm,
+    tensor_views,
     warmup_cosine,
 )
-from conceptspace.projector import ADAPTER_KEY, ProjectorConfig, init_projector
+from conceptspace.checkpoints import load_projector, save_projector
+from conceptspace.projector import ADAPTER_KEY, ProjectorConfig, init_projector, layout
 from oracles import grad_check
 
 # -log(e^2 / (e^2 + e^-2)) = log(1 + e^-4), frozen from 50-digit mpmath.
@@ -270,9 +275,13 @@ def test_adamw_per_key_learning_rates():
 
 def test_adamw_steps_every_tensor_it_is_given():
     opt = AdamW()
-    params = {"a": np.array([1.0]), "b": np.array([1.0])}
+    params = flat_copy({"a": np.array([1.0]), "b": np.array([1.0])})
     with pytest.raises(KeyError, match="'b'"):
         opt.step(params, {"a": np.array([1.0])}, 0.1)
+    # The failed step changed nothing: the next one is a first step.
+    assert opt.t == 0 and params["a"][0] == 1.0
+    opt.step(params, {"a": np.array([1.0]), "b": np.array([1.0])}, 0.1)
+    assert params["a"][0] == pytest.approx(1.0 - 0.1, abs=1e-8)
 
 
 def test_adamw_state_round_trip():
@@ -324,7 +333,7 @@ _GROUPS = {"main": ("w", "b"), "frozen": ("frozen",)}
 def test_adamw_updates_in_place_bit_for_bit_with_functional_reference():
     rng = stream_rng(7, 0)
     shapes = {"w": (4, 3), "b": (3,), "frozen": (2, 2)}
-    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    params = flat_copy({k: rng.normal(size=s) for k, s in shapes.items()})
     ref = {k: v.copy() for k, v in params.items()}
     lrs = {"main": 1e-2, "frozen": 3e-3}
     opts = {g: AdamW(weight_decay=0.05) for g in _GROUPS}
@@ -350,13 +359,53 @@ def test_adamw_updates_in_place_bit_for_bit_with_functional_reference():
     assert (ref_states["main"][2], ref_states["frozen"][2]) == ([300], [150])
 
 
+def test_adamw_chunked_step_is_bit_for_bit_the_functional_reference():
+    # Four chunks: "a" and "b" one each (together they pass CHUNK), "w" alone,
+    # a tensor of more than two chunks' values, then "u".
+    rng = stream_rng(7, 2)
+    shapes = {"a": (100, 200), "b": (150, 100), "w": (250, 300), "u": (9, 7)}
+    assert 20000 + 15000 > CHUNK and 2 * CHUNK < 250 * 300
+    params = flat_copy({k: rng.normal(size=s) for k, s in shapes.items()})
+    ref = {k: v.copy() for k, v in params.items()}
+    opt, ref_state = AdamW(eps=1e-6, weight_decay=0.01), ({}, {}, [0])
+    for step in range(20):
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        opt.step(params, grads, 1e-2 * (step + 1))
+        ref = _functional_adamw_step(ref_state, ref, grads, 1e-2 * (step + 1), eps=1e-6, wd=0.01)
+        for key in shapes:
+            assert np.array_equal(params[key], ref[key]), (step, key)
+    for key in shapes:
+        assert np.array_equal(opt.m[key], ref_state[0][key])
+        assert np.array_equal(opt.v[key], ref_state[1][key])
+
+
+def test_adamw_refuses_a_group_that_is_not_one_run_of_one_buffer():
+    flat = np.zeros(10)
+    views = tensor_views(flat, {"a": (2,), "b": (3,), "c": (5,)})
+    grads = {k: np.ones_like(v) for k, v in views.items()}
+    groups = [
+        {"a": np.zeros(2), "b": np.zeros(3)},  # separate arrays
+        {"a": views["a"], "c": views["c"]},  # a gap
+        {"b": views["b"], "a": views["a"]},  # out of order
+        {"a": views["a"], "b": np.zeros(3)},
+        {"t": np.zeros((3, 2)).T},  # not C-contiguous
+        {"a": views["a"].astype(np.float32)},
+    ]
+    for group in groups:
+        with pytest.raises(ValueError):
+            AdamW().step(group, grads | {"t": np.ones((2, 3))}, 0.1)
+    assert np.all(flat == 0.0)
+    AdamW().step({"b": views["b"], "c": views["c"]}, grads, 0.1)
+    assert np.all(flat[:2] == 0.0) and np.all(flat[2:] < 0.0)
+
+
 def test_adamw_matches_the_textbook_update():
     # m_hat / (sqrt(v_hat) + eps), with decay on the pre-step weights; eps is
     # large enough here that a misplaced eps or bias correction shows.
     b1, b2, eps, wd = 0.9, 0.999, 1e-3, 0.05
     rng = stream_rng(7, 1)
     shapes = {"w": (4, 3), "b": (3,), "frozen": (2, 2)}
-    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    params = flat_copy({k: rng.normal(size=s) for k, s in shapes.items()})
     lrs = {"main": 1e-2, "frozen": 2e-2}
     opts = {g: AdamW(b1, b2, eps, wd) for g in _GROUPS}
     for step in range(200):
@@ -457,6 +506,21 @@ def test_train_stage_deterministic():
     assert hist_a.epochs == hist_b.epochs
     for key in out_a.keys():
         assert np.array_equal(out_a[key], out_b[key])
+
+
+def test_projector_init_load_and_trainer_copies_are_one_vector_each(tmp_path):
+    # AdamW steps a group only as one run of one buffer (optim.flat_span).
+    ds = _easy_dataset(n=96)
+    proj_cfg = _proj_cfg()
+    cfg = _align_cfg(max_epochs=2)
+    models = {"init": init_projector(proj_cfg, stream_rng(cfg.seed, 1))}
+    save_projector(tmp_path / "p", models["init"], proj_cfg)
+    models["load_projector"] = load_projector(tmp_path / "p")[0]
+    models["train_stage"], history = train_stage(ds, models["init"], proj_cfg, cfg)
+    assert history.best_epoch > 0
+    for label, tensors in models.items():
+        assert list(tensors) == list(layout(proj_cfg)), label
+        assert flat_span(tensors).size == sum(t.size for t in tensors.values()), label
 
 
 def test_train_stage_patience_one_constant_validation():

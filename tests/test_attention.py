@@ -140,17 +140,17 @@ def test_dropout_rate_matches_probability():
     assert abs(dropped - 0.3) < 0.08
 
 
-def _flat_roundtrip_loss(x, weights, heads, causal=False):
+def _flat_roundtrip_loss(x, weights, heads, causal=False, last=None):
     """Scalar functional with analytic gradients for grad_check."""
 
-    out, cache = attention_forward(x, *weights, heads=heads, causal=causal)
+    out, cache = attention_forward(x, *weights, heads=heads, causal=causal, last=last)
     g_out = np.sin(np.arange(out.size).reshape(out.shape))
     loss = float(np.sum(out * g_out))
     return loss, dict(zip(["x", "wq", "wk", "wv", "wo"], attention_backward(cache, g_out)))
 
 
-def _grad_check_every_input(x0, weights0, causal):
-    _, grads = _flat_roundtrip_loss(x0, weights0, heads=2, causal=causal)
+def _grad_check_every_input(x0, weights0, causal, last=None):
+    _, grads = _flat_roundtrip_loss(x0, weights0, heads=2, causal=causal, last=last)
     for idx, name in enumerate(["x", "wq", "wk", "wv", "wo"]):
         point = x0 if name == "x" else weights0[idx - 1]
 
@@ -161,7 +161,7 @@ def _grad_check_every_input(x0, weights0, causal):
                 xs = flat.reshape(x0.shape)
             else:
                 ws[_idx - 1] = flat.reshape(point.shape)
-            loss, _ = _flat_roundtrip_loss(xs, ws, heads=2, causal=causal)
+            loss, _ = _flat_roundtrip_loss(xs, ws, heads=2, causal=causal, last=last)
             return loss
 
         err = grad_check(f, grads[name].ravel(), point.ravel(), eps=1e-5)
@@ -293,3 +293,65 @@ def test_matmul_core_dropout_matches_einsum_oracle():
     np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
     for got, want in zip(attention_backward(cache, g_out), want_grads):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one query row per item (`last`), as the contextualizer's last layer runs
+
+
+def _einsum_last_rows(x, w, g_out, heads, last, causal):
+    """Row last[b] of each item through the cross-attention oracle: that row
+    is the one query, over the rows up to it (causal) or over all rows."""
+    out = np.empty((x.shape[0], x.shape[-1]))
+    g_x = np.zeros_like(x)
+    g_w = [np.zeros_like(wi) for wi in w]
+    for b, row in enumerate(last):
+        keys = x[b, : row + 1] if causal else x[b]
+        o, _, (g_xq, g_xkv, *g_wb) = einsum_attention(x[b, row : row + 1], keys, *w,
+                                                     g_out[b][None], heads)
+        out[b] = x[b, row] + o[0]
+        g_x[b, : keys.shape[0]] += g_xkv
+        g_x[b, row] += g_out[b] + g_xq[0]
+        g_w = [s + g for s, g in zip(g_w, g_wb)]
+    return out, (g_x, *g_w)
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_last_rows_match_einsum_oracle(causal):
+    rng = stream_rng(0, 19)
+    x = rng.normal(size=(5, 6, 8))
+    w = _weights(8, rng)
+    last = np.array([5, 0, 3, 2, 5])
+    g_out = rng.normal(size=(5, 8))
+    out, cache = attention_forward(x, *w, heads=4, causal=causal, last=last)
+    want_out, want_grads = _einsum_last_rows(x, w, g_out, 4, last, causal)
+    assert out.shape == (5, 8) and cache.probs.shape == (5, 4, 1, 6)
+    np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+    for got, want in zip(attention_backward(cache, g_out), want_grads):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_last_rows_are_the_all_rows_block_at_those_rows():
+    rng = stream_rng(0, 20)
+    x = rng.normal(size=(4, 5, 8))
+    w = _weights(8, rng)
+    last = np.array([4, 1, 0, 2])
+    out, _ = attention_forward(x, *w, heads=2, causal=True, last=last)
+    full, _ = attention_forward(x, *w, heads=2, causal=True)
+    np.testing.assert_allclose(out, full[np.arange(4), last], rtol=0, atol=1e-12)
+
+
+def test_last_rows_backward_matches_finite_differences_over_mixed_lengths():
+    rng = stream_rng(0, 21)
+    x0 = rng.normal(size=(4, 5, 8))
+    _grad_check_every_input(x0, list(_weights(8, rng)), True, last=np.array([2, 4, 0, 1]))
+
+
+def test_last_rows_need_a_batch_of_items():
+    rng = stream_rng(0, 22)
+    w = _weights(8, rng)
+    for x, last in ((rng.normal(size=(5, 8)), np.array([1])),
+                    (rng.normal(size=(3, 5, 8)), np.array([1, 2]))):
+        with pytest.raises(ValueError, match="one query row per item"):
+            attention_forward(x, *w, heads=2, causal=True, last=last)

@@ -528,6 +528,36 @@ def test_train_lcm_resume_refuses_other_config(tmp_path, capsys, block, key, val
     assert not (tmp_path / "r").exists()
 
 
+def test_train_lcm_resume_refuses_another_schedule(tmp_path, capsys):
+    manifest, argv = _train_state_case(tmp_path)
+    config = Path(argv[argv.index("--config") + 1])
+    doc = json.loads(config.read_text())
+    doc["schedule"] = {"steps": 40, "lambda_max": 5.0}
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "schedule config differs in lambda_max, steps" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+    assert json.loads(manifest.read_text())["meta"]["schedule"] == {
+        "steps": 3, "lambda_max": 10.0, "lambda_min": -10.0}
+
+
+def test_train_lcm_resumes_a_state_without_a_schedule_unchecked(lcm_setup, tmp_path):
+    # A state written before the schedule was recorded has none to compare.
+    _root, data, config = lcm_setup
+    full = tmp_path / "full"
+    assert cli.main(_train_args(full, data, config)) == 0
+    ckpt = full / "checkpoints" / "step-000030"
+    doc = json.loads((ckpt / "params.json").read_text())
+    del doc["meta"]["schedule"]
+    (ckpt / "params.json").write_text(json.dumps(doc, indent=2) + "\n")
+    resumed = tmp_path / "resumed"
+    assert cli.main(_train_args(resumed, data, config, extra=["--resume", str(ckpt)])) == 0
+    assert _hash_dir(resumed / "model") == _hash_dir(full / "model")
+
+
 @pytest.mark.parametrize(("schedule", "needle"), [({"steps": 6, "lamda_max": 3.0}, "lamda_max"),
                                                 ([1], "must be an object")])
 def test_train_lcm_bad_schedule_block_exits_2(lcm_setup, tmp_path, capsys, schedule, needle):

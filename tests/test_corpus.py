@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -29,10 +30,10 @@ from conceptspace.corpus import (
     write_embeddings,
     write_ids,
 )
-from conceptspace.checkpoints import load_lcm_train_state, save_lcm_train_state
+from conceptspace.checkpoints import load_lcm_train_state, save_lcm_train_state, save_tensors
 from conceptspace.latentdiff import LcmModelConfig, LcmTrainConfig, init_two_tower
 from conceptspace.numerics import stream_rng
-from conceptspace.optim import AdamW
+from conceptspace.optim import AdamW, flat_span
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,10 @@ def test_float64_file_reads_into_one_writable_array(tmp_path):
     assert np.array_equal(back, x + 1.0)
 
 
+# The `schedule` block of a train-lcm config, as a training state records it.
+SCHEDULE = {"steps": 40, "lambda_max": 10.0, "lambda_min": -10.0}
+
+
 def test_loaded_train_state_takes_an_in_place_adamw_step(tmp_path):
     mcfg = LcmModelConfig(concept_dim=4, ctx_width=8, ctx_heads=2, ctx_layers=1,
                           den_width=8, den_depth=1, lambda_emb_dim=4)
@@ -126,12 +131,45 @@ def test_loaded_train_state_takes_an_in_place_adamw_step(tmp_path):
     grads = {k: stream_rng(1, i).normal(size=v.shape) for i, (k, v) in enumerate(params.items())}
     opt = AdamW()
     opt.step(params, grads, 1e-2)
-    save_lcm_train_state(tmp_path / "ck", params, mcfg, tcfg, opt, 1, 0.5, 1, params, "digest")
+    save_lcm_train_state(tmp_path / "ck", params, mcfg, tcfg, opt, 1, 0.5, 1, params, "digest",
+                         SCHEDULE)
     loaded, loaded_opt, step, _best = load_lcm_train_state(tmp_path / "ck", AdamW(), mcfg,
-                                                           tcfg, "digest")
+                                                           tcfg, "digest", SCHEDULE)
     assert step == loaded_opt.t == 1
     assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
+    # The moments are two blocks of the loaded array, taken without a copy.
+    assert flat_span(loaded_opt.m).base is flat_span(loaded).base is flat_span(loaded_opt.v).base
     # Read-only views would make the in-place step raise.
+    opt.step(params, grads, 1e-2)
+    loaded_opt.step(loaded, grads, 1e-2)
+    assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
+
+
+def test_a_state_without_a_schedule_restores_moments_and_step(tmp_path):
+    # A training state as written before the schedule was recorded: no
+    # "schedule" in its meta, and opt.m and opt.v interleaved tensor by tensor.
+    mcfg = LcmModelConfig(concept_dim=4, ctx_width=8, ctx_heads=2, ctx_layers=1,
+                          den_width=8, den_depth=1, lambda_emb_dim=4)
+    tcfg = LcmTrainConfig(max_steps=5, warmup_steps=1, batch_size=2)
+    params = init_two_tower(mcfg, stream_rng(0, 2))
+    opt = AdamW(weight_decay=0.01)
+    for step in range(3):
+        opt.step(params, {k: stream_rng(1, step, i).normal(size=v.shape)
+                          for i, (k, v) in enumerate(params.items())}, 1e-2)
+    tensors = {f"model.{k}": v for k, v in params.items()}
+    for k in opt.m:
+        tensors |= {f"opt.m.{k}": opt.m[k], f"opt.v.{k}": opt.v[k]}
+    tensors |= {f"best.{k}": v for k, v in params.items()}
+    save_tensors(tmp_path / "ck", tensors, {
+        "kind": "lcm-train-state", "config": asdict(mcfg), "train_config": asdict(tcfg),
+        "step": 3, "best_val": 0.5, "best_step": 2, "corpus_sha256": "digest"})
+    loaded, loaded_opt, step, _best = load_lcm_train_state(
+        tmp_path / "ck", AdamW(weight_decay=0.01), mcfg, tcfg, "digest", SCHEDULE)
+    assert step == loaded_opt.t == opt.t == 3
+    for live, back in ((opt.m, loaded_opt.m), (opt.v, loaded_opt.v)):
+        assert list(back) == list(live)
+        assert all(back[k].tobytes() == live[k].tobytes() for k in live)
+    grads = {k: stream_rng(1, 9, i).normal(size=v.shape) for i, (k, v) in enumerate(params.items())}
     opt.step(params, grads, 1e-2)
     loaded_opt.step(loaded, grads, 1e-2)
     assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)

@@ -38,9 +38,9 @@ from conceptspace.latentdiff import (
     train_lcm,
 )
 from conceptspace.numerics import stream_rng
-from conceptspace.optim import AdamW, TrainingDivergedError, warmup_cosine
+from conceptspace.optim import AdamW, TrainingDivergedError, flat_span, warmup_cosine
 from conceptspace.records import from_dict
-from oracles import denoise_concat, grad_check
+from oracles import context_tower, denoise_concat, grad_check
 
 # sqrt(sigmoid(-20)) from 50-digit mpmath: the sigma at log-SNR +20.
 SIGMA_AT_LAMBDA_20 = 4.5399929720290195e-05
@@ -170,11 +170,13 @@ def test_forward_diffuse_preserves_unit_variance():
 
 
 def test_contextualizer_is_causal():
+    # The context after the first i positions is the all-rows tower's row i - 1
+    # over the whole prefix, which the later positions do not reach.
     cfg = _model_cfg()
     params = _rand_params(cfg)
     prefix = stream_rng(21, 0).normal(size=(5, 6))
-    full = contextualize(params, cfg, prefix)
-    shorter = contextualize(params, cfg, prefix[:3])
+    full = context_tower(params, cfg, prefix)
+    shorter = np.stack([contextualize(params, cfg, prefix[:i]) for i in (1, 2, 3)])
     np.testing.assert_allclose(full[:3], shorter, atol=1e-12)
 
 
@@ -182,10 +184,13 @@ def test_contextualizer_matches_per_position_reencode():
     cfg = _model_cfg()
     params = _rand_params(cfg)
     prefix = stream_rng(21, 1).normal(size=(6, 6))
-    full = contextualize(params, cfg, prefix)
     for i in range(1, 7):
-        again = contextualize(params, cfg, prefix[:i])
-        np.testing.assert_allclose(full[i - 1], again[-1], atol=1e-10)
+        again = context_tower(params, cfg, prefix[:i])
+        np.testing.assert_allclose(contextualize(params, cfg, prefix[:i]), again[-1], atol=1e-10)
+    # Leading axes are a batch of prefixes of one length.
+    batch = np.stack([prefix, prefix[::-1]])
+    np.testing.assert_allclose(contextualize(params, cfg, batch),
+                               context_tower(params, cfg, batch)[:, -1], atol=1e-10)
 
 
 def test_contextualizer_rejects_empty_prefix():
@@ -199,10 +204,10 @@ def test_contextualizer_perturbation_localized():
     cfg = _model_cfg()
     params = _rand_params(cfg)
     prefix = stream_rng(21, 2).normal(size=(5, 6))
-    base = contextualize(params, cfg, prefix)
+    base = context_tower(params, cfg, prefix)
     bumped = prefix.copy()
     bumped[3] += 1.0
-    after = contextualize(params, cfg, bumped)
+    after = np.stack([contextualize(params, cfg, bumped[:i]) for i in range(1, 6)])
     np.testing.assert_allclose(after[:3], base[:3], atol=1e-12)
     assert float(np.linalg.norm(after[3] - base[3])) > 1e-8
 
@@ -215,24 +220,20 @@ def test_context_tower_right_padding_is_inert():
     lengths = np.array([2, 5, 1, 3])
     rng = stream_rng(21, 3)
     prefixes = [rng.normal(size=(n, 6)) for n in lengths]
-    last = (np.arange(lengths.size), lengths - 1)
     g_last = rng.normal(size=(lengths.size, cfg.ctx_width))
     runs = []
     for pad in (0.0, 1e3):
         padded = np.full((lengths.size, lengths.max(), 6), pad)
         for i, p in enumerate(prefixes):
             padded[i, : p.shape[0]] = p
-        out, cache = _ctx_forward(params, cfg, padded)
-        g_out = np.zeros_like(out)
-        g_out[last] = g_last
+        out, cache = _ctx_forward(params, cfg, padded, lengths)
         grads = {k: np.zeros_like(v) for k, v in params.items()}
-        _ctx_backward(params, cfg, cache, g_out, grads)
+        _ctx_backward(params, cfg, cache, g_last, grads)
         runs.append((out, grads))
     (out_a, grads_a), (out_b, grads_b) = runs
+    assert np.array_equal(out_a, out_b)
     for i, p in enumerate(prefixes):
-        n = p.shape[0]
-        assert np.array_equal(out_a[i, :n], out_b[i, :n])
-        np.testing.assert_allclose(out_a[i, :n], contextualize(params, cfg, p), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out_a[i], context_tower(params, cfg, p)[-1], rtol=0, atol=1e-12)
     for key in params:
         assert np.array_equal(grads_a[key], grads_b[key]), key
 
@@ -420,6 +421,23 @@ def test_diffusion_loss_batch_matches_per_item_calls():
         np.testing.assert_allclose(grads[key], ref_grads[key], rtol=0, atol=1e-12, err_msg=key)
 
 
+def test_diffusion_loss_runs_the_last_context_layer_on_one_row_per_prefix(monkeypatch):
+    calls = []
+    real = latentdiff.attention_forward
+
+    def recording(x, *args, **kwargs):
+        out, cache = real(x, *args, **kwargs)
+        calls.append((x.shape, out.shape))
+        return out, cache
+
+    monkeypatch.setattr(latentdiff, "attention_forward", recording)
+    cfg = _model_cfg(ctx_layers=3)
+    batch = _mixed_batch()
+    diffusion_loss(_live_params(cfg), cfg, batch, build_schedule(6), 0.0, stream_rng(25, 7))
+    rows = (len(batch), max(item.prefix.shape[0] for item in batch), cfg.ctx_width)
+    assert calls == [(rows, rows), (rows, rows), (rows, (len(batch), cfg.ctx_width))]
+
+
 def _check_loss_grads(cfg, params, batch, sched, rng_key):
     loss, grads, _ = diffusion_loss(params, cfg, batch, sched, 0.3, stream_rng(*rng_key))
     assert loss > 0.0
@@ -471,7 +489,7 @@ def test_val_loss_matches_per_item_reference(monkeypatch):
     for item in items:
         t = int(rng.integers(0, sched.steps))
         eps = rng.standard_normal(cfg.concept_dim)
-        c = contextualize(params, cfg, item.prefix)[-1]
+        c = context_tower(params, cfg, item.prefix)[-1]
         xt = forward_diffuse(item.target, t, eps, sched)
         pred = denoise(params, cfg, xt, t, condition(params, cfg, c, sched))
         dist = float(np.linalg.norm(item.target - pred))
@@ -575,6 +593,28 @@ def test_train_lcm_best_tensors_are_not_the_live_weights(tmp_path, monkeypatch):
         assert not any(np.shares_memory(b, a) for b in best.values() for a in live)
 
 
+def test_init_loads_and_trainer_copies_are_one_vector_each(tmp_path):
+    # AdamW steps a model only as one run of one buffer (optim.flat_span).
+    seq, mcfg, sched = _memorize_setup()
+    tcfg = LcmTrainConfig(lr=1e-3, final_lr=1e-5, warmup_steps=5, max_steps=40,
+                          batch_size=4, seed=6, val_every=10, ckpt_every=20)
+    models = {"init": init_two_tower(mcfg, stream_rng(0, 0))}
+    save_lcm(tmp_path / "m", models["init"], mcfg)
+    models["load_lcm"] = load_lcm(tmp_path / "m")[0]
+    models["best"], history = train_lcm([seq], mcfg, tcfg, sched, out_dir=tmp_path / "run")
+    assert history.best_step > 0
+    ckpt = tmp_path / "run" / "checkpoints" / "step-000020"
+    models["resumed best"], _ = train_lcm([seq], mcfg, tcfg, sched, resume=ckpt)
+    opt = AdamW()
+    schedule = {"steps": 12, "lambda_max": 10.0, "lambda_min": -10.0}
+    state = checkpoints.load_lcm_train_state(ckpt, opt, mcfg, tcfg,
+                                             checkpoints.corpus_sha256([seq]), schedule)
+    models |= {"state model": state[0], "state best": state[3][2], "m": opt.m, "v": opt.v}
+    for label, tensors in models.items():
+        assert list(tensors) == list(latentdiff.layout(mcfg)), label
+        assert flat_span(tensors).size == sum(t.size for t in tensors.values()), label
+
+
 def test_train_lcm_divergence_aborts_with_step():
     seq, mcfg, sched = _memorize_setup()
     tcfg = LcmTrainConfig(lr=1e200, final_lr=1e-6, warmup_steps=0, max_steps=50,
@@ -597,7 +637,7 @@ def test_sample_single_level_collapse():
     prefix = stream_rng(28, 0).normal(size=(2, 6))
     out = sample_next(params, cfg, prefix, sched, guidance_scale=0.0,
                       rng=stream_rng(28, 1))
-    c = contextualize(params, cfg, prefix)[-1]
+    c = contextualize(params, cfg, prefix)
     x_noise = stream_rng(28, 1).standard_normal(6)
     expected = denoise(params, cfg, x_noise, 0, condition(params, cfg, c, sched))
     np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -614,7 +654,7 @@ def test_sample_zero_guidance_matches_conditional_loop():
     out = sample_next(params, cfg, prefix, sched, guidance_scale=0.0,
                       rng=stream_rng(28, 4))
 
-    cond = condition(params, cfg, contextualize(params, cfg, prefix)[-1], sched)
+    cond = condition(params, cfg, contextualize(params, cfg, prefix), sched)
     x = stream_rng(28, 4).standard_normal(6)
     x_hat = None
     for t in range(sched.steps - 1, 0, -1):
@@ -636,7 +676,7 @@ def test_sample_guided_matches_two_call_loop():
     out = sample_next(params, cfg, prefix, sched, guidance_scale=1.5,
                       rng=stream_rng(28, 8))
 
-    c = contextualize(params, cfg, prefix)[-1]
+    c = contextualize(params, cfg, prefix)
     table_c = condition(params, cfg, c, sched)
     table_u = condition(params, cfg, params["null_ctx"], sched)
     x = stream_rng(28, 8).standard_normal(6)
