@@ -380,7 +380,7 @@ def cmd_sample(args) -> int:
     if not np.isfinite(args.guidance):
         raise CliError(2, f"--guidance must be finite, got {args.guidance}")
     params, model_cfg, meta = checkpoints.load_lcm(args.lcm)
-    prefix = corpus.read_embeddings(args.prefix)
+    prefix = corpus.read_finite_embeddings(args.prefix)
     if prefix.shape[1] != model_cfg.concept_dim:
         raise CliError(
             2,
@@ -389,7 +389,7 @@ def cmd_sample(args) -> int:
         )
     if prefix.shape[0] < 1:
         raise CliError(2, "prefix file holds no rows")
-    bank = corpus.read_embeddings(args.bank) if args.bank else None
+    bank = corpus.read_finite_embeddings(args.bank) if args.bank else None
     if bank is not None and bank.shape[1] != model_cfg.concept_dim:
         raise CliError(2, f"bank dim {bank.shape[1]} does not match model")
     with corpus.malformed_manifest(Path(args.lcm) / "params.json"):

@@ -120,6 +120,16 @@ def read_embeddings(path: str | Path) -> np.ndarray:
     return flat.astype(np.float64, copy=False).reshape(count, dim)
 
 
+def read_finite_embeddings(path: str | Path) -> np.ndarray:
+    """read_embeddings for a data file: a NaN or infinity is a format error
+    that names the file and the first row holding one."""
+    x = read_embeddings(path)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise EmbeddingFormatError(f"{path}: row {int(bad[0])} holds a non-finite value")
+    return x
+
+
 def write_ids(path: str | Path, ids: np.ndarray) -> None:
     ids = np.asarray(ids, dtype=np.uint64)
     Path(path).write_bytes(ids.astype("<u8").tobytes())
@@ -285,12 +295,12 @@ class PairedDataset:
             dims = {key: _count(key, manifest[key], 1) for key in ("frame_dim", "concept_dim")}
             files = {key: root / manifest["files"][key] for key in ("frames", "targets", "ids")}
             meta = {"world": manifest.get("world"), "sample_seed": manifest.get("sample_seed")}
-        frames_flat = read_embeddings(files["frames"])
+        frames_flat = read_finite_embeddings(files["frames"])
         if frames_flat.shape[0] != n * t:
             raise EmbeddingFormatError(
                 f"{root}: frames row count {frames_flat.shape[0]} != n*frames {n * t}"
             )
-        targets = read_embeddings(files["targets"])
+        targets = read_finite_embeddings(files["targets"])
         if targets.shape[0] != n:
             raise EmbeddingFormatError(
                 f"{root}: target row count {targets.shape[0]} != n {n}"
@@ -434,7 +444,7 @@ def load_sequences(in_dir: str | Path) -> tuple[list[EmbeddingSequence], dict]:
             raise ValueError(f"count {count} does not match the {len(lengths)} lengths")
         dim = _count("dim", manifest["dim"], 1)
         meta = manifest.get("meta", {})
-    stacked = read_embeddings(embeddings_path)
+    stacked = read_finite_embeddings(embeddings_path)
     if dim != stacked.shape[1]:
         raise EmbeddingFormatError(f"{manifest_path}: dim {dim} does not match the "
                                    f"{stacked.shape[1]} columns of {embeddings_path.name}")

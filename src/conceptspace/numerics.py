@@ -1,6 +1,7 @@
 """Shared numeric substrate: seeded streams, the hold-out split both trainers
 use, and small statistics helpers (covariance, log-determinant, average ranks,
-Spearman correlation).
+Spearman correlation). One rank kernel, rank_rows, ranks rows with one sort of
+int64 keys that pack each value's order with its column index.
 
 All public functions work on float64 numpy arrays and are deterministic given
 their inputs (and, where applicable, the generator passed in).
@@ -13,6 +14,9 @@ import numpy as np
 # Eigenvalues below this floor are clamped before taking logs so that
 # rank-deficient covariance matrices still produce a finite log-determinant.
 EIGENVALUE_FLOOR = 1e-12
+
+# The low 63 bits of an int64: the magnitude bits of a float64.
+_MAGNITUDE_BITS = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 
 
 def stream_rng(seed: int, *key: int) -> np.random.Generator:
@@ -69,46 +73,71 @@ def logdet_psd(cov: np.ndarray, floor: float = EIGENVALUE_FLOOR) -> float:
 def average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks along the last axis; each run of equal values gets its mean rank.
 
-    The ranks are multiples of 1/2, so they are exact: they do not depend on the
-    order the (unstable) sort leaves equal values in, and they match scipy's
+    The ranks are multiples of 1/2, so they are exact and match scipy's
     "average" tie method bit for bit. -0.0 and 0.0 tie. Non-finite input is an
-    error.
+    error; the input is never written to.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("average_ranks needs finite input")
+    return rank_rows(x)
+
+
+def rank_rows(x: np.ndarray) -> np.ndarray:
+    """average_ranks without the finiteness check: +inf ranks above every
+    finite value. The input is never written to.
+
+    Each value becomes an int64 key that orders like it, with its low
+    b = bit_length(n - 1) bits replaced by its column index, so one np.sort of
+    the keys gives each row's permutation. Only a row where two sorted keys lie
+    within 2^b of each other can hold a tie, or two distinct values that the
+    index bits put out of order. Such a row takes its sorted values, falls back
+    to argsort if they are out of order, and gives each run of equal values its
+    mean rank.
+    """
+    x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
     rows = x.reshape(-1, n)
     m = rows.shape[0]
-    # Flat positions: row r, sorted slot j holds element dest[r * n + j].
-    dest = (np.argsort(rows, axis=1) + np.arange(0, m * n, n)[:, None]).ravel()
-    s = rows.ravel().take(dest).reshape(m, n)
-    step = s[:, 1:] != s[:, :-1]
+    low = (1 << (n - 1).bit_length()) - 1
+    keys = (rows + 0.0).view(np.int64)  # a copy; -0.0 becomes +0.0, so the two tie
+    # Flipping the magnitude bits of negatives makes int64 order float order.
+    flip = keys >> 63
+    flip &= _MAGNITUDE_BITS
+    keys ^= flip
+    keys &= ~low
+    keys |= np.arange(n)
+    keys.sort(axis=1)
+    # A difference that wraps negative flags its row too, so it never hides one.
+    near = np.flatnonzero(np.min(keys[:, 1:] - keys[:, :-1], axis=1, initial=low + 1) <= low)
+    # dest[r, j]: flat position of the element in row r's sorted slot j.
+    dest = keys
+    dest &= low
+    dest += np.arange(0, m * n, n)[:, None]
+    ranks = np.arange(1.0, n + 1.0)
+    if near.size:
+        k = near.size
+        sub = dest[near]
+        s = rows.ravel().take(sub)
+        bad = np.flatnonzero((s[:, 1:] < s[:, :-1]).any(axis=1))
+        if bad.size:
+            sub[bad] = np.argsort(rows[near[bad]], axis=1) + near[bad, None] * n
+            s[bad] = rows.ravel().take(sub[bad])
+            dest[near[bad]] = sub[bad]
+        # Each row's first slot starts a run, so no run crosses a row boundary.
+        starts = np.ones((k, n), dtype=bool)
+        np.not_equal(s[:, 1:], s[:, :-1], out=starts[:, 1:])
+        first = np.flatnonzero(starts)
+        length = np.diff(first, append=k * n)
+        # Each run's mean 1-based slot, counted from the first near row, then
+        # shifted to its own row.
+        tied = np.repeat(first + 0.5 * (length + 1), length).reshape(k, n)
+        tied -= np.arange(0.0, k * n, n)[:, None]
+        ranks = np.tile(ranks, (m, 1))
+        ranks[near] = tied
     out = np.empty(m * n)
-    if step.all():
-        out[dest] = np.tile(np.arange(1.0, n + 1.0), m)
-        return out.reshape(x.shape)
-    # Each row's first slot starts a run, so no run crosses a row boundary.
-    starts = np.ones((m, n), dtype=bool)
-    starts[:, 1:] = step
-    first = np.flatnonzero(starts)
-    length = np.diff(first, append=m * n)
-    out[dest] = np.repeat(first % n + (length - 1) * 0.5 + 1.0, length)
+    out[dest] = ranks
     return out.reshape(x.shape)
-
-
-def rank_corr_rows(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
-    """Row-wise Pearson correlation of two (rows, n) matrices of ranks.
-
-    Fed with average ranks (``average_ranks(x)``) this is the Spearman
-    correlation of each row pair. Average ranks are multiples of 1/2, so the
-    centred ranks and their dot products are exact in float64 and the result
-    does not depend on the summation order.
-    """
-    ra = ra - ra.mean(axis=1, keepdims=True)
-    rb = rb - rb.mean(axis=1, keepdims=True)
-    denom = np.sqrt(np.einsum("ij,ij->i", ra, ra)) * np.sqrt(np.einsum("ij,ij->i", rb, rb))
-    return np.clip(np.einsum("ij,ij->i", ra, rb) / denom, -1.0, 1.0)
 
 
 def spearman_rank_corr(a: np.ndarray, b: np.ndarray) -> float:
@@ -121,5 +150,7 @@ def spearman_rank_corr(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("need at least 2 observations")
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         raise ValueError("rank correlation undefined for a constant input")
-    ranks = average_ranks(np.stack([a, b]))
-    return float(rank_corr_rows(ranks[:1], ranks[1:])[0])
+    # Average ranks are multiples of 1/2 with mean (n + 1) / 2, so the centred
+    # ranks and their dot products are exact.
+    ra, rb = average_ranks(np.stack([a, b])) - (a.shape[0] + 1) / 2
+    return float(np.clip(ra @ rb / (np.sqrt(ra @ ra) * np.sqrt(rb @ rb)), -1.0, 1.0))

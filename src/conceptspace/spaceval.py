@@ -4,8 +4,9 @@ All metrics are defined over cosine similarity. Ranking ties are broken by
 ascending target id so every metric is deterministic. Alignment consistency
 correlates, per query, two similarity profiles over the target bank and
 averages the rank correlations; three variants are exported (see
-alignment_consistency). Profiles are ranked with numerics.average_ranks, whose
-average ranks for ties are exact, so the correlations do not depend on sort
+alignment_consistency). Each profile is ranked once with numerics.rank_rows,
+whose average ranks for ties are exact, and every correlation comes from exact
+sums of the centred ranks, so the results do not depend on sort or summation
 order. Spread statistics summarize a set by the trace and log-determinant of
 its unbiased covariance plus the mean row norm.
 """
@@ -19,15 +20,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import average_ranks, covariance_matrix, logdet_psd, rank_corr_rows
+from .numerics import covariance_matrix, logdet_psd, rank_rows
 
 AC_MODES = ("cross", "intra")
 RECALL_KS = (1, 5, 10)
 
 # Query rows per tile in the quadratic metrics, so their memory grows with
 # TILE_ROWS * n rather than n * n. Chosen by the peak RSS of `eval` at
-# n = 1000: lowest with 8 or 16 rows, higher with 32, 64 and 128 rows, while
-# wall time was flat from 16 rows up.
+# n = 1000 (1 BLAS thread): 49.5 MB with 8 or 16 rows, 50.4 MB with 32 and
+# 52.9 MB with 64. Alignment consistency, most of the call, took 104-109,
+# 91-100, 86-89 and 83-86 ms with 8, 16, 32 and 64 rows.
 TILE_ROWS = 16
 
 
@@ -132,15 +134,9 @@ def _ac_sides(zv: np.ndarray, zt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"shape mismatch: {uv.shape} vs {ut.shape}")
     if uv.shape[0] < 3:
         raise ValueError(f"need at least 3 rows, got {uv.shape[0]}")
+    if not (np.isfinite(uv).all() and np.isfinite(ut).all()):
+        raise ValueError("alignment consistency needs finite embeddings")
     return uv, ut
-
-
-def _off_diagonal(tile: np.ndarray, start: int) -> np.ndarray:
-    """Rows start.. of an (n, n) matrix, each without its own diagonal entry."""
-    rows, n = tile.shape
-    keep = np.ones((rows, n), dtype=bool)
-    keep[np.arange(rows), start + np.arange(rows)] = False
-    return tile[keep].reshape(rows, n - 1)
 
 
 def _consistency(
@@ -153,8 +149,17 @@ def _consistency(
     rows computes and ranks every distinct profile once, however many pairs
     share it. Per-row correlations are added to a running total in row order,
     so the result does not depend on TILE_ROWS.
+
+    A tile row is ranked whole with its diagonal entry set to +inf, which
+    ranks n and leaves every other rank as it is without it. Centred at n/2,
+    the off-diagonal mean, that entry is n/2, so a sum of products over the
+    n - 1 off-diagonal entries is the row's sum less (n/2)^2. The centred
+    ranks are multiples of 1/2 and every such sum is exact, so each value is,
+    bit for bit, the Pearson correlation of the off-diagonal ranks alone.
     """
     n = uv.shape[0]
+    half = n / 2
+    diagonal = half * half
     sides = {"v": uv, "t": ut}
     names = sorted({name for pair in pairs for name in pair})
     # Transposed copies keep a one-tile "xx" product off BLAS's symmetric path,
@@ -163,15 +168,21 @@ def _consistency(
     totals = [0.0] * len(pairs)
     used = [0] * len(pairs)
     for start in range(0, n, TILE_ROWS):
-        ranks, flat = {}, {}
+        own = np.arange(min(TILE_ROWS, n - start))
+        centred, squares = {}, {}
         for name in names:
-            rows = sides[name[0]][start : start + TILE_ROWS]
-            profile = _off_diagonal(rows @ columns[name[1]], start)
-            flat[name] = np.ptp(profile, axis=1) == 0.0
-            ranks[name] = average_ranks(profile)
+            tile = sides[name[0]][start : start + TILE_ROWS] @ columns[name[1]]
+            tile[own, start + own] = np.inf
+            c = rank_rows(tile)
+            c -= half
+            centred[name] = c
+            # 0 exactly when every off-diagonal entry ties: a constant profile.
+            squares[name] = np.einsum("ij,ij->i", c, c) - diagonal
         for k, (a, b) in enumerate(pairs):
-            ok = ~(flat[a] | flat[b])
-            for value in rank_corr_rows(ranks[a][ok], ranks[b][ok]).tolist():
+            ok = (squares[a] != 0.0) & (squares[b] != 0.0)
+            cross = np.einsum("ij,ij->i", centred[a], centred[b])[ok] - diagonal
+            denom = np.sqrt(squares[a][ok]) * np.sqrt(squares[b][ok])
+            for value in np.clip(cross / denom, -1.0, 1.0).tolist():
                 totals[k] += value
             used[k] += int(np.count_nonzero(ok))
     if min(used) == 0:

@@ -12,7 +12,10 @@ that `grad_check` perturbs, and check every hand-written backward pass against
 `grad_check`'s central finite differences. `einsum_attention` is general
 cross-attention, from one set of rows over another: the self-attention core
 is checked against it with the same rows on both sides, and pooling with the
-`cls` row as the one query.
+`cls` row as the one query. `consistency` is alignment consistency as
+`spaceval._consistency` computed it before that function ranked whole tiles
+with one sort of packed keys: off-diagonal copies of each profile, ranks from
+`argsort` and a row-wise Pearson correlation of the ranks.
 The other oracles' own tests are in test_numerics.py.
 """
 
@@ -24,6 +27,7 @@ import numpy as np
 
 from conceptspace.attention import attention_forward, fold_rows
 from conceptspace.projector import sinusoidal_features
+from conceptspace.spaceval import TILE_ROWS, AcResult
 
 
 def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -215,3 +219,61 @@ def grad_check(
         if err > worst:
             worst = err
     return worst
+
+
+def argsort_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based average ranks along the last axis from one argsort per row."""
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    m = rows.shape[0]
+    # Flat positions: row r, sorted slot j holds element dest[r * n + j].
+    dest = (np.argsort(rows, axis=1) + np.arange(0, m * n, n)[:, None]).ravel()
+    s = rows.ravel().take(dest).reshape(m, n)
+    starts = np.ones((m, n), dtype=bool)
+    starts[:, 1:] = s[:, 1:] != s[:, :-1]
+    first = np.flatnonzero(starts)
+    length = np.diff(first, append=m * n)
+    out = np.empty(m * n)
+    out[dest] = np.repeat(first % n + (length - 1) * 0.5 + 1.0, length)
+    return out.reshape(x.shape)
+
+
+def rank_corr_rows(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Row-wise Pearson correlation of two (rows, n) matrices of ranks."""
+    ra = ra - ra.mean(axis=1, keepdims=True)
+    rb = rb - rb.mean(axis=1, keepdims=True)
+    denom = np.sqrt(np.einsum("ij,ij->i", ra, ra)) * np.sqrt(np.einsum("ij,ij->i", rb, rb))
+    return np.clip(np.einsum("ij,ij->i", ra, rb) / denom, -1.0, 1.0)
+
+
+def _off_diagonal(tile: np.ndarray, start: int) -> np.ndarray:
+    """Rows start.. of an (n, n) matrix, each without its own diagonal entry."""
+    rows, n = tile.shape
+    keep = np.ones((rows, n), dtype=bool)
+    keep[np.arange(rows), start + np.arange(rows)] = False
+    return tile[keep].reshape(rows, n - 1)
+
+
+def consistency(uv: np.ndarray, ut: np.ndarray, pairs: list[tuple[str, str]]) -> list[AcResult]:
+    """`spaceval._consistency` on the same unit rows and profile pairs."""
+    n = uv.shape[0]
+    sides = {"v": uv, "t": ut}
+    names = sorted({name for pair in pairs for name in pair})
+    columns = {side: np.ascontiguousarray(u.T) for side, u in sides.items()}
+    totals = [0.0] * len(pairs)
+    used = [0] * len(pairs)
+    for start in range(0, n, TILE_ROWS):
+        ranks, flat = {}, {}
+        for name in names:
+            rows = sides[name[0]][start : start + TILE_ROWS]
+            profile = _off_diagonal(rows @ columns[name[1]], start)
+            flat[name] = np.ptp(profile, axis=1) == 0.0
+            ranks[name] = argsort_ranks(profile)
+        for k, (a, b) in enumerate(pairs):
+            ok = ~(flat[a] | flat[b])
+            for value in rank_corr_rows(ranks[a][ok], ranks[b][ok]).tolist():
+                totals[k] += value
+            used[k] += int(np.count_nonzero(ok))
+    if min(used) == 0:
+        raise ValueError("every query had a constant similarity profile")
+    return [AcResult(value=t / u, used=u, skipped=n - u) for t, u in zip(totals, used)]

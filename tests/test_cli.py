@@ -857,6 +857,70 @@ def test_sample_bad_bank_exits_before_writing(trained_lcm, tmp_path, bank, code)
 
 
 # ---------------------------------------------------------------------------
+# non-finite payloads
+
+
+def _poison(path: Path, row: int = 1) -> None:
+    """Rewrite the embedding file at `path` with a NaN in `row`.
+
+    write_embeddings refuses non-finite values, so the float64 container is
+    written here byte by byte."""
+    x = corpus.read_embeddings(path)
+    x[row, 0] = np.nan
+    path.write_bytes(corpus.container_header(*x.shape, corpus.DTYPE_F64) + x.tobytes())
+
+
+def _eval_nan(root, file):
+    assert cli.main(_gen_args(root / "d")) == 0
+    argv = ["eval", "--oracle", "--data", str(root / "d"), "--out", str(root / "r.json")]
+    return root / "d" / file, argv
+
+
+def _align_nan(root, align_setup):
+    _root, data, _stage, config = align_setup
+    shutil.copytree(data, root / "data")
+    stage = root / "stage.json"
+    stage.write_text(json.dumps({"dataset": "data", "epochs": 2, "batch_size": 16}))
+    return root / "data" / "frames.bin", _align_args(root / "run", stage, config)
+
+
+def _train_lcm_nan(root, lcm_setup):
+    _root, data, config = lcm_setup
+    shutil.copytree(data, root / "seqs")
+    return root / "seqs" / "embeddings.bin", _train_args(root / "run", root / "seqs", config)
+
+
+def _sample_nan(root, trained_lcm, which):
+    model, data = trained_lcm
+    prefix, bank = root / "prefix.bin", root / "bank.bin"
+    _write_prefix(prefix, data)
+    shutil.copy(Path(data) / "bank.bin", bank)
+    argv = _sample_args(root / "out" / "s.bin", model, prefix, extra=["--bank", str(bank)])
+    return {"prefix": prefix, "bank": bank}[which], argv
+
+
+_NAN_CASES = {
+    "eval-targets": lambda root, r: _eval_nan(root, "targets.bin"),
+    "eval-oracle-frames": lambda root, r: _eval_nan(root, "frames.bin"),
+    "align-frames": lambda root, r: _align_nan(root, r.getfixturevalue("align_setup")),
+    "train-lcm-embeddings": lambda root, r: _train_lcm_nan(root, r.getfixturevalue("lcm_setup")),
+    "sample-bank": lambda root, r: _sample_nan(root, r.getfixturevalue("trained_lcm"), "bank"),
+    "sample-prefix": lambda root, r: _sample_nan(root, r.getfixturevalue("trained_lcm"), "prefix"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NAN_CASES))
+def test_non_finite_payload_exits_3_naming_the_file(case, tmp_path, capsys, request):
+    path, argv = _NAN_CASES[case](tmp_path, request)
+    _poison(path)
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: row 1 holds a non-finite value" in err
+    assert not any((tmp_path / name).exists() for name in ("run", "out", "r.json"))
+
+
+# ---------------------------------------------------------------------------
 # malformed manifests
 
 

@@ -22,6 +22,7 @@ from conceptspace.numerics import (
     covariance_matrix,
     holdout_split,
     logdet_psd,
+    rank_rows,
     spearman_rank_corr,
     stream_rng,
 )
@@ -166,10 +167,20 @@ def test_logdet_rejects_asymmetric():
 
 
 def _assert_same_ranks(x):
+    before = np.array(x, copy=True)
     expected = rankdata(x, axis=-1)
     got = average_ranks(x)
     assert got.dtype == np.float64 and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+    assert x.tobytes() == before.tobytes()  # the input is left as it was
+
+
+def _calls_to(patch, name):
+    """Count the calls to np.<name> while the patch context is live."""
+    calls = []
+    real = getattr(np, name)
+    patch.setattr(np, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
 
 
 def test_average_ranks_continuous_rows():
@@ -190,6 +201,72 @@ def test_average_ranks_signed_zeros_tie():
     x = np.array([[0.0, -0.0, 1.0, -0.0, -1.0, 0.0], [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0]])
     _assert_same_ranks(x)
     assert average_ranks(x)[0].tolist() == [3.5, 3.5, 6.0, 3.5, 1.0, 3.5]
+    # Both index orders, with a value on each side.
+    pairs = np.array([[0.0, -0.0, -1.0, 2.0], [-0.0, 0.0, -1.0, 2.0]])
+    _assert_same_ranks(pairs)
+    assert average_ranks(pairs).tolist() == [[2.5, 2.5, 1.0, 4.0]] * 2
+
+
+def test_average_ranks_subnormals_and_extremes():
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.array([
+        [tiny, -tiny, 0.0, -0.0, 1e300, -1e300, 2 * tiny, -2 * tiny],
+        [1e300, -1e300, 1e300, -1e300, tiny, -tiny, 0.0, 5e-310],
+        [-1e300, 1e300, np.finfo(float).max, -np.finfo(float).max, 1.0, -1.0, 1e-300, -1e-300],
+    ])
+    _assert_same_ranks(x)
+    assert average_ranks(x)[0].tolist() == [6.0, 3.0, 4.5, 4.5, 8.0, 1.0, 7.0, 2.0]
+
+
+def test_average_ranks_one_ulp_apart_reaches_the_argsort_fallback(monkeypatch):
+    # The larger of two 1-ulp neighbours sits at the lower index. Their keys
+    # share all but the index bits, so the sort puts them in index order and
+    # only the fallback sorts them by value.
+    base = np.random.default_rng(4).normal(size=(3, 20))
+    x = base.copy()
+    x[1, 3] = np.nextafter(x[1, 11], np.inf)
+    with monkeypatch.context() as patch:
+        calls = _calls_to(patch, "argsort")
+        got = average_ranks(x)
+        assert calls == [1]
+        average_ranks(base)
+        assert calls == [1]  # no neighbours out of order, no fallback
+    assert got.tobytes() == rankdata(x, axis=-1).tobytes()
+    assert got[1, 3] == got[1, 11] + 1.0
+
+
+def test_average_ranks_wrapped_key_difference_flags_the_row(monkeypatch):
+    # The int64 keys of -1e300 and 1e300 are further apart than 2^63, so their
+    # difference wraps negative; that sends the row down the exact path.
+    x = np.array([[-1e300, 1e300, 0.5], [3.0, 1.0, 2.0]])
+    with monkeypatch.context() as patch:
+        calls = _calls_to(patch, "repeat")
+        got = average_ranks(x)
+        assert calls == [1]
+    assert got.tolist() == [[1.0, 3.0, 2.0], [3.0, 1.0, 2.0]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025])
+def test_average_ranks_across_index_bit_widths(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(3, n))
+    x[1] = np.round(x[1], 1)  # ties
+    # 1-ulp pairs, the larger one first.
+    half = x[2, : (n + 1) // 2]
+    x[2] = np.stack([np.nextafter(half, np.inf), half], axis=-1).ravel()[:n]
+    _assert_same_ranks(x)
+    _assert_same_ranks(-x)
+
+
+def test_rank_rows_puts_inf_last_and_keeps_the_other_ranks():
+    x = np.random.default_rng(5).normal(size=(4, 30))
+    x[1] = np.round(x[1])
+    with_inf = x.copy()
+    with_inf[:, 7] = np.inf
+    got = rank_rows(with_inf)
+    assert np.all(got[:, 7] == 30.0)
+    assert got[:, np.arange(30) != 7].tobytes() == average_ranks(
+        x[:, np.arange(30) != 7]).tobytes()
 
 
 @pytest.mark.parametrize("rows", [[[5.0]], [[2.0, 1.0]], [[1.0, 1.0]], [[-0.0, 0.0]]])
@@ -209,10 +286,8 @@ def test_average_ranks_takes_both_paths(monkeypatch):
     distinct = np.random.default_rng(3).normal(size=(4, 50))
     one_tie = distinct.copy()
     one_tie[2, 7] = one_tie[2, 31]
-    calls = []
-    real_repeat = np.repeat
     with monkeypatch.context() as patch:
-        patch.setattr(np, "repeat", lambda *a, **k: calls.append(1) or real_repeat(*a, **k))
+        calls = _calls_to(patch, "repeat")
         tie_free = average_ranks(distinct)
         assert calls == []
         tied = average_ranks(one_tie)
@@ -240,6 +315,26 @@ def test_average_ranks_rejects_non_finite(bad):
 @settings(max_examples=200, deadline=None)
 def test_average_ranks_matches_rankdata_property(x):
     _assert_same_ranks(x)
+
+
+_FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(
+    st.tuples(_FINITE, st.sampled_from([-np.inf, np.inf]), st.booleans()),
+    min_size=1, max_size=12,
+), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_average_ranks_near_duplicates_property(items, random):
+    # Each item gives x and, if chosen, its neighbour np.nextafter(x, +-inf),
+    # placed in a shuffled order so either one may come first.
+    values = []
+    for x, toward, twin in items:
+        values.append(x)
+        if twin:
+            values.append(float(np.nextafter(x, toward)))
+    random.shuffle(values)
+    _assert_same_ranks(np.array([values, [-v for v in values]]))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from conceptspace.spaceval import (
     space_report_to_dict,
     space_stats,
 )
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +281,58 @@ def test_shared_rank_helper_equals_separate_ac_calls(case):
     bank = np.vstack([zt, np.ones((1, zt.shape[1]))])
     report = build_space_report(zv, zt, bank, np.arange(zt.shape[0]))
     assert (report.ac, report.ac_reverse, report.ac_intra) == tuple(r.value for r in separate)
+
+
+ALL_PAIRS = [("vt", "tt"), ("tv", "vv"), ("vv", "tt")]
+
+
+def _assert_consistency_equals_reference(zv, zt):
+    """The same AcResults, bit for bit, as the argsort reference in oracles.py."""
+    uv, ut = spaceval._ac_sides(zv, zt)
+    assert spaceval._consistency(uv, ut, ALL_PAIRS) == oracles.consistency(uv, ut, ALL_PAIRS)
+
+
+def test_consistency_equals_reference_on_bench_like_ties():
+    # Targets repeat rows of a 256-row bank, as `gen` data do, so most entries
+    # of the "tt" and "vt" profiles tie; "vv" and "tv" have no ties.
+    rng = stream_rng(45, 0)
+    bank = make_caption_bank(rng, 256, 32)
+    zt = bank[rng.integers(0, 256, size=1000)]
+    zv = zt + 0.1 * rng.normal(size=zt.shape)
+    _assert_consistency_equals_reference(zv, zt)
+
+
+@pytest.mark.parametrize("n", TILE_EDGE_NS)
+def test_consistency_equals_reference_across_tile_edges(n):
+    rng = stream_rng(42, 4, n)
+    zv = rng.normal(size=(n, 3))
+    zt = rng.normal(size=(n, 3))
+    zv[TILE_ROWS // 2 :] = zv[: n - TILE_ROWS // 2]
+    zt[TILE_ROWS - 3 :: 3] = zt[0]
+    _assert_consistency_equals_reference(zv, zt)
+
+
+def test_consistency_equals_reference_with_a_constant_profile():
+    _assert_consistency_equals_reference(*_constant_profile_in_second_tile())
+
+
+def test_consistency_equals_reference_when_every_entry_ties():
+    # Each target row appears three times, so every entry of every "tt"
+    # profile ties with another: the query's two copies at cosine 1, and each
+    # other row's three copies.
+    rng = stream_rng(45, 1)
+    zt = np.repeat(rng.normal(size=(2 * TILE_ROWS + 1, 5)), 3, axis=0)
+    zv = rng.normal(size=zt.shape)
+    _assert_consistency_equals_reference(zv, zt)
+
+
+def test_ac_rejects_non_finite_embeddings():
+    z = stream_rng(45, 2).normal(size=(6, 3))
+    bad = z.copy()
+    bad[4, 1] = np.nan
+    for zv, zt in ((bad, z), (z, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            alignment_consistency(zv, zt)
 
 
 def test_ac_perfect_when_sets_match():
