@@ -78,12 +78,14 @@ def write_embeddings(path: str | Path, x: np.ndarray, dtype_code: int = DTYPE_F3
             narrow = x.astype("<f4")
         if not np.all(np.isfinite(narrow)):
             raise ValueError("refusing to write values that overflow float32")
-        payload = narrow.tobytes()
+        payload = narrow
     elif dtype_code == DTYPE_F64:
-        payload = x.astype("<f8").tobytes()
+        payload = np.ascontiguousarray(x, dtype="<f8")
     else:
         raise ValueError(f"unknown dtype code {dtype_code}")
-    Path(path).write_bytes(container_header(x.shape[0], x.shape[1], dtype_code) + payload)
+    with open(path, "wb") as fh:
+        fh.write(container_header(x.shape[0], x.shape[1], dtype_code))
+        fh.write(payload)  # the array's own buffer, not a bytes copy of it
 
 
 def container_header(count: int, dim: int, dtype_code: int) -> bytes:
@@ -330,9 +332,14 @@ def gen_synthetic_pairs(
     caption_ids = rng.integers(0, world.bank_size, size=n)
     targets = world.caption_bank[caption_ids]
     clean = targets @ world.w.T  # (n, frame_dim)
-    frames = clean[:, None, :] + world.drift[None, :, :]
     if world.noise_sigma > 0:
-        frames = frames + rng.normal(0.0, world.noise_sigma, (n, world.frames, world.frame_dim))
+        # The noise array becomes the frames in place; addition commutes, so
+        # each frame holds the bits of (clean + drift) + noise.
+        frames = rng.normal(0.0, world.noise_sigma, (n, world.frames, world.frame_dim))
+        for t in range(world.frames):
+            frames[:, t] += clean + world.drift[t]
+    else:
+        frames = clean[:, None, :] + world.drift[None, :, :]
     return PairedDataset(
         frames=np.ascontiguousarray(frames, dtype=np.float64),
         targets=np.ascontiguousarray(targets, dtype=np.float64),

@@ -1,7 +1,8 @@
 """Shared numeric substrate: seeded streams, the hold-out split both trainers
 use, and small statistics helpers (covariance, log-determinant, average ranks,
 Spearman correlation). One rank kernel, rank_rows, ranks rows with one sort of
-int64 keys that pack each value's order with its column index.
+int64 keys that pack each value's order with its column index, optionally with
+a count of equal entries that each value stands for.
 
 All public functions work on float64 numpy arrays and are deterministic given
 their inputs (and, where applicable, the generator passed in).
@@ -83,17 +84,25 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
     return rank_rows(x)
 
 
-def rank_rows(x: np.ndarray) -> np.ndarray:
+def rank_rows(x: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
     """average_ranks without the finiteness check: +inf ranks above every
     finite value. The input is never written to.
 
+    counts, if given, are non-negative integers broadcastable to x: each value
+    stands for that many equal entries, and its rank is its average rank in
+    that multiset, which is the count of all values below it plus (the count
+    of its run of equal values + 1) / 2. A value with count 0 gets a rank but
+    moves no other. counts=None ranks each value once, as average_ranks does.
+    The ranks are multiples of 1/2, exact while the counts total below 2^53.
+
     Each value becomes an int64 key that orders like it, with its low
     b = bit_length(n - 1) bits replaced by its column index, so one np.sort of
-    the keys gives each row's permutation. Only a row where two sorted keys lie
+    the keys gives each row's permutation, and a row without ties ranks each
+    sorted slot by the counts up to it. Only a row where two sorted keys lie
     within 2^b of each other can hold a tie, or two distinct values that the
     index bits put out of order. Such a row takes its sorted values, falls back
     to argsort if they are out of order, and gives each run of equal values its
-    mean rank.
+    mean rank over the counts.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
@@ -114,7 +123,16 @@ def rank_rows(x: np.ndarray) -> np.ndarray:
     dest = keys
     dest &= low
     dest += np.arange(0, m * n, n)[:, None]
-    ranks = np.arange(1.0, n + 1.0)
+    if counts is None:
+        ranks = np.arange(1.0, n + 1.0)
+    else:
+        weights = np.broadcast_to(np.asarray(counts, dtype=np.float64), x.shape).reshape(m * n)
+        # A slot's rank is the count up to and including it, less (its count - 1) / 2.
+        w = weights.take(dest)
+        ranks = np.cumsum(w, axis=1)
+        w *= 0.5
+        ranks -= w
+        ranks += 0.5
     if near.size:
         k = near.size
         sub = dest[near]
@@ -129,11 +147,20 @@ def rank_rows(x: np.ndarray) -> np.ndarray:
         np.not_equal(s[:, 1:], s[:, :-1], out=starts[:, 1:])
         first = np.flatnonzero(starts)
         length = np.diff(first, append=k * n)
-        # Each run's mean 1-based slot, counted from the first near row, then
-        # shifted to its own row.
-        tied = np.repeat(first + 0.5 * (length + 1), length).reshape(k, n)
-        tied -= np.arange(0.0, k * n, n)[:, None]
-        ranks = np.tile(ranks, (m, 1))
+        # below[j]: the count of the near rows' first j slots, in slot order.
+        if counts is None:
+            below = np.arange(k * n + 1.0)
+        else:
+            below = np.zeros(k * n + 1)
+            np.cumsum(weights.take(sub), out=below[1:])
+        # Each run's mean rank, counted from the first near row, then shifted
+        # to its own row.
+        run_below = below[first]
+        tied = np.repeat(run_below + 0.5 * (below[first + length] - run_below + 1), length)
+        tied = tied.reshape(k, n)
+        tied -= below[: k * n : n, None]
+        if counts is None:
+            ranks = np.tile(ranks, (m, 1))
         ranks[near] = tied
     out = np.empty(m * n)
     out[dest] = ranks

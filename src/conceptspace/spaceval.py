@@ -7,8 +7,10 @@ averages the rank correlations; three variants are exported (see
 alignment_consistency). Each profile is ranked once with numerics.rank_rows,
 whose average ranks for ties are exact, and every correlation comes from exact
 sums of the centred ranks, so the results do not depend on sort or summation
-order. Spread statistics summarize a set by the trace and log-determinant of
-its unbiased covariance plus the mean row norm.
+order. Where target rows repeat, the profiles over the targets are ranked over
+the distinct rows with their counts, which gives the same ranks and sums.
+Spread statistics summarize a set by the trace and log-determinant of its
+unbiased covariance plus the mean row norm.
 """
 
 from __future__ import annotations
@@ -139,6 +141,29 @@ def _ac_sides(zv: np.ndarray, zt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uv, ut
 
 
+def _target_classes(ut: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rep, inv, count) over the distinct rows of ut: class c holds the
+    count[c] rows equal to row rep[c], and row j is in class inv[j]."""
+    n = ut.shape[0]
+    # Equal rows have equal first entries, so n distinct first entries mean n
+    # classes of one row, found with a sort of n values instead of n rows.
+    first = np.sort(ut[:, 0])
+    if (first[1:] != first[:-1]).all():
+        every = np.arange(n)
+        return every, every, np.ones(n, dtype=np.int64)
+    _, rep, inv, count = np.unique(
+        ut, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    return rep, inv.reshape(-1), count
+
+
+def _spread(classes: np.ndarray, inv: np.ndarray, diag: np.ndarray, half: float) -> np.ndarray:
+    """Centred class ranks back in columns, with row r's own entry, diag[r], at n/2."""
+    full = np.take(classes, inv, axis=1)
+    full[np.arange(diag.size), diag] = half
+    return full
+
+
 def _consistency(
     uv: np.ndarray, ut: np.ndarray, pairs: list[tuple[str, str]]
 ) -> list[AcResult]:
@@ -156,6 +181,18 @@ def _consistency(
     n - 1 off-diagonal entries is the row's sum less (n/2)^2. The centred
     ranks are multiples of 1/2 and every such sum is exact, so each value is,
     bit for bit, the Pearson correlation of the off-diagonal ranks alone.
+
+    When some target rows repeat, as targets drawn from a caption bank do, a
+    profile whose columns are targets ("vt", "tt") is ranked over the k
+    distinct target rows instead: numerics.rank_rows with counts, where a
+    class of equal rows counts as many entries as it has columns, less the
+    row's own entry. The classes are only a hint. A row is ranked this way
+    only if each of its entries compares equal (==) to its class's entry at
+    the class's first row. Ranks see nothing but those comparisons, so its
+    ranks are exact; -0.0 and 0.0 pass as equal, and they tie. Any other row
+    is ranked whole, as above. Two such rows correlate from class sums, sum_c count_c a_c b_c,
+    which are the same exact sums over the off-diagonal entries; class ranks
+    go back to n columns only for a pair with a profile over "v".
     """
     n = uv.shape[0]
     half = n / 2
@@ -165,24 +202,62 @@ def _consistency(
     # Transposed copies keep a one-tile "xx" product off BLAS's symmetric path,
     # whose mirrored half can split the tie between two identical rows.
     columns = {side: np.ascontiguousarray(u.T) for side, u in sides.items()}
+    rep, inv, count = _target_classes(ut)
+    # With no repeated target row the classes are the columns themselves.
+    grouped = {name for name in names if name[1] == "t"} if rep.size < n else set()
+    # Profiles that some pair correlates over all n columns.
+    in_columns = {name for pair in pairs if not set(pair) <= grouped for name in pair}
+    count = count.astype(np.float64)
     totals = [0.0] * len(pairs)
     used = [0] * len(pairs)
     for start in range(0, n, TILE_ROWS):
         own = np.arange(min(TILE_ROWS, n - start))
-        centred, squares = {}, {}
+        diag = start + own
+        if grouped:
+            # Each row's class counts, without the row's own entry.
+            weight = np.tile(count, (own.size, 1))
+            weight[own, inv[diag]] -= 1.0
+        centred, squares, classes, weighted, hit = {}, {}, {}, {}, {}
         for name in names:
             tile = sides[name[0]][start : start + TILE_ROWS] @ columns[name[1]]
-            tile[own, start + own] = np.inf
-            c = rank_rows(tile)
+            whole = own
+            if name in grouped:
+                values = tile[:, rep]
+                hit[name] = (np.take(values, inv, axis=1) == tile).all(axis=1)
+                a = rank_rows(values, weight)
+                a -= half
+                classes[name], weighted[name] = a, weight * a
+                squares[name] = np.einsum("ij,ij->i", weighted[name], a)
+                whole = np.flatnonzero(~hit[name])
+                # Back over n columns only for a pair or a row that needs them.
+                needed = name in in_columns or whole.size
+                centred[name] = _spread(a, inv, diag, half) if needed else None
+                if not whole.size:
+                    continue
+            tile[whole, diag[whole]] = np.inf
+            c = rank_rows(tile if whole is own else tile[whole])
             c -= half
-            centred[name] = c
             # 0 exactly when every off-diagonal entry ties: a constant profile.
-            squares[name] = np.einsum("ij,ij->i", c, c) - diagonal
+            sq = np.einsum("ij,ij->i", c, c) - diagonal
+            if whole is own:
+                centred[name], squares[name] = c, sq
+            else:
+                centred[name][whole], squares[name][whole] = c, sq
         for k, (a, b) in enumerate(pairs):
+            if {a, b} <= grouped:
+                cross = np.einsum("ij,ij->i", weighted[a], classes[b])
+                rest = np.flatnonzero(~(hit[a] & hit[b]))
+                if rest.size:
+                    for name in (a, b):
+                        if centred[name] is None:
+                            centred[name] = _spread(classes[name], inv, diag, half)
+                    both = np.einsum("ij,ij->i", centred[a][rest], centred[b][rest])
+                    cross[rest] = both - diagonal
+            else:
+                cross = np.einsum("ij,ij->i", centred[a], centred[b]) - diagonal
             ok = (squares[a] != 0.0) & (squares[b] != 0.0)
-            cross = np.einsum("ij,ij->i", centred[a], centred[b])[ok] - diagonal
             denom = np.sqrt(squares[a][ok]) * np.sqrt(squares[b][ok])
-            for value in np.clip(cross / denom, -1.0, 1.0).tolist():
+            for value in np.clip(cross[ok] / denom, -1.0, 1.0).tolist():
                 totals[k] += value
             used[k] += int(np.count_nonzero(ok))
     if min(used) == 0:

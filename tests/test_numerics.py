@@ -338,6 +338,97 @@ def test_average_ranks_near_duplicates_property(items, random):
 
 
 # ---------------------------------------------------------------------------
+# rank_rows with counts: each value stands for `count` equal entries. The
+# oracle is rankdata on each row's expanded multiset (np.repeat); a value of
+# count 0 ranks as one more copy of it would, less 1/2.
+
+
+def _assert_counted_ranks(x, counts):
+    x = np.asarray(x, dtype=np.float64)
+    counts = np.asarray(counts)
+    before, counts_before = x.copy(), counts.copy()
+    got = rank_rows(x, counts)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert x.tobytes() == before.tobytes()  # neither input is written to
+    assert counts.tobytes() == counts_before.tobytes()
+    n = x.shape[-1]
+    for row, c, ranks in zip(x.reshape(-1, n), np.broadcast_to(counts, x.shape).reshape(-1, n),
+                             got.reshape(-1, n)):
+        expanded = np.repeat(row, c)
+        first = np.cumsum(c) - c  # each value's first copy in the expanded row
+        kept = np.flatnonzero(c > 0)
+        assert ranks[kept].tobytes() == rankdata(expanded)[first[kept]].tobytes()
+        for j in np.flatnonzero(c == 0):
+            assert ranks[j] == rankdata(np.append(expanded, row[j]))[-1] - 0.5
+
+
+def test_rank_rows_counts_match_rankdata_on_the_expanded_multiset():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(8, 300))
+    x[4:] = np.round(x[4:], 1)  # ties
+    _assert_counted_ranks(x, rng.integers(0, 4, size=x.shape))
+    # Counts shared by every row, and a third dimension.
+    _assert_counted_ranks(x.reshape(2, 4, 300), rng.integers(1, 5, size=300))
+
+
+def test_rank_rows_counts_of_one_are_no_counts():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(6, 1025))
+    x[1] = np.round(x[1], 1)
+    x[2, 3] = np.nextafter(x[2, 11], np.inf)  # reaches the argsort fallback
+    x[3, 5] = np.inf
+    ones = np.ones(x.shape, dtype=np.int64)
+    assert rank_rows(x, ones).tobytes() == rank_rows(x).tobytes()
+    assert rank_rows(x, 1).tobytes() == rank_rows(x).tobytes()
+
+
+def test_rank_rows_zero_counts_and_ties_between_different_counts():
+    # 1.0 stands for two entries and ranks 1.5; 2.0 follows at 3; the 3.0 that
+    # counts for nothing ranks as if it sat between 2.0 and nothing else.
+    assert rank_rows(np.array([3.0, 1.0, 2.0, 1.0]), np.array([0, 2, 1, 0])).tolist() == [
+        3.5, 1.5, 3.0, 1.5]
+    # A run of equal values pools its counts: 3 + 1 entries share rank 2.5.
+    assert rank_rows(np.array([1.0, 2.0, 1.0]), np.array([3, 2, 1])).tolist() == [2.5, 5.5, 2.5]
+    # -0.0 and 0.0 tie across counts; a value alone with count 0 ranks 1/2 above
+    # what lies below it.
+    x = np.array([[0.0, -0.0, -1.0, 5.0], [7.0, 7.0, 7.0, 7.0]])
+    counts = np.array([[2, 1, 0, 0], [0, 0, 0, 0]])
+    assert rank_rows(x, counts).tolist() == [[2.0, 2.0, 0.5, 3.5], [0.5] * 4]
+    _assert_counted_ranks(x, counts)
+
+
+def test_rank_rows_counts_on_the_near_path_and_the_argsort_fallback(monkeypatch):
+    base = np.random.default_rng(8).normal(size=(3, 20))
+    x = base.copy()
+    x[1, 3] = np.nextafter(x[1, 11], np.inf)  # the larger neighbour first
+    x[2, 4] = x[2, 9]  # a tie
+    counts = np.random.default_rng(9).integers(0, 4, size=x.shape)
+    with monkeypatch.context() as patch:
+        sorts, repeats = _calls_to(patch, "argsort"), _calls_to(patch, "repeat")
+        rank_rows(x, counts)
+        assert (sorts, repeats) == ([1], [1])
+    _assert_counted_ranks(x, counts)
+
+
+@given(st.lists(
+    st.tuples(_FINITE, st.sampled_from([-np.inf, np.inf]), st.booleans(),
+              st.integers(0, 3), st.integers(0, 3)),
+    min_size=1, max_size=12,
+), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_rank_rows_counts_near_duplicates_property(items, random):
+    # As the near-duplicate property above, each value with a random count.
+    values = []
+    for x, toward, twin, count, twin_count in items:
+        values.append((x, count))
+        if twin:
+            values.append((float(np.nextafter(x, toward)), twin_count))
+    random.shuffle(values)
+    x, counts = (np.array(v) for v in zip(*values))
+    _assert_counted_ranks(np.array([x, -x]), np.array([counts, counts[::-1]]))
+
+
+# ---------------------------------------------------------------------------
 # spearman_rank_corr
 
 

@@ -326,6 +326,141 @@ def test_consistency_equals_reference_when_every_entry_ties():
     _assert_consistency_equals_reference(zv, zt)
 
 
+def _bank_draws(seed, n, bank_size, d, noise=0.1):
+    """Targets drawn from a caption bank, as `gen` draws them, and noisy views."""
+    rng = stream_rng(seed, n)
+    bank = make_caption_bank(rng, bank_size, d)
+    zt = bank[rng.integers(0, bank_size, size=n)]
+    return zt + noise * rng.normal(size=zt.shape), zt
+
+
+def test_consistency_equals_reference_when_distinct_targets_tie_for_a_query():
+    # (0.6, 0.8) and (0.6, -0.8) are distinct target rows, so distinct
+    # classes, yet e1 meets both at cosine 0.6: the class ranks take the run
+    # rule across the two.
+    rng = stream_rng(45, 3)
+    bank = np.array([[0.6, 0.8], [0.6, -0.8], [1.0, 0.0], [0.0, 1.0], [-0.3, 0.2]])
+    zt = bank[rng.integers(0, bank.shape[0], size=2 * TILE_ROWS + 5)]
+    zv = zt + 0.2 * rng.normal(size=zt.shape)
+    zv[:: 4] = [1.0, 0.0]
+    _assert_consistency_equals_reference(zv, zt)
+
+
+def test_consistency_equals_reference_with_an_own_class_of_one():
+    # Row 5's target appears once, so its own class counts for nothing in its
+    # own profiles.
+    zv, zt = _bank_draws(46, 2 * TILE_ROWS + 3, 6, 4)
+    zt[5] = [0.3, -1.2, 0.5, 2.0]
+    uv, ut = spaceval._ac_sides(zv, zt)
+    assert np.count_nonzero((ut == ut[5]).all(axis=1)) == 1
+    _assert_consistency_equals_reference(zv, zt)
+
+
+def test_consistency_equals_reference_with_no_repeated_target():
+    # k = n: the classes are the columns, and every profile is ranked whole,
+    # whether the first entries tell the rows apart or only the full rows do.
+    zv, zt = _bank_draws(47, 3 * TILE_ROWS + 1, 512, 8)
+    zt = zt + stream_rng(47, 1).normal(size=zt.shape)
+    _assert_consistency_equals_reference(zv, zt)
+    zt[:, 0] = 1.0
+    _assert_consistency_equals_reference(zv, zt)
+
+
+def test_consistency_equals_reference_when_rows_differ_only_by_signed_zeros():
+    # Rows equal but for the sign of a zero fall into one class; their
+    # products may differ in the sign of a zero only, which ranks the same.
+    n = 2 * TILE_ROWS + 1
+    rng = stream_rng(45, 4)
+    bank = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [1.0, 0.0, -0.0], [1.0, -0.0, 0.0],
+                     [0.5, -1.0, 0.25]])
+    zt = bank[rng.integers(0, bank.shape[0], size=n)]
+    zv = rng.normal(size=(n, 3))
+    zv[::3, 0] = 0.0
+    zv[1::3, 0] = -0.0
+    _assert_consistency_equals_reference(zv, zt)
+
+
+@pytest.mark.parametrize("n", TILE_EDGE_NS)
+def test_consistency_equals_reference_on_bank_draws_across_tile_edges(n):
+    _assert_consistency_equals_reference(*_bank_draws(48, n, 7, 5))
+
+
+def _rank_calls(monkeypatch):
+    """Record (shape, counted) for each rank_rows call that spaceval makes."""
+    calls = []
+    real = spaceval.rank_rows
+
+    def spy(x, counts=None):
+        calls.append((x.shape, counts is not None))
+        return real(x, counts)
+
+    monkeypatch.setattr(spaceval, "rank_rows", spy)
+    return calls
+
+
+def test_consistency_ranks_target_profiles_over_the_distinct_rows(monkeypatch):
+    # On bench-like data every "vt" and "tt" tile is ranked over the k
+    # distinct targets with counts, and only "vv" and "tv" over all n columns:
+    # a silent fall back to whole rows fails here.
+    zv, zt = _bank_draws(49, 1000, 256, 32)
+    uv, ut = spaceval._ac_sides(zv, zt)
+    k = np.unique(ut, axis=0).shape[0]
+    calls = _rank_calls(monkeypatch)
+    spaceval._consistency(uv, ut, ALL_PAIRS)
+    tiles = -(-1000 // TILE_ROWS)
+    counted = [shape for shape, with_counts in calls if with_counts]
+    whole = [shape for shape, with_counts in calls if not with_counts]
+    assert len(counted) == len(whole) == 2 * tiles
+    assert {shape[1] for shape in counted} == {k} and {shape[1] for shape in whole} == {1000}
+
+
+def test_consistency_with_a_wrong_class_hint_falls_back_and_stays_equal(monkeypatch):
+    # A class finder that merges two distinct target rows: a row whose
+    # entries differ between the two cannot take the classes, so it is ranked
+    # whole, and the result is still the reference's.
+    zv, zt = _bank_draws(50, 3 * TILE_ROWS + 2, 8, 4)
+    uv, ut = spaceval._ac_sides(zv, zt)
+    real = spaceval._target_classes
+    first, second = 0, int(np.flatnonzero((ut != ut[0]).any(axis=1))[0])
+
+    def merged(rows):
+        wrong = rows.copy()
+        wrong[(rows == rows[second]).all(axis=1)] = rows[first]
+        return real(wrong)
+
+    monkeypatch.setattr(spaceval, "_target_classes", merged)
+    calls = _rank_calls(monkeypatch)
+    assert spaceval._consistency(uv, ut, ALL_PAIRS) == oracles.consistency(uv, ut, ALL_PAIRS)
+    # Random rows meet the two merged targets at different cosines, so every
+    # row of "vt" and "tt" is ranked whole, as every row of "vv" and "tv" is.
+    n = uv.shape[0]
+    assert sum(shape[0] for shape, with_counts in calls if not with_counts) == 4 * n
+
+
+def test_consistency_mixes_both_paths_within_a_pair(monkeypatch):
+    # The hint merges two targets that differ only in the sign of their last
+    # coordinate, which every other target has at 0. So each "tt" row outside
+    # those two classes still matches its classes, while no "vt" row (noisy
+    # views) does, and one pair correlates rows of both kinds.
+    rng = stream_rng(51, 0)
+    bank = np.array([[1.0, 0.5, 0.0], [-0.4, 1.0, 0.0], [0.3, -0.2, 0.0],
+                     [0.7, 0.1, 0.6], [0.7, 0.1, -0.6]])
+    ids = rng.integers(0, 3, size=3 * TILE_ROWS)
+    ids[-4:] = [3, 4, 3, 4]
+    zt = bank[ids]
+    zv = zt + 0.1 * rng.normal(size=zt.shape)
+    uv, ut = spaceval._ac_sides(zv, zt)
+    real = spaceval._target_classes
+    monkeypatch.setattr(spaceval, "_target_classes", lambda rows: real(
+        np.where((rows == ut[-3]).all(axis=1)[:, None], ut[-4], rows)))
+    calls = _rank_calls(monkeypatch)
+    cross = [("vt", "tt")]
+    assert spaceval._consistency(uv, ut, cross) == oracles.consistency(uv, ut, cross)
+    # Every "vt" row and the four "tt" rows of the merged classes, ranked whole.
+    assert sum(shape[0] for shape, with_counts in calls if not with_counts) == uv.shape[0] + 4
+    assert spaceval._consistency(uv, ut, ALL_PAIRS) == oracles.consistency(uv, ut, ALL_PAIRS)
+
+
 def test_ac_rejects_non_finite_embeddings():
     z = stream_rng(45, 2).normal(size=(6, 3))
     bad = z.copy()
