@@ -4,18 +4,20 @@ All metrics are defined over cosine similarity. Ranking ties are broken by
 ascending target id so every metric is deterministic. Alignment consistency
 correlates, per query, two similarity profiles over the target bank and
 averages the rank correlations; three variants are exported (see
-alignment_consistency). Each profile is ranked once with numerics.rank_rows,
-whose average ranks for ties are exact, and every correlation comes from exact
-sums of the centred ranks, so the results do not depend on sort or summation
-order. Where target rows repeat, the profiles over the targets are ranked over
-the distinct rows with their counts, which gives the same ranks and sums.
-Spread statistics summarize a set by the trace and log-determinant of its
-unbiased covariance plus the mean row norm.
+alignment_consistency). Each profile is ranked with numerics.rank_rows, whose
+average ranks for ties are exact, and every correlation comes from exact sums
+of the centred ranks, so the results do not depend on sort or summation order.
+Where target rows repeat, the profiles over the targets are ranked over the
+distinct rows with their counts, and the query rows are walked in target-class
+order: a profile whose rows are targets is ranked once per class in a tile,
+and each other row of the class takes those ranks with an exact adjustment for
+its own entry. The round trip ranks a decoded caption only where it differs
+from the item's gold caption. Spread statistics summarize a set by the trace
+and log-determinant of its unbiased covariance plus the mean row norm.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -27,12 +29,27 @@ from .numerics import covariance_matrix, logdet_psd, rank_rows
 AC_MODES = ("cross", "intra")
 RECALL_KS = (1, 5, 10)
 
-# Query rows per tile in the quadratic metrics, so their memory grows with
-# TILE_ROWS * n rather than n * n. Chosen by the peak RSS of `eval` at
-# n = 1000 (1 BLAS thread): 49.5 MB with 8 or 16 rows, 50.4 MB with 32 and
-# 52.9 MB with 64. Alignment consistency, most of the call, took 104-109,
-# 91-100, 86-89 and 83-86 ms with 8, 16, 32 and 64 rows.
+# The quadratic metrics work on tiles of about TILE_ENTRIES similarities, and
+# at least TILE_ROWS query rows, so their memory grows with the tile rather
+# than with n * n. Chosen by `eval` at n = 1000 (1 BLAS thread), where a
+# consistency tile has 16, 32 or 64 rows for 16384, 32768 or 64000 entries: a
+# call took 103, 84 and 80 ms (medians of 10 interleaved blocks in one
+# process), and a 40 s bench run peaked at 52.7-52.9, 53.5-54.4 and
+# 55.6-55.7 MB (3 runs each).
+TILE_ENTRIES = 32768
 TILE_ROWS = 16
+
+
+def _tiles(rows: int, columns: int) -> list[slice]:
+    """Slices of rows into tiles of max(TILE_ROWS, TILE_ENTRIES // columns)
+    rows. A last tile of one row joins the tile before it: numpy multiplies a
+    single row through gemv, which may round differently from a gemm row, and
+    a row's similarities must not depend on the tile it lands in."""
+    size = max(TILE_ROWS, TILE_ENTRIES // max(columns, 1))
+    starts = list(range(0, rows, size))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], rows])]
 
 
 def _unit_rows(x: np.ndarray, side: str) -> np.ndarray:
@@ -82,15 +99,20 @@ class RetrievalMetrics:
 
 
 def _gold_ranks(values: np.ndarray, target_ids: np.ndarray, gold_pos: np.ndarray) -> np.ndarray:
-    """1-based rank of each row's gold column in a (rows, targets) tile.
+    """1-based rank of each row's gold column in a (rows, targets) tile whose
+    target ids are distinct.
 
-    The rank is 1 plus the number of other targets that are strictly more
-    similar, or equally similar with a smaller id.
+    The rank is 1 plus the number of targets that are strictly more similar,
+    or equally similar with a smaller id; only a row where another target
+    ties the gold one needs the ids.
     """
     g = values[np.arange(values.shape[0]), gold_pos][:, None]
-    gold_tid = target_ids[gold_pos][:, None]
-    ahead = ((values > g) & (target_ids != gold_tid)) | ((values == g) & (target_ids < gold_tid))
-    return 1 + np.count_nonzero(ahead, axis=1)
+    ranks = 1 + np.count_nonzero(values > g, axis=1)
+    tied = np.flatnonzero(np.count_nonzero(values == g, axis=1) > 1)
+    if tied.size:
+        ahead = (values[tied] == g[tied]) & (target_ids < target_ids[gold_pos[tied], None])
+        ranks[tied] += np.count_nonzero(ahead, axis=1)
+    return ranks
 
 
 def _retrieval_from_ranks(ranks: np.ndarray) -> RetrievalMetrics:
@@ -104,9 +126,12 @@ def retrieval_metrics(sim: SimilarityMatrix, gold: dict[int, int]) -> RetrievalM
 
     Equal similarities rank in ascending target-id order, so the gold rank is
     1 plus the number of targets that are strictly more similar or equally
-    similar with a smaller id.
+    similar with a smaller id. The target ids must be distinct.
     """
     target_pos = {tid: j for j, tid in enumerate(sim.target_ids)}
+    if len(target_pos) != len(sim.target_ids):
+        repeat = next(tid for j, tid in enumerate(sim.target_ids) if target_pos[tid] != j)
+        raise ValueError(f"target ids must be distinct; id {repeat} repeats")
     gold_pos = np.empty(len(sim.query_ids), dtype=np.int64)
     for i, qid in enumerate(sim.query_ids):
         if qid not in gold:
@@ -117,8 +142,7 @@ def retrieval_metrics(sim: SimilarityMatrix, gold: dict[int, int]) -> RetrievalM
         gold_pos[i] = target_pos[gold_tid]
     target_ids = np.asarray(sim.target_ids, dtype=np.int64)
     ranks = np.empty(gold_pos.shape[0], dtype=np.int64)
-    for start in range(0, ranks.shape[0], TILE_ROWS):
-        rows = slice(start, start + TILE_ROWS)
+    for rows in _tiles(ranks.shape[0], target_ids.shape[0]):
         ranks[rows] = _gold_ranks(sim.values[rows], target_ids, gold_pos[rows])
     return _retrieval_from_ranks(ranks)
 
@@ -151,10 +175,13 @@ def _target_classes(ut: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if (first[1:] != first[:-1]).all():
         every = np.arange(n)
         return every, every, np.ones(n, dtype=np.int64)
+    # Adding 0.0 turns -0.0 into 0.0, so two rows are equal exactly when their
+    # bytes are, and each row sorts as one opaque item.
+    rows = np.ascontiguousarray(ut + 0.0).view(np.dtype((np.void, ut.itemsize * ut.shape[1])))
     _, rep, inv, count = np.unique(
-        ut, axis=0, return_index=True, return_inverse=True, return_counts=True
+        rows.reshape(-1), return_index=True, return_inverse=True, return_counts=True
     )
-    return rep, inv.reshape(-1), count
+    return rep, inv, count
 
 
 def _spread(classes: np.ndarray, inv: np.ndarray, diag: np.ndarray, half: float) -> np.ndarray:
@@ -172,8 +199,8 @@ def _consistency(
     A profile name "xy" over the sides "v" (uv) and "t" (ut) stands for the
     off-diagonal rows of x @ y.T, e.g. "vt" for uv @ ut.T. Each tile of query
     rows computes and ranks every distinct profile once, however many pairs
-    share it. Per-row correlations are added to a running total in row order,
-    so the result does not depend on TILE_ROWS.
+    share it. Per-row correlations are kept by row and added up in row order
+    at the end, so the result does not depend on the tiles or the row order.
 
     A tile row is ranked whole with its diagonal entry set to +inf, which
     ranks n and leaves every other rank as it is without it. Centred at n/2,
@@ -184,15 +211,27 @@ def _consistency(
 
     When some target rows repeat, as targets drawn from a caption bank do, a
     profile whose columns are targets ("vt", "tt") is ranked over the k
-    distinct target rows instead: numerics.rank_rows with counts, where a
-    class of equal rows counts as many entries as it has columns, less the
-    row's own entry. The classes are only a hint. A row is ranked this way
-    only if each of its entries compares equal (==) to its class's entry at
-    the class's first row. Ranks see nothing but those comparisons, so its
-    ranks are exact; -0.0 and 0.0 pass as equal, and they tie. Any other row
-    is ranked whole, as above. Two such rows correlate from class sums, sum_c count_c a_c b_c,
-    which are the same exact sums over the off-diagonal entries; class ranks
-    go back to n columns only for a pair with a profile over "v".
+    distinct target rows instead: numerics.rank_rows with counts, where a class
+    of equal rows counts as many entries as it has columns, less the row's
+    own entry. The classes are only a hint. A row is ranked this way only if
+    each of its entries compares equal (==) to its class's entry at the
+    class's first row. Ranks see nothing but those comparisons, so its ranks
+    are exact; -0.0 and 0.0 pass as equal, and they tie. Any other row is
+    ranked whole, as above. Two such rows correlate from class sums,
+    sum_c count_c a_c b_c, which are the same exact sums over the
+    off-diagonal entries; class ranks go back to n columns only for a pair
+    with a profile over "v".
+
+    With repeated targets the query rows are also walked in class order, so
+    the rows of a profile over "t" ("tt", "tv") repeat within a tile. The
+    first row of each class in a tile is ranked, and every other row of the
+    class whose tile row compares equal to it takes its ranks; a row that
+    differs is ranked itself. "tt" rows take the class ranks, which hold no
+    own entry. "tv" rows are ranked over all n columns with the own entry in
+    place, giving base ranks b; row i then moves its own entry x_i to +inf,
+    which lowers the rank of each entry above x_i by 1 and of each other
+    entry equal to x_i by 1/2, so its ranks are b - [x > x_i] - [x == x_i]/2
+    with n at its own entry. All of these are multiples of 1/2, so exact.
     """
     n = uv.shape[0]
     half = n / 2
@@ -204,38 +243,65 @@ def _consistency(
     columns = {side: np.ascontiguousarray(u.T) for side, u in sides.items()}
     rep, inv, count = _target_classes(ut)
     # With no repeated target row the classes are the columns themselves.
-    grouped = {name for name in names if name[1] == "t"} if rep.size < n else set()
+    repeats = rep.size < n
+    grouped = {name for name in names if name[1] == "t"} if repeats else set()
+    walked = {name for name in names if name[0] == "t"} if repeats else set()
     # Profiles that some pair correlates over all n columns.
     in_columns = {name for pair in pairs if not set(pair) <= grouped for name in pair}
     count = count.astype(np.float64)
-    totals = [0.0] * len(pairs)
-    used = [0] * len(pairs)
-    for start in range(0, n, TILE_ROWS):
-        own = np.arange(min(TILE_ROWS, n - start))
-        diag = start + own
+    order = np.argsort(inv, kind="stable") if walked else np.arange(n)
+    corr = np.zeros((len(pairs), n))
+    kept = np.zeros((len(pairs), n), dtype=bool)
+    for tile in _tiles(n, n):
+        diag = order[tile]
+        own = np.arange(diag.size)
+        if walked:
+            # lead[r]: the tile row where row r's class starts.
+            starts = np.flatnonzero(np.diff(inv[diag], prepend=-1))
+            lead = np.repeat(starts, np.diff(starts, append=own.size))
         if grouped:
             # Each row's class counts, without the row's own entry.
             weight = np.tile(count, (own.size, 1))
             weight[own, inv[diag]] -= 1.0
         centred, squares, classes, weighted, hit = {}, {}, {}, {}, {}
         for name in names:
-            tile = sides[name[0]][start : start + TILE_ROWS] @ columns[name[1]]
+            x = sides[name[0]][diag] @ columns[name[1]]
+            rows, take = x, None
+            if name in walked:
+                # A row equal to its lead takes the lead's ranks; the others
+                # are ranked, and take[r] is row r's place among them.
+                src = np.where((x == x[lead]).all(axis=1), lead, own)
+                alone = src == own
+                rows, take = x[alone], (np.cumsum(alone) - 1)[src]
             whole = own
             if name in grouped:
-                values = tile[:, rep]
-                hit[name] = (np.take(values, inv, axis=1) == tile).all(axis=1)
-                a = rank_rows(values, weight)
+                values = rows[:, rep]
+                h = (np.take(values, inv, axis=1) == rows).all(axis=1)
+                a = rank_rows(values, weight if take is None else weight[alone])
                 a -= half
-                classes[name], weighted[name] = a, weight * a
+                if take is not None:
+                    a, h = a[take], h[take]
+                classes[name], weighted[name], hit[name] = a, weight * a, h
                 squares[name] = np.einsum("ij,ij->i", weighted[name], a)
-                whole = np.flatnonzero(~hit[name])
+                whole = np.flatnonzero(~h)
                 # Back over n columns only for a pair or a row that needs them.
                 needed = name in in_columns or whole.size
                 centred[name] = _spread(a, inv, diag, half) if needed else None
                 if not whole.size:
                     continue
-            tile[whole, diag[whole]] = np.inf
-            c = rank_rows(tile if whole is own else tile[whole])
+            elif take is not None:
+                # Base ranks with the own entry in place, then moved to +inf.
+                c = rank_rows(rows)[take]
+                mine = x[own, diag][:, None]
+                c -= x > mine
+                c -= 0.5 * (x == mine)
+                c -= half
+                c[own, diag] = half
+                centred[name] = c
+                squares[name] = np.einsum("ij,ij->i", c, c) - diagonal
+                continue
+            x[whole, diag[whole]] = np.inf
+            c = rank_rows(x if whole is own else x[whole])
             c -= half
             # 0 exactly when every off-diagonal entry ties: a constant profile.
             sq = np.einsum("ij,ij->i", c, c) - diagonal
@@ -257,12 +323,19 @@ def _consistency(
                 cross = np.einsum("ij,ij->i", centred[a], centred[b]) - diagonal
             ok = (squares[a] != 0.0) & (squares[b] != 0.0)
             denom = np.sqrt(squares[a][ok]) * np.sqrt(squares[b][ok])
-            for value in np.clip(cross[ok] / denom, -1.0, 1.0).tolist():
-                totals[k] += value
-            used[k] += int(np.count_nonzero(ok))
+            corr[k, diag[ok]] = np.clip(cross[ok] / denom, -1.0, 1.0)
+            kept[k, diag] = ok
+    used = np.count_nonzero(kept, axis=1).tolist()
     if min(used) == 0:
         raise ValueError("every query had a constant similarity profile")
-    return [AcResult(value=t / u, used=u, skipped=n - u) for t, u in zip(totals, used)]
+    out = []
+    for k, u in enumerate(used):
+        total = 0.0
+        # One by one in row order: np.sum adds in pairs and rounds otherwise.
+        for value in corr[k, kept[k]].tolist():
+            total += value
+        out.append(AcResult(value=total / u, used=u, skipped=n - u))
+    return out
 
 
 def alignment_consistency(
@@ -346,17 +419,20 @@ class RoundTripReport:
     decoded_ids: np.ndarray = field(compare=False, repr=False)
 
 
-def _group_stats(zv: np.ndarray, captions: np.ndarray) -> GroupStats:
-    uv = _unit_rows(zv, "vision")
-    uc = _unit_rows(captions, "caption")
-    # Caption i queries every embedding and item i is its gold target; the
-    # similarities exist one tile of caption rows at a time.
-    items = np.arange(uv.shape[0])
-    ranks = np.empty(uc.shape[0], dtype=np.int64)
-    for start in range(0, ranks.shape[0], TILE_ROWS):
-        rows = slice(start, start + TILE_ROWS)
+def _item_ranks(uv: np.ndarray, uc: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """1-based rank of embedding items[r] when caption row uc[r] queries every
+    embedding; the similarities exist one tile of caption rows at a time."""
+    every = np.arange(uv.shape[0])
+    ranks = np.empty(items.shape[0], dtype=np.int64)
+    for rows in _tiles(ranks.shape[0], uv.shape[0]):
         sims = np.clip(uc[rows] @ uv.T, -1.0, 1.0)
-        ranks[rows] = _gold_ranks(sims, items, items[rows])
+        ranks[rows] = _gold_ranks(sims, every, items[rows])
+    return ranks
+
+
+def _group_stats(
+    zv: np.ndarray, uv: np.ndarray, captions: np.ndarray, uc: np.ndarray, ranks: np.ndarray
+) -> GroupStats:
     metrics = _retrieval_from_ranks(ranks)
     cosines = np.sum(uv * uc, axis=1)
     distances = np.linalg.norm(zv - captions, axis=1)
@@ -375,7 +451,9 @@ def roundtrip_retrieval(
 
     Two caption sources are scored: the ground-truth caption of each item and
     the nearest-decoded caption. Each caption row queries the full embedding
-    set; its own item is the gold answer.
+    set; its own item is the gold answer. Where an item decodes to its gold
+    caption, the two caption rows are the same, so only the other items'
+    decoded captions are ranked.
     """
     zv = np.asarray(zv, dtype=np.float64)
     bank = np.asarray(bank, dtype=np.float64)
@@ -386,9 +464,16 @@ def roundtrip_retrieval(
         raise ValueError("gold caption id outside the bank")
     decoded_ids = nearest_decode_many(zv, bank)
     accuracy = float(np.mean(decoded_ids == gold_ids))
+    uv = _unit_rows(zv, "vision")
+    gold, decoded = bank[gold_ids], bank[decoded_ids]
+    ug, ud = _unit_rows(gold, "caption"), _unit_rows(decoded, "caption")
+    gold_ranks = _item_ranks(uv, ug, np.arange(zv.shape[0]))
+    moved = np.flatnonzero(decoded_ids != gold_ids)
+    decoded_ranks = gold_ranks.copy()
+    decoded_ranks[moved] = _item_ranks(uv, ud[moved], moved)
     groups = {
-        "gold": _group_stats(zv, bank[gold_ids]),
-        "decoded": _group_stats(zv, bank[decoded_ids]),
+        "gold": _group_stats(zv, uv, gold, ug, gold_ranks),
+        "decoded": _group_stats(zv, uv, decoded, ud, decoded_ranks),
     }
     return RoundTripReport(
         n=zv.shape[0], decode_accuracy=accuracy, groups=groups, decoded_ids=decoded_ids
@@ -407,16 +492,19 @@ def drift_export(
     uv = _unit_rows(zv, "vision")
     ug = _unit_rows(z_gold, "gold caption")
     ud = _unit_rows(z_decoded, "decoded caption")
-    cos_gold = np.sum(uv * ug, axis=1)
-    cos_dec = np.sum(uv * ud, axis=1)
-    dist_gold = np.linalg.norm(zv - z_gold, axis=1)
-    dist_dec = np.linalg.norm(zv - z_decoded, axis=1)
+    columns = (
+        np.sum(uv * ug, axis=1),
+        np.sum(uv * ud, axis=1),
+        np.linalg.norm(zv - z_gold, axis=1),
+        np.linalg.norm(zv - z_decoded, axis=1),
+    )
+    # The lines csv.writer would write: floats as repr, which needs no
+    # quoting, and \r\n after every line.
+    lines = ["cos_gold,cos_decoded,dist_gold,dist_decoded"]
+    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cos_gold", "cos_decoded", "dist_gold", "dist_decoded"])
-            for row in zip(cos_gold, cos_dec, dist_gold, dist_dec):
-                writer.writerow([repr(float(v)) for v in row])
+            fh.write("\r\n".join(lines) + "\r\n")
     except OSError as exc:
         raise OSError(f"could not write drift export to {path}: {exc}") from exc
 

@@ -15,7 +15,12 @@ is checked against it with the same rows on both sides, and pooling with the
 `cls` row as the one query. `consistency` is alignment consistency as
 `spaceval._consistency` computed it before that function ranked whole tiles
 with one sort of packed keys: off-diagonal copies of each profile, ranks from
-`argsort` and a row-wise Pearson correlation of the ranks.
+`argsort` and a row-wise Pearson correlation of the ranks. `gold_ranks` and
+`roundtrip` are the gold-rank count and the caption round trip as
+`spaceval` computed them before the round trip ranked a decoded caption only
+where it differs from the gold one: every target id compared in every row, and
+both caption groups ranked in full. `eval_report` builds `eval`'s report.json
+numbers from these oracles.
 The other oracles' own tests are in test_numerics.py.
 """
 
@@ -27,7 +32,8 @@ import numpy as np
 
 from conceptspace.attention import attention_forward, fold_rows
 from conceptspace.projector import sinusoidal_features
-from conceptspace.spaceval import TILE_ROWS, AcResult
+from conceptspace import spaceval
+from conceptspace.spaceval import TILE_ROWS, AcResult, GroupStats, RoundTripReport
 
 
 def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -277,3 +283,61 @@ def consistency(uv: np.ndarray, ut: np.ndarray, pairs: list[tuple[str, str]]) ->
     if min(used) == 0:
         raise ValueError("every query had a constant similarity profile")
     return [AcResult(value=t / u, used=u, skipped=n - u) for t, u in zip(totals, used)]
+
+
+def gold_ranks(values: np.ndarray, target_ids: np.ndarray, gold_pos: np.ndarray) -> np.ndarray:
+    """1-based rank of each row's gold column: 1 plus the targets of another
+    id that are strictly more similar, or equally similar with a smaller id."""
+    g = values[np.arange(values.shape[0]), gold_pos][:, None]
+    gold_tid = target_ids[gold_pos][:, None]
+    ahead = ((values > g) & (target_ids != gold_tid)) | ((values == g) & (target_ids < gold_tid))
+    return 1 + np.count_nonzero(ahead, axis=1)
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def _recall_and_mrr(ranks: np.ndarray) -> tuple[dict[int, float], float]:
+    return {k: float(np.mean(ranks <= k)) for k in spaceval.RECALL_KS}, float(np.mean(1.0 / ranks))
+
+
+def roundtrip(zv: np.ndarray, bank: np.ndarray, gold_ids: np.ndarray) -> RoundTripReport:
+    """`spaceval.roundtrip_retrieval`, each caption group ranked in full."""
+    decoded = spaceval.nearest_decode_many(zv, bank)
+    uv = _unit(zv)
+    items = np.arange(zv.shape[0])
+    groups = {}
+    for name, ids in (("gold", gold_ids), ("decoded", decoded)):
+        captions = bank[ids]
+        uc = _unit(captions)
+        ranks = gold_ranks(np.clip(uc @ uv.T, -1.0, 1.0), items, items)
+        recall, mrr = _recall_and_mrr(ranks)
+        groups[name] = GroupStats(
+            recall_at=recall,
+            mrr=mrr,
+            mean_cosine=float(np.mean(np.sum(uv * uc, axis=1))),
+            mean_distance=float(np.mean(np.linalg.norm(zv - captions, axis=1))),
+        )
+    return RoundTripReport(n=zv.shape[0], decode_accuracy=float(np.mean(decoded == gold_ids)),
+                           groups=groups, decoded_ids=decoded)
+
+
+def eval_report(zv: np.ndarray, zt: np.ndarray, bank: np.ndarray, gold_ids: np.ndarray,
+                config: dict) -> dict:
+    """The numbers of `eval`'s report.json: retrieval from `gold_ranks`,
+    consistency from `consistency`, the round trip from `roundtrip`."""
+    sims = np.clip(_unit(zv) @ _unit(bank).T, -1.0, 1.0)
+    recall, mrr = _recall_and_mrr(gold_ranks(sims, np.arange(bank.shape[0]), gold_ids))
+    ac, ac_reverse, ac_intra = (r.value for r in consistency(
+        _unit(zv), _unit(zt), [("vt", "tt"), ("tv", "vv"), ("vv", "tt")]))
+    sv, st = spaceval.space_stats(zv), spaceval.space_stats(zt)
+    space = spaceval.SpaceReport(
+        n=zv.shape[0], recall_at=recall, mrr=mrr, ac=ac, ac_reverse=ac_reverse,
+        ac_intra=ac_intra, v_trace=sv.trace, t_trace=st.trace, v_logdet=sv.logdet,
+        t_logdet=st.logdet, v_norm_mean=sv.mean_norm, t_norm_mean=st.mean_norm, config=config,
+    )
+    return {
+        "space": spaceval.space_report_to_dict(space),
+        "roundtrip": spaceval.roundtrip_report_to_dict(roundtrip(zv, bank, gold_ids)),
+    }

@@ -27,6 +27,8 @@ from conceptspace.numerics import stream_rng
 from conceptspace.projector import ProjectorConfig, init_projector, project
 from conceptspace.records import from_dict
 
+import oracles
+
 
 def _hash_dir(path: Path) -> dict:
     out = {}
@@ -647,6 +649,55 @@ def test_eval_trained_projector_runs(align_setup, tmp_path):
     got = np.loadtxt(drift, delimiter=",", skiprows=1)
     want = np.loadtxt(expected, delimiter=",", skiprows=1)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tiles", ["default", "sixteen-row"])
+def test_eval_report_equals_the_oracles_with_repeated_targets(align_setup, tmp_path,
+                                                             monkeypatch, tiles):
+    # 70 items over an 8-caption bank: every target repeats, so alignment
+    # consistency walks its classes and part of the round trip decodes to
+    # the gold captions. With 16-row tiles the classes cross tile edges.
+    _root, _data, _stage, config = align_setup
+    data = tmp_path / "data"
+    assert cli.main(_gen_args(data, seed=4, n=70, frames=3, dim_frame=8, dim_concept=4,
+                              bank_size=8)) == 0
+    stage = tmp_path / "stage.json"
+    stage.write_text(json.dumps({"dataset": "data", "epochs": 4, "batch_size": 16}))
+    run = tmp_path / "run"
+    assert cli.main(_align_args(run, stage, config)) == 0
+    if tiles == "sixteen-row":
+        monkeypatch.setattr(spaceval, "TILE_ENTRIES", 0)
+    out = tmp_path / "report.json"
+    assert cli.main(["eval", "--projector", str(run / "projector"), "--data", str(data),
+                     "--out", str(out)]) == 0
+
+    params, proj_cfg, _meta = checkpoints.load_projector(run / "projector")
+    ds = corpus.PairedDataset.load(data)
+    bank = corpus.world_from_config(ds.meta["world"]).caption_bank
+    zv = np.concatenate([project(params, proj_cfg, ds.frames[i : i + cli.EVAL_BLOCK])[0]
+                         for i in range(0, len(ds), cli.EVAL_BLOCK)])
+    echo = {"projector": str(run / "projector"), "data": str(data), "n": len(ds)}
+    want = oracles.eval_report(zv, ds.targets, bank, ds.caption_ids, echo)
+    assert json.loads(out.read_text()) == want
+    assert 0.0 < want["roundtrip"]["decode_accuracy"] < 1.0
+
+
+def test_eval_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma, which a plain np.unique imports on first use, stays in memory
+    # and steps eval's peak RSS; the class finder must not pull it in.
+    data = tmp_path / "data"
+    assert cli.main(_gen_args(data, bank_size=8)) == 0
+    argv = ["eval", "--oracle", "--data", str(data), "--out", str(tmp_path / "r.json")]
+    script = (
+        "import sys\n"
+        "from conceptspace import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_eval_dim_mismatch_exits_2(align_setup, tmp_path):

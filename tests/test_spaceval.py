@@ -7,6 +7,7 @@ library must agree with them exactly (or to 1e-12) on random instances.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -34,6 +35,13 @@ from conceptspace.spaceval import (
     space_stats,
 )
 import oracles
+
+
+@pytest.fixture
+def sixteen_row_tiles(monkeypatch):
+    """Tiles of TILE_ROWS query rows whatever the width, so that small inputs
+    cross tile edges."""
+    monkeypatch.setattr(spaceval, "TILE_ENTRIES", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +158,25 @@ def test_retrieval_matches_brute_force_on_random_instances():
         assert out.mrr >= out.recall_at[1] - 1e-12
 
 
+def test_retrieval_rejects_repeated_target_ids():
+    # With a repeated id the gold column and the id rule are ambiguous.
+    values = np.array([[0.9, 0.1, 0.5], [0.2, 0.3, 0.4]])
+    sim = SimilarityMatrix(values=values, query_ids=(0, 1), target_ids=(4, 7, 4))
+    with pytest.raises(ValueError, match="target ids must be distinct; id 4 repeats"):
+        retrieval_metrics(sim, {0: 7, 1: 7})
+
+
+def test_gold_ranks_equal_the_reference_count():
+    # Rounded values tie within rows; the ids are distinct but not sorted.
+    rng = stream_rng(41, 3)
+    values = np.round(rng.normal(size=(40, 23)), 1)
+    values[:, 5] = values[:, 9]
+    target_ids = rng.permutation(100)[:23]
+    gold_pos = rng.integers(0, 23, size=40)
+    got = spaceval._gold_ranks(values, target_ids, gold_pos)
+    assert got.tolist() == oracles.gold_ranks(values, target_ids, gold_pos).tolist()
+
+
 def test_retrieval_gold_outside_targets_names_the_id():
     sim = similarity_matrix(np.eye(3), np.eye(3))
     with pytest.raises(ValueError, match="gold target id 7 not among the targets"):
@@ -161,6 +188,7 @@ def test_retrieval_gold_outside_targets_names_the_id():
 TILE_EDGE_NS = (TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS + 3)
 
 
+@pytest.mark.usefixtures("sixteen_row_tiles")
 @pytest.mark.parametrize("n", TILE_EDGE_NS)
 def test_retrieval_matches_brute_force_across_tile_edges(n):
     rng = stream_rng(41, 1, n)
@@ -179,6 +207,7 @@ def test_retrieval_matches_brute_force_across_tile_edges(n):
     assert out.ranks == tuple(1 + order[i].index(target_ids.index(gold[i])) for i in range(n))
 
 
+@pytest.mark.usefixtures("sixteen_row_tiles")
 def test_roundtrip_ties_straddling_a_tile_edge_use_id_order():
     n = 2 * TILE_ROWS + 3
     bank = make_caption_bank(stream_rng(41, 2), 3 * n, 6)
@@ -227,6 +256,7 @@ def _naive_ac(zv, zt, mode):
     return sum(vals) / len(vals), len(vals), skipped
 
 
+@pytest.mark.usefixtures("sixteen_row_tiles")
 @pytest.mark.parametrize("n", TILE_EDGE_NS)
 @pytest.mark.parametrize("mode", ["cross", "intra"])
 def test_ac_matches_loop_oracle_across_tile_edges(n, mode):
@@ -254,6 +284,7 @@ def _constant_profile_in_second_tile():
     return zv, zt
 
 
+@pytest.mark.usefixtures("sixteen_row_tiles")
 def test_ac_skips_constant_profile_in_second_tile():
     zv, zt = _constant_profile_in_second_tile()
     out = alignment_consistency(zv, zt, mode="intra")
@@ -262,6 +293,7 @@ def test_ac_skips_constant_profile_in_second_tile():
     assert out.value == pytest.approx(value, abs=1e-12)
 
 
+@pytest.mark.usefixtures("sixteen_row_tiles")
 @pytest.mark.parametrize("case", ["random", "constant-profile"])
 def test_shared_rank_helper_equals_separate_ac_calls(case):
     if case == "random":
@@ -302,6 +334,7 @@ def test_consistency_equals_reference_on_bench_like_ties():
     _assert_consistency_equals_reference(zv, zt)
 
 
+@pytest.mark.usefixtures("sixteen_row_tiles")
 @pytest.mark.parametrize("n", TILE_EDGE_NS)
 def test_consistency_equals_reference_across_tile_edges(n):
     rng = stream_rng(42, 4, n)
@@ -312,6 +345,7 @@ def test_consistency_equals_reference_across_tile_edges(n):
     _assert_consistency_equals_reference(zv, zt)
 
 
+@pytest.mark.usefixtures("sixteen_row_tiles")
 def test_consistency_equals_reference_with_a_constant_profile():
     _assert_consistency_equals_reference(*_constant_profile_in_second_tile())
 
@@ -380,6 +414,7 @@ def test_consistency_equals_reference_when_rows_differ_only_by_signed_zeros():
     _assert_consistency_equals_reference(zv, zt)
 
 
+@pytest.mark.usefixtures("sixteen_row_tiles")
 @pytest.mark.parametrize("n", TILE_EDGE_NS)
 def test_consistency_equals_reference_on_bank_draws_across_tile_edges(n):
     _assert_consistency_equals_reference(*_bank_draws(48, n, 7, 5))
@@ -399,19 +434,26 @@ def _rank_calls(monkeypatch):
 
 
 def test_consistency_ranks_target_profiles_over_the_distinct_rows(monkeypatch):
-    # On bench-like data every "vt" and "tt" tile is ranked over the k
-    # distinct targets with counts, and only "vv" and "tv" over all n columns:
-    # a silent fall back to whole rows fails here.
+    # On bench-like data the rows are walked in target-class order. Each tile
+    # ranks "vt" over the k distinct targets with counts and "vv" over all n
+    # columns, a row each, and "tt" (with counts) and "tv" (over n columns)
+    # once per class it holds: a silent fall back to whole rows, or to a
+    # ranking per row, fails here.
     zv, zt = _bank_draws(49, 1000, 256, 32)
     uv, ut = spaceval._ac_sides(zv, zt)
     k = np.unique(ut, axis=0).shape[0]
     calls = _rank_calls(monkeypatch)
     spaceval._consistency(uv, ut, ALL_PAIRS)
-    tiles = -(-1000 // TILE_ROWS)
-    counted = [shape for shape, with_counts in calls if with_counts]
-    whole = [shape for shape, with_counts in calls if not with_counts]
-    assert len(counted) == len(whole) == 2 * tiles
-    assert {shape[1] for shape in counted} == {k} and {shape[1] for shape in whole} == {1000}
+    _rep, inv, _count = spaceval._target_classes(ut)
+    order = np.argsort(inv, kind="stable")
+    want = []
+    for tile in spaceval._tiles(1000, 1000):
+        rows = order[tile]
+        held = np.unique(inv[rows]).size
+        # The profiles in name order: "tt", "tv", "vt", "vv".
+        want += [((held, k), True), ((held, 1000), False), ((rows.size, k), True),
+                 ((rows.size, 1000), False)]
+    assert calls == want
 
 
 def test_consistency_with_a_wrong_class_hint_falls_back_and_stays_equal(monkeypatch):
@@ -432,9 +474,14 @@ def test_consistency_with_a_wrong_class_hint_falls_back_and_stays_equal(monkeypa
     calls = _rank_calls(monkeypatch)
     assert spaceval._consistency(uv, ut, ALL_PAIRS) == oracles.consistency(uv, ut, ALL_PAIRS)
     # Random rows meet the two merged targets at different cosines, so every
-    # row of "vt" and "tt" is ranked whole, as every row of "vv" and "tv" is.
+    # row of "vt" and "tt" is ranked whole, as every row of "vv" is. In the
+    # one tile, "tv" ranks the first row of each class, and the rows of the
+    # merged class whose target differs from that first row's (row 0's).
     n = uv.shape[0]
-    assert sum(shape[0] for shape, with_counts in calls if not with_counts) == 4 * n
+    classes = merged(ut)[0].size
+    differ = np.count_nonzero((ut == ut[second]).all(axis=1))
+    assert [shape[0] for shape, with_counts in calls if not with_counts] == [
+        n, classes + differ, n, n]
 
 
 def test_consistency_mixes_both_paths_within_a_pair(monkeypatch):
@@ -459,6 +506,106 @@ def test_consistency_mixes_both_paths_within_a_pair(monkeypatch):
     # Every "vt" row and the four "tt" rows of the merged classes, ranked whole.
     assert sum(shape[0] for shape, with_counts in calls if not with_counts) == uv.shape[0] + 4
     assert spaceval._consistency(uv, ut, ALL_PAIRS) == oracles.consistency(uv, ut, ALL_PAIRS)
+
+
+def test_tiles_hold_about_tile_entries_with_no_one_row_tail():
+    def sizes(rows, columns):
+        return [t.stop - t.start for t in spaceval._tiles(rows, columns)]
+
+    assert sizes(1000, 1000) == [32] * 31 + [8]
+    assert sizes(4096, 4096) == [16] * 256
+    assert sizes(300, 256) == [128, 128, 44]
+    # A last tile of one row joins the tile before it.
+    assert sizes(33, 4096) == [16, 17] and sizes(257, 128) == [257]
+    assert sizes(1, 5) == [1] and sizes(0, 5) == []
+
+
+def test_target_classes_put_rows_that_differ_in_signed_zeros_in_one_class():
+    ut = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [0.5, 0.5], [-0.0, 1.0]])
+    rep, inv, count = spaceval._target_classes(ut)
+    assert inv[0] == inv[1] == inv[5] and inv[2] == inv[3]
+    assert len({inv[0], inv[2], inv[4]}) == 3
+    assert sorted(count.tolist()) == [1, 2, 3]
+    assert (ut[rep[inv]] == ut).all() and (np.bincount(inv) == count).all()
+
+
+# The class walk: rows of one target class share their "tt" and "tv" ranks.
+
+
+@pytest.mark.usefixtures("sixteen_row_tiles")
+def test_walk_equals_reference_with_a_class_across_a_tile_edge():
+    # A class of 20 rows cannot fit in a 16-row tile, so it starts again,
+    # with a new first row, in the next tile.
+    rng = stream_rng(52, 0)
+    bank = make_caption_bank(rng, 5, 4)
+    ids = rng.integers(1, 5, size=40)
+    ids[rng.permutation(40)[:20]] = 0
+    zt = bank[ids]
+    zv = zt + 0.1 * rng.normal(size=zt.shape)
+    _assert_consistency_equals_reference(zv, zt)
+
+
+@pytest.mark.usefixtures("sixteen_row_tiles")
+def test_walk_equals_reference_with_classes_of_one_row():
+    # One target repeats; every other class is a single row, its own first row.
+    n = 2 * TILE_ROWS + 5
+    rng = stream_rng(53, 0)
+    zt = make_caption_bank(rng, n, 6)
+    zt[7] = zt[30]
+    zv = zt + 0.1 * rng.normal(size=zt.shape)
+    _assert_consistency_equals_reference(zv, zt)
+
+
+def test_walk_with_a_hint_that_merges_two_classes_in_one_tile(monkeypatch):
+    # Rows of targets 0 and 1 share one class and the one tile. Their "tv"
+    # rows differ, so a row of target 1 is ranked itself, not given the
+    # ranks of the class's first row (row 0, of target 0).
+    rng = stream_rng(54, 0)
+    bank = make_caption_bank(rng, 6, 4)
+    ids = rng.integers(0, 6, size=40)
+    ids[:4] = [0, 1, 0, 1]
+    zt = bank[ids]
+    zv = zt + 0.1 * rng.normal(size=zt.shape)
+    uv, ut = spaceval._ac_sides(zv, zt)
+    real = spaceval._target_classes
+    monkeypatch.setattr(spaceval, "_target_classes", lambda rows: real(
+        np.where((rows == ut[1]).all(axis=1)[:, None], ut[0], rows)))
+    calls = _rank_calls(monkeypatch)
+    assert spaceval._consistency(uv, ut, ALL_PAIRS) == oracles.consistency(uv, ut, ALL_PAIRS)
+    # Every "tt", "vt" and "vv" row is ranked whole; "tv" ranks the first row
+    # of each class and each row of target 1.
+    whole = [shape[0] for shape, with_counts in calls if not with_counts]
+    assert whole == [40, np.unique(ids).size - 1 + np.count_nonzero(ids == 1), 40, 40]
+
+
+def test_walk_equals_reference_when_a_member_ties_its_own_tv_entry():
+    # Equal view rows put equal entries in every "tv" row. Row m1 is not the
+    # first of its class, and its own entry ties two others, which move down
+    # by 1/2 when the entry goes to +inf, not by 1.
+    rng = stream_rng(55, 0)
+    bank = make_caption_bank(rng, 4, 5)
+    ids = rng.integers(0, 4, size=2 * TILE_ROWS + 3)
+    zt = bank[ids]
+    zv = zt + 0.1 * rng.normal(size=zt.shape)
+    members = np.flatnonzero(ids == ids[0])
+    m1 = members[1]
+    zv[members[2]] = zv[m1]
+    zv[np.flatnonzero(ids != ids[0])[0]] = zv[m1]
+    uv, ut = spaceval._ac_sides(zv, zt)
+    x = ut[m1] @ uv.T
+    assert np.count_nonzero(x == x[m1]) == 3
+    _assert_consistency_equals_reference(zv, zt)
+
+
+def test_walk_is_off_for_distinct_targets(monkeypatch):
+    # k = n: the rows keep their order and every profile is ranked whole.
+    n = 3 * TILE_ROWS + 1
+    zv, zt = _bank_draws(47, n, 512, 8)
+    zt = zt + stream_rng(47, 1).normal(size=zt.shape)
+    uv, ut = spaceval._ac_sides(zv, zt)
+    calls = _rank_calls(monkeypatch)
+    assert spaceval._consistency(uv, ut, ALL_PAIRS) == oracles.consistency(uv, ut, ALL_PAIRS)
+    assert calls == [((n, n), False)] * 4
 
 
 def test_ac_rejects_non_finite_embeddings():
@@ -642,6 +789,51 @@ def test_roundtrip_noise_degrades_recall():
     assert degraded.decode_accuracy < 1.0
 
 
+def _assert_roundtrip_equals_reference(zv, bank, ids):
+    """Every report field and the decoded ids equal the two-group reference."""
+    got = roundtrip_retrieval(zv, bank, ids)
+    want = oracles.roundtrip(zv, bank, ids)
+    assert roundtrip_report_to_dict(got) == roundtrip_report_to_dict(want)
+    assert got.decoded_ids.tolist() == want.decoded_ids.tolist()
+    return got.decode_accuracy
+
+
+@pytest.mark.parametrize("case", ["all", "none", "mixed"])
+def test_roundtrip_equals_reference_by_decode_accuracy(case):
+    rng = stream_rng(56, 0)
+    bank = make_caption_bank(rng, 64, 6)
+    ids = rng.integers(0, 64, size=70)
+    zv = {
+        "all": bank[ids],
+        "none": bank[(ids + 1) % 64],
+        "mixed": bank[ids] + 0.3 * rng.normal(size=(70, 6)),
+    }[case]
+    accuracy = _assert_roundtrip_equals_reference(zv, bank, ids)
+    assert {"all": accuracy == 1.0, "none": accuracy == 0.0, "mixed": 0.0 < accuracy < 1.0}[case]
+
+
+@pytest.mark.usefixtures("sixteen_row_tiles")
+@pytest.mark.parametrize("n", TILE_EDGE_NS)
+def test_roundtrip_equals_reference_across_tile_edges(n):
+    rng = stream_rng(56, 1, n)
+    bank = make_caption_bank(rng, 12, 5)
+    ids = rng.integers(0, 12, size=n)
+    _assert_roundtrip_equals_reference(bank[ids] + 0.3 * rng.normal(size=(n, 5)), bank, ids)
+
+
+def test_roundtrip_equals_reference_with_tied_similarities():
+    # Equal embedding rows meet every caption at equal cosines, so the id
+    # rule orders them, in the gold and the decoded group alike.
+    rng = stream_rng(56, 2)
+    bank = make_caption_bank(rng, 16, 5)
+    ids = rng.integers(0, 16, size=45)
+    zv = bank[ids] + 0.3 * rng.normal(size=(45, 5))
+    zv[[10, 20, 44]] = zv[3]
+    zv[30] = zv[31]
+    accuracy = _assert_roundtrip_equals_reference(zv, bank, ids)
+    assert 0.0 < accuracy < 1.0
+
+
 def test_roundtrip_rejects_out_of_range_ids():
     bank, ids = _unique_id_setup()
     bad = ids.copy()
@@ -670,6 +862,21 @@ def test_drift_export_columns(tmp_path):
         assert float(row["dist_gold"]) == pytest.approx(
             float(np.linalg.norm(zv[i] - z_gold[i])), abs=1e-12
         )
+
+
+def test_drift_export_writes_what_csv_writer_writes(tmp_path):
+    rng = stream_rng(48, 1)
+    zv = rng.normal(size=(9, 4))
+    z_gold = rng.normal(size=(9, 4))
+    z_gold[2] = zv[2]
+    path = tmp_path / "drift.csv"
+    drift_export(zv, z_gold, -z_gold, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    assert path.read_bytes() == buffer.getvalue().encode()
+    assert rows[3][2] == "0.0" and len(rows) == 10
 
 
 def test_drift_export_shape_mismatch(tmp_path):
