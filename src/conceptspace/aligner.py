@@ -30,7 +30,7 @@ from .projector import (
     project,
     project_backward,
 )
-from .records import from_dict, write_csv
+from .records import from_dict, record_rows, write_csv
 
 _STREAM_INIT = 31
 _STREAM_VAL_SPLIT = 32
@@ -152,8 +152,8 @@ class TrainHistory:
     best_val_mse: float = math.inf
 
     def write_csvs(self, out_dir: str | Path) -> None:
-        write_csv(Path(out_dir) / "history_steps.csv", StepRecord, self.steps)
-        write_csv(Path(out_dir) / "history_epochs.csv", EpochRecord, self.epochs)
+        write_csv(Path(out_dir) / "history_steps.csv", *record_rows(StepRecord, self.steps))
+        write_csv(Path(out_dir) / "history_epochs.csv", *record_rows(EpochRecord, self.epochs))
 
 
 def _safe_mean_cos(zv: np.ndarray, zt: np.ndarray) -> float:

@@ -9,9 +9,9 @@ order. params.json also records the model config and whatever metadata the
 caller attaches (best-validation bookkeeping, seeds). A training state holds
 the model, the AdamW moments (all of `opt.m.*`, then all of `opt.v.*`) and
 the best tensors, and records its step, its noise schedule and a fingerprint
-of its corpus, so a resume with other configs or on other data is refused.
-Older states interleave `opt.m.*` and `opt.v.*` tensor by tensor, and record
-no `schedule`: they resume with the schedule unchecked. Its one AdamW group
+of its corpus, so a resume with other configs or on other data is refused;
+a state that records no schedule (written by an older release, which also
+interleaved `opt.m.*` and `opt.v.*`) is a format error. Its one AdamW group
 steps once per training step, so the optimizer's step count is the state's
 step and is not stored apart. A model load must find exactly the tensors of
 the layout of its stored config (`projector.layout`, `latentdiff.layout`),
@@ -40,7 +40,7 @@ from .corpus import (
     read_embeddings,
 )
 from .latentdiff import LcmModelConfig, LcmTrainConfig
-from .optim import AdamW, flat_copy, flat_span, tensor_views
+from .optim import AdamW, tensor_views
 from .projector import ProjectorConfig
 from .records import from_dict
 
@@ -225,16 +225,6 @@ def save_lcm_train_state(
     save_tensors(out_dir, tensors, meta)
 
 
-def _one_vector(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """`tensors` if they fill one vector in order, else a copy that does: a state
-    stores opt.m and opt.v as two blocks, but older states interleave them."""
-    try:
-        flat_span(tensors)
-    except ValueError:
-        return flat_copy(tensors)
-    return tensors
-
-
 def load_lcm_train_state(
     in_dir: str | Path, optimizer: AdamW, model_cfg: LcmModelConfig, train_cfg: LcmTrainConfig,
     corpus_digest: str, schedule: dict,
@@ -245,11 +235,14 @@ def load_lcm_train_state(
     tensors, meta = load_tensors(in_dir)
     if meta.get("kind") != "lcm-train-state":
         raise EmbeddingFormatError(f"{in_dir}: not a training-state checkpoint")
+    if "schedule" not in meta:
+        raise EmbeddingFormatError(f"{in_dir}: training state records no noise schedule "
+                                   "(written by an older release); it cannot be resumed")
     with malformed_manifest(Path(in_dir) / "params.json"):
         step = meta["step"]
         best_val, best_step = float(meta["best_val"]), int(meta["best_step"])
         stored = {"model": dict(meta["config"]), "train": dict(meta["train_config"]),
-                  "schedule": dict(meta["schedule"]) if "schedule" in meta else schedule}
+                  "schedule": dict(meta["schedule"])}
         stored_digest = str(meta["corpus_sha256"])
         max_steps = stored["train"]["max_steps"]
         # A step past the end would train nothing; a negative one has no batch stream.
@@ -272,5 +265,5 @@ def load_lcm_train_state(
     _check_layout(in_dir, tensors, {f"{g}.{k}": s for g in sections for k, s in shapes.items()})
     model, m, v, best = ({k: tensors[f"{g}.{k}"] for k in shapes} for g in sections)
     # One parameter group, stepped once per training step.
-    optimizer.m, optimizer.v, optimizer.t = _one_vector(m), _one_vector(v), step
+    optimizer.m, optimizer.v, optimizer.t = m, v, step
     return model, optimizer, step, (best_val, best_step, best)

@@ -346,12 +346,7 @@ def cmd_eval(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if args.drift_csv:
-        spaceval.drift_export(
-            zv,
-            world.caption_bank[dataset.caption_ids],
-            world.caption_bank[roundtrip.decoded_ids],
-            args.drift_csv,
-        )
+        spaceval.drift_export(roundtrip, args.drift_csv)
     _write_resolved_config(
         out.parent,
         {

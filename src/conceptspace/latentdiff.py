@@ -42,7 +42,7 @@ from .attention import attention_backward, attention_forward, fold_rows
 from .numerics import holdout_split, stream_rng
 from .optim import AdamW, TrainingDivergedError, clip_global_norm, flat_copy, warmup_cosine
 from .projector import sinusoidal_features
-from .records import write_csv
+from .records import record_rows, write_csv
 
 _STREAM_INIT = 40
 _STREAM_SPLIT = 41
@@ -543,8 +543,8 @@ class LcmHistory:
     best_val: float = math.inf
 
     def write_csvs(self, out_dir: str | Path) -> None:
-        write_csv(Path(out_dir) / "history_steps.csv", LcmStepRecord, self.steps)
-        write_csv(Path(out_dir) / "history_vals.csv", LcmValRecord, self.vals)
+        write_csv(Path(out_dir) / "history_steps.csv", *record_rows(LcmStepRecord, self.steps))
+        write_csv(Path(out_dir) / "history_vals.csv", *record_rows(LcmValRecord, self.vals))
 
 
 def _val_loss(

@@ -1,8 +1,8 @@
-"""Flat dataclasses from JSON dicts (configs; `asdict` goes back) and to CSV (histories)."""
+"""Flat dataclasses from JSON dicts (configs; `asdict` goes back), and the one CSV
+writer (training histories and the eval drift export)."""
 
 from __future__ import annotations
 
-import csv
 import functools
 import types
 import typing
@@ -50,11 +50,16 @@ def from_dict(cls, d: dict):
     return cls(**d)
 
 
-def write_csv(path: Path, cls, records) -> None:
-    """A header of the field names of `cls`, then one row per record (floats as repr)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+def record_rows(cls, records) -> tuple[list[str], list[list]]:
+    """The field names of dataclass `cls`, and each record's values in that order."""
     names = [f.name for f in fields(cls)]
+    return names, [[getattr(r, name) for name in names] for r in records]
+
+
+def write_csv(path: Path, header, rows) -> None:
+    """`header`, then each row: values as str (floats as repr) joined by commas,
+    every line ended by \r\n. These are csv.writer's bytes for values that
+    need no quoting: names, numbers and the history's phase words."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows([getattr(r, name) for name in names] for r in records)
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in [header, *rows])

@@ -12,19 +12,23 @@ distinct rows with their counts, and the query rows are walked in target-class
 order: a profile whose rows are targets is ranked once per class in a tile,
 and each other row of the class takes those ranks with an exact adjustment for
 its own entry. The round trip ranks a decoded caption only where it differs
-from the item's gold caption. Spread statistics summarize a set by the trace
-and log-determinant of its unbiased covariance plus the mean row norm.
+from the item's gold caption, and keeps each item's cosine and distance to
+both captions, which the drift export writes as they are. Spread statistics
+summarize a set by the trace and log-determinant of its unbiased covariance
+plus the mean row norm. A report serializes as its compared fields, so the
+per-item arrays stay out of report.json.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .numerics import covariance_matrix, logdet_psd, rank_rows
+from .records import write_csv
 
 AC_MODES = ("cross", "intra")
 RECALL_KS = (1, 5, 10)
@@ -414,9 +418,11 @@ class RoundTripReport:
     n: int
     decode_accuracy: float
     groups: dict[str, GroupStats]
-    # Nearest-decoded bank row per embedding; kept for the drift export and
-    # left out of the serialized report.
+    # Per item: the nearest-decoded bank row, and the drift export's columns
+    # (each embedding's cosine and distance to its gold and decoded caption,
+    # in the export's order). Neither is compared or serialized.
     decoded_ids: np.ndarray = field(compare=False, repr=False)
+    drift: dict[str, np.ndarray] = field(compare=False, repr=False)
 
 
 def _item_ranks(uv: np.ndarray, uc: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -428,20 +434,6 @@ def _item_ranks(uv: np.ndarray, uc: np.ndarray, items: np.ndarray) -> np.ndarray
         sims = np.clip(uc[rows] @ uv.T, -1.0, 1.0)
         ranks[rows] = _gold_ranks(sims, every, items[rows])
     return ranks
-
-
-def _group_stats(
-    zv: np.ndarray, uv: np.ndarray, captions: np.ndarray, uc: np.ndarray, ranks: np.ndarray
-) -> GroupStats:
-    metrics = _retrieval_from_ranks(ranks)
-    cosines = np.sum(uv * uc, axis=1)
-    distances = np.linalg.norm(zv - captions, axis=1)
-    return GroupStats(
-        recall_at=metrics.recall_at,
-        mrr=metrics.mrr,
-        mean_cosine=float(np.mean(cosines)),
-        mean_distance=float(np.mean(distances)),
-    )
 
 
 def roundtrip_retrieval(
@@ -471,40 +463,28 @@ def roundtrip_retrieval(
     moved = np.flatnonzero(decoded_ids != gold_ids)
     decoded_ranks = gold_ranks.copy()
     decoded_ranks[moved] = _item_ranks(uv, ud[moved], moved)
-    groups = {
-        "gold": _group_stats(zv, uv, gold, ug, gold_ranks),
-        "decoded": _group_stats(zv, uv, decoded, ud, decoded_ranks),
+    drift = {
+        "cos_gold": np.sum(uv * ug, axis=1),
+        "cos_decoded": np.sum(uv * ud, axis=1),
+        "dist_gold": np.linalg.norm(zv - gold, axis=1),
+        "dist_decoded": np.linalg.norm(zv - decoded, axis=1),
     }
-    return RoundTripReport(
-        n=zv.shape[0], decode_accuracy=accuracy, groups=groups, decoded_ids=decoded_ids
-    )
+    groups = {}
+    for name, ranks in (("gold", gold_ranks), ("decoded", decoded_ranks)):
+        metrics = _retrieval_from_ranks(ranks)
+        groups[name] = GroupStats(metrics.recall_at, metrics.mrr,
+                                  float(np.mean(drift[f"cos_{name}"])),
+                                  float(np.mean(drift[f"dist_{name}"])))
+    return RoundTripReport(n=zv.shape[0], decode_accuracy=accuracy, groups=groups,
+                           decoded_ids=decoded_ids, drift=drift)
 
 
-def drift_export(
-    zv: np.ndarray, z_gold: np.ndarray, z_decoded: np.ndarray, path: str | Path
-) -> None:
-    """Per-item cosine and distance of each embedding to both caption sources."""
-    zv = np.asarray(zv, dtype=np.float64)
-    z_gold = np.asarray(z_gold, dtype=np.float64)
-    z_decoded = np.asarray(z_decoded, dtype=np.float64)
-    if not (zv.shape == z_gold.shape == z_decoded.shape):
-        raise ValueError("all three matrices must share one shape")
-    uv = _unit_rows(zv, "vision")
-    ug = _unit_rows(z_gold, "gold caption")
-    ud = _unit_rows(z_decoded, "decoded caption")
-    columns = (
-        np.sum(uv * ug, axis=1),
-        np.sum(uv * ud, axis=1),
-        np.linalg.norm(zv - z_gold, axis=1),
-        np.linalg.norm(zv - z_decoded, axis=1),
-    )
-    # The lines csv.writer would write: floats as repr, which needs no
-    # quoting, and \r\n after every line.
-    lines = ["cos_gold,cos_decoded,dist_gold,dist_decoded"]
-    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
+def drift_export(roundtrip: RoundTripReport, path: str | Path) -> None:
+    """Per-item cosine and distance of each embedding to both caption sources:
+    the round trip's own columns, one row per item."""
+    columns = roundtrip.drift
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join(lines) + "\r\n")
+        write_csv(Path(path), list(columns), zip(*(c.tolist() for c in columns.values())))
     except OSError as exc:
         raise OSError(f"could not write drift export to {path}: {exc}") from exc
 
@@ -560,35 +540,16 @@ def build_space_report(
     )
 
 
-def space_report_to_dict(report: SpaceReport) -> dict:
-    return {
-        "n": report.n,
-        "recall_at": {str(k): report.recall_at[k] for k in RECALL_KS},
-        "mrr": report.mrr,
-        "ac": report.ac,
-        "ac_reverse": report.ac_reverse,
-        "ac_intra": report.ac_intra,
-        "v_trace": report.v_trace,
-        "t_trace": report.t_trace,
-        "v_logdet": report.v_logdet,
-        "t_logdet": report.t_logdet,
-        "v_norm_mean": report.v_norm_mean,
-        "t_norm_mean": report.t_norm_mean,
-        "config": report.config,
-    }
+def _report_to_dict(value):
+    """A SpaceReport or RoundTripReport as JSON values: the compared fields of
+    each dataclass (the per-item arrays are left out), and dict keys such as
+    the recall cutoffs as strings."""
+    if is_dataclass(value):
+        return {f.name: _report_to_dict(getattr(value, f.name))
+                for f in fields(value) if f.compare}
+    if isinstance(value, dict):
+        return {str(k): _report_to_dict(v) for k, v in value.items()}
+    return value
 
 
-def roundtrip_report_to_dict(report: RoundTripReport) -> dict:
-    return {
-        "n": report.n,
-        "decode_accuracy": report.decode_accuracy,
-        "groups": {
-            name: {
-                "recall_at": {str(k): stats.recall_at[k] for k in RECALL_KS},
-                "mrr": stats.mrr,
-                "mean_cosine": stats.mean_cosine,
-                "mean_distance": stats.mean_distance,
-            }
-            for name, stats in report.groups.items()
-        },
-    }
+space_report_to_dict = roundtrip_report_to_dict = _report_to_dict

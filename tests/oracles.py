@@ -261,18 +261,20 @@ def _off_diagonal(tile: np.ndarray, start: int) -> np.ndarray:
 
 
 def consistency(uv: np.ndarray, ut: np.ndarray, pairs: list[tuple[str, str]]) -> list[AcResult]:
-    """`spaceval._consistency` on the same unit rows and profile pairs."""
+    """`spaceval._consistency` on the same unit rows and profile pairs. Each
+    profile is one full product over a transposed contiguous copy, so no row
+    of it is a one-row (gemv) product; it is ranked in blocks of rows."""
     n = uv.shape[0]
     sides = {"v": uv, "t": ut}
     names = sorted({name for pair in pairs for name in pair})
     columns = {side: np.ascontiguousarray(u.T) for side, u in sides.items()}
+    products = {name: sides[name[0]] @ columns[name[1]] for name in names}
     totals = [0.0] * len(pairs)
     used = [0] * len(pairs)
     for start in range(0, n, TILE_ROWS):
         ranks, flat = {}, {}
         for name in names:
-            rows = sides[name[0]][start : start + TILE_ROWS]
-            profile = _off_diagonal(rows @ columns[name[1]], start)
+            profile = _off_diagonal(products[name][start : start + TILE_ROWS], start)
             flat[name] = np.ptp(profile, axis=1) == 0.0
             ranks[name] = argsort_ranks(profile)
         for k, (a, b) in enumerate(pairs):
@@ -307,20 +309,23 @@ def roundtrip(zv: np.ndarray, bank: np.ndarray, gold_ids: np.ndarray) -> RoundTr
     decoded = spaceval.nearest_decode_many(zv, bank)
     uv = _unit(zv)
     items = np.arange(zv.shape[0])
-    groups = {}
+    groups, drift = {}, {}
     for name, ids in (("gold", gold_ids), ("decoded", decoded)):
         captions = bank[ids]
         uc = _unit(captions)
         ranks = gold_ranks(np.clip(uc @ uv.T, -1.0, 1.0), items, items)
         recall, mrr = _recall_and_mrr(ranks)
+        drift[f"cos_{name}"] = np.sum(uv * uc, axis=1)
+        drift[f"dist_{name}"] = np.linalg.norm(zv - captions, axis=1)
         groups[name] = GroupStats(
             recall_at=recall,
             mrr=mrr,
-            mean_cosine=float(np.mean(np.sum(uv * uc, axis=1))),
-            mean_distance=float(np.mean(np.linalg.norm(zv - captions, axis=1))),
+            mean_cosine=float(np.mean(drift[f"cos_{name}"])),
+            mean_distance=float(np.mean(drift[f"dist_{name}"])),
         )
+    drift = {key: drift[key] for key in ("cos_gold", "cos_decoded", "dist_gold", "dist_decoded")}
     return RoundTripReport(n=zv.shape[0], decode_accuracy=float(np.mean(decoded == gold_ids)),
-                           groups=groups, decoded_ids=decoded)
+                           groups=groups, decoded_ids=decoded, drift=drift)
 
 
 def eval_report(zv: np.ndarray, zt: np.ndarray, bank: np.ndarray, gold_ids: np.ndarray,

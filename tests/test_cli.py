@@ -6,7 +6,9 @@ tests rerun a command with the *same* --out path (the resolved config embeds
 paths as given) and compare file hashes before and after.
 """
 
+import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -22,10 +24,11 @@ import numpy as np
 import pytest
 
 from conceptspace import checkpoints, cli, corpus, latentdiff, projector, spaceval
-from conceptspace.aligner import AlignConfig
+from conceptspace.aligner import AlignConfig, EpochRecord, StepRecord
+from conceptspace.latentdiff import LcmStepRecord, LcmValRecord
 from conceptspace.numerics import stream_rng
 from conceptspace.projector import ProjectorConfig, init_projector, project
-from conceptspace.records import from_dict
+from conceptspace.records import from_dict, record_rows, write_csv
 
 import oracles
 
@@ -546,7 +549,7 @@ def test_train_lcm_resume_refuses_another_schedule(tmp_path, capsys):
         "steps": 3, "lambda_max": 10.0, "lambda_min": -10.0}
 
 
-def test_train_lcm_resumes_a_state_without_a_schedule_unchecked(lcm_setup, tmp_path):
+def test_train_lcm_refuses_a_state_without_a_schedule(lcm_setup, tmp_path, capsys):
     # A state written before the schedule was recorded has none to compare.
     _root, data, config = lcm_setup
     full = tmp_path / "full"
@@ -556,8 +559,12 @@ def test_train_lcm_resumes_a_state_without_a_schedule_unchecked(lcm_setup, tmp_p
     del doc["meta"]["schedule"]
     (ckpt / "params.json").write_text(json.dumps(doc, indent=2) + "\n")
     resumed = tmp_path / "resumed"
-    assert cli.main(_train_args(resumed, data, config, extra=["--resume", str(ckpt)])) == 0
-    assert _hash_dir(resumed / "model") == _hash_dir(full / "model")
+    capsys.readouterr()
+    assert cli.main(_train_args(resumed, data, config, extra=["--resume", str(ckpt)])) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "records no noise schedule" in err
+    assert "Traceback" not in err
+    assert not resumed.exists()
 
 
 @pytest.mark.parametrize(("schedule", "needle"), [({"steps": 6, "lamda_max": 3.0}, "lamda_max"),
@@ -644,10 +651,15 @@ def test_eval_trained_projector_runs(align_setup, tmp_path):
     bank = corpus.world_from_config(ds.meta["world"]).caption_bank
     zv = np.stack([project(params, proj_cfg, f)[0] for f in ds.frames])
     decoded = [spaceval.nearest_decode(row, bank) for row in zv]
-    expected = tmp_path / "expected.csv"
-    spaceval.drift_export(zv, bank[ds.caption_ids], bank[decoded], expected)
+    columns = {}
+    for name, captions in (("gold", bank[ds.caption_ids]), ("decoded", bank[decoded])):
+        columns[f"cos_{name}"] = np.einsum("ij,ij->i", zv, captions) / (
+            np.linalg.norm(zv, axis=1) * np.linalg.norm(captions, axis=1))
+        columns[f"dist_{name}"] = np.sqrt(((zv - captions) ** 2).sum(axis=1))
+    header = "cos_gold,cos_decoded,dist_gold,dist_decoded"
+    assert drift.read_text().splitlines()[0] == header
+    want = np.column_stack([columns[name] for name in header.split(",")])
     got = np.loadtxt(drift, delimiter=",", skiprows=1)
-    want = np.loadtxt(expected, delimiter=",", skiprows=1)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -683,21 +695,23 @@ def test_eval_report_equals_the_oracles_with_repeated_targets(align_setup, tmp_p
 
 
 def test_eval_does_not_import_numpy_ma(tmp_path):
-    # numpy.ma, which a plain np.unique imports on first use, stays in memory
-    # and steps eval's peak RSS; the class finder must not pull it in.
+    # A module imported on first use stays in memory and steps eval's peak
+    # RSS: numpy.ma, which a plain np.unique imports, must not be pulled in by
+    # the class finder, nor csv by the drift export or the report.
     data = tmp_path / "data"
     assert cli.main(_gen_args(data, bank_size=8)) == 0
-    argv = ["eval", "--oracle", "--data", str(data), "--out", str(tmp_path / "r.json")]
+    argv = ["eval", "--oracle", "--data", str(data), "--drift-csv", str(tmp_path / "d.csv"),
+            "--out", str(tmp_path / "r.json")]
     script = (
         "import sys\n"
         "from conceptspace import cli\n"
         f"assert cli.main({argv!r}) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print([name for name in ('numpy.ma', 'csv') if name in sys.modules])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_eval_dim_mismatch_exits_2(align_setup, tmp_path):
@@ -722,13 +736,63 @@ def test_eval_requires_projector_or_oracle(tmp_path):
 def test_eval_writes_drift_csv(tmp_path):
     data = tmp_path / "data"
     assert cli.main(_gen_args(data)) == 0
-    csv_path = tmp_path / "drift.csv"
+    csv_path = tmp_path / "probes" / "drift.csv"  # the folder is created
     assert cli.main(["eval", "--oracle", "--data", str(data),
                      "--drift-csv", str(csv_path),
                      "--out", str(tmp_path / "r.json")]) == 0
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "cos_gold,cos_decoded,dist_gold,dist_decoded"
     assert len(lines) == 1 + 24
+
+
+# Floats whose repr takes each form: exponent, plain, signed zero, subnormal, largest.
+_CSV_FLOATS = (1e-05, 0.1, -0.0, 5e-324, 1.7976931348623157e308)
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
+@pytest.mark.parametrize("cls", [StepRecord, EpochRecord, LcmStepRecord, LcmValRecord])
+def test_write_csv_writes_what_csv_writer_writes_for_each_history(cls, tmp_path):
+    # One record per float, each float field taking the floats in turn, the
+    # int fields the record's index and a str phase both of its words.
+    hints = typing.get_type_hints(cls)
+    records = []
+    for i in range(len(_CSV_FLOATS)):
+        values = {}
+        for j, f in enumerate(fields(cls)):
+            kind = hints[f.name]
+            values[f.name] = (i if kind is int else ("frozen", "joint")[i % 2] if kind is str
+                              else _CSV_FLOATS[(i + j) % len(_CSV_FLOATS)])
+        records.append(cls(**values))
+    if cls is LcmStepRecord:
+        # An int grad_clip comes back from clip_global_norm as the clipped norm.
+        records.append(LcmStepRecord(step=9, lr=0.1, loss=1e-05, grad_norm_raw=30.5, grad_norm=25))
+    path = tmp_path / "history.csv"
+    for kept in ([], records):
+        header, rows = record_rows(cls, kept)
+        write_csv(path, header, rows)
+        assert path.read_bytes() == _csv_writer_bytes(header, rows)
+    if cls is LcmStepRecord:
+        assert path.read_bytes().endswith(b",30.5,25\r\n")
+
+
+def test_write_csv_writes_what_csv_writer_writes_for_the_drift_export(tmp_path):
+    rng = stream_rng(52, 0)
+    bank = rng.normal(size=(6, 4))
+    roundtrip = spaceval.roundtrip_retrieval(rng.normal(size=(9, 4)), bank,
+                                             rng.integers(0, 6, size=9))
+    path = tmp_path / "drift.csv"
+    spaceval.drift_export(roundtrip, path)
+    header = ["cos_gold", "cos_decoded", "dist_gold", "dist_decoded"]
+    assert list(roundtrip.drift) == header
+    rows = zip(*(roundtrip.drift[name].tolist() for name in header))
+    assert path.read_bytes() == _csv_writer_bytes(header, rows)
 
 
 # ---------------------------------------------------------------------------

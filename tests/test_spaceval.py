@@ -846,31 +846,39 @@ def test_roundtrip_rejects_out_of_range_ids():
 # drift export
 
 
+def _drift_rows(roundtrip, path):
+    drift_export(roundtrip, path)
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_drift_export_columns(tmp_path):
     rng = stream_rng(48, 0)
     zv = rng.normal(size=(6, 4))
-    z_gold = rng.normal(size=(6, 4))
-    path = tmp_path / "drift.csv"
-    drift_export(zv, z_gold, z_gold.copy(), path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    bank = rng.normal(size=(6, 4))
+    roundtrip = roundtrip_retrieval(zv, bank, np.arange(6))
+    decoded = roundtrip.decoded_ids
+    assert 0 < np.count_nonzero(decoded == np.arange(6)) < 6
+    rows = _drift_rows(roundtrip, tmp_path / "drift.csv")
     assert len(rows) == 6
     for i, row in enumerate(rows):
-        assert float(row["cos_gold"]) == float(row["cos_decoded"])
-        ref = float(zv[i] @ z_gold[i] / (np.linalg.norm(zv[i]) * np.linalg.norm(z_gold[i])))
-        assert float(row["cos_gold"]) == pytest.approx(ref, abs=1e-12)
-        assert float(row["dist_gold"]) == pytest.approx(
-            float(np.linalg.norm(zv[i] - z_gold[i])), abs=1e-12
-        )
+        if decoded[i] == i:
+            assert float(row["cos_gold"]) == float(row["cos_decoded"])
+        for name, caption in (("gold", bank[i]), ("decoded", bank[decoded[i]])):
+            ref = float(zv[i] @ caption / (np.linalg.norm(zv[i]) * np.linalg.norm(caption)))
+            assert float(row[f"cos_{name}"]) == pytest.approx(ref, abs=1e-12)
+            assert float(row[f"dist_{name}"]) == pytest.approx(
+                float(np.linalg.norm(zv[i] - caption)), abs=1e-12
+            )
 
 
 def test_drift_export_writes_what_csv_writer_writes(tmp_path):
     rng = stream_rng(48, 1)
     zv = rng.normal(size=(9, 4))
-    z_gold = rng.normal(size=(9, 4))
-    z_gold[2] = zv[2]
+    bank = rng.normal(size=(9, 4))
+    bank[2] = zv[2]
     path = tmp_path / "drift.csv"
-    drift_export(zv, z_gold, -z_gold, path)
+    drift_export(roundtrip_retrieval(zv, bank, np.arange(9)), path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     buffer = io.StringIO(newline="")
@@ -879,9 +887,18 @@ def test_drift_export_writes_what_csv_writer_writes(tmp_path):
     assert rows[3][2] == "0.0" and len(rows) == 10
 
 
-def test_drift_export_shape_mismatch(tmp_path):
-    with pytest.raises(ValueError):
-        drift_export(np.ones((3, 2)), np.ones((3, 2)), np.ones((4, 2)), tmp_path / "x.csv")
+def test_drift_columns_average_to_the_reported_means(tmp_path):
+    bank = make_caption_bank(stream_rng(51, 0), 12, 5)
+    ids = stream_rng(51, 1).integers(0, 12, size=45)
+    zv = bank[ids] + 0.4 * stream_rng(51, 2).normal(size=(45, 5))
+    roundtrip = roundtrip_retrieval(zv, bank, ids)
+    assert 0.0 < roundtrip.decode_accuracy < 1.0
+    rows = _drift_rows(roundtrip, tmp_path / "drift.csv")
+    for name, stats in roundtrip.groups.items():
+        cosines, distances = (np.array([float(row[f"{column}_{name}"]) for row in rows])
+                              for column in ("cos", "dist"))
+        assert float(np.mean(cosines)) == stats.mean_cosine
+        assert float(np.mean(distances)) == stats.mean_distance
 
 
 # ---------------------------------------------------------------------------
